@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "fpga/compile.h"
+#include "runtime/replay.h"
 #include "runtime/runtime.h"
 #include "service/compile_service.h"
 #include "telemetry/journal.h"
@@ -373,6 +374,80 @@ TEST(Hypervisor, CapacityPressureEvictsIdleTenantAndAdmitsWaiter)
         }
     }
     EXPECT_TRUE(a_evicted);
+}
+
+/// The scheduler iterations of a journal's hypervisor.evict events.
+std::vector<uint64_t>
+eviction_iterations(const std::string& path)
+{
+    runtime::ReplayLog log;
+    std::string err;
+    EXPECT_TRUE(runtime::load_journal(path, &log, &err)) << err;
+    std::vector<uint64_t> out;
+    for (const auto& ev : log.events) {
+        if (ev.type == "hypervisor.evict") {
+            out.push_back(ev.data.get_u64("iteration"));
+        }
+    }
+    return out;
+}
+
+TEST(Hypervisor, CapacityPressureEvictionReplaysOnExclusiveDevice)
+{
+    // The capacity-pressure scenario above, with the evictee recording.
+    // Its replay runs on a private device where nothing ever contends,
+    // so the eviction can only come from the journal: it must fire at
+    // the recorded scheduler iteration and the session must match.
+    CompileService svc;
+    uint64_t area = 0;
+    for (int i = 0; i < 2; ++i) {
+        FabricManager probe_fm;
+        Runtime rt(hw_fast(), svc, probe_fm);
+        rt.on_output = [](const std::string&) {};
+        ASSERT_TRUE(rt.eval(tenant_program(i)));
+        ASSERT_TRUE(rt.wait_for_hardware(60.0));
+        for (const auto& s : probe_fm.slot_map()) {
+            area = std::max(area, s.le_count);
+        }
+    }
+    ASSERT_GT(area, 0u);
+    FabricManager fm{fpga::FpgaDevice(area + area / 2, 11000000, 50.0)};
+
+    const std::string path = temp_path("evictee.jsonl");
+    const std::string rerecord = temp_path("evictee_replay.jsonl");
+    Runtime a(hw_fast(), svc, fm);
+    a.on_output = [](const std::string&) {};
+    std::string err;
+    ASSERT_TRUE(a.start_recording(path, &err)) << err;
+    ASSERT_TRUE(a.eval(tenant_program(0)));
+    ASSERT_TRUE(a.wait_for_hardware(60.0));
+
+    Runtime b(hw_fast(), svc, fm);
+    b.on_output = [](const std::string&) {};
+    ASSERT_TRUE(b.eval(tenant_program(1)));
+    const auto start = std::chrono::steady_clock::now();
+    while (!b.hardware_ready()) {
+        a.step();
+        b.step();
+        ASSERT_LT(std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count(),
+                  120.0)
+            << "second tenant was never admitted";
+    }
+    a.run_for_ticks(64);
+    a.stop_recording();
+    const std::vector<uint64_t> recorded = eviction_iterations(path);
+    ASSERT_FALSE(recorded.empty()) << "the recording holds no eviction";
+
+    runtime::ReplayOptions ropts;
+    ropts.record_path = rerecord;
+    const runtime::ReplayReport report =
+        runtime::replay_journal(path, ropts);
+    EXPECT_TRUE(report.ok) << report.summary();
+    EXPECT_EQ(eviction_iterations(rerecord), recorded);
+    std::remove(path.c_str());
+    std::remove(rerecord.c_str());
 }
 
 // ---------------------------------------------------------------------
