@@ -1337,7 +1337,7 @@ ModuleInterpreter::there_are_evals() const
 }
 
 void
-ModuleInterpreter::commit_net(uint32_t id, BitVector value)
+ModuleInterpreter::commit_net(uint32_t id, BitVector value, bool edges)
 {
     if (values_[id] == value) {
         return;
@@ -1355,7 +1355,7 @@ ModuleInterpreter::commit_net(uint32_t id, BitVector value)
             comb_queue_.push_back(p);
         }
     }
-    if (was != now) {
+    if (edges && was != now) {
         for (const auto& [p, edge] : seq_deps_[id]) {
             const bool fire = edge == EdgeKind::Pos ? (!was && now)
                                                     : (was && !now);
@@ -1710,7 +1710,9 @@ ModuleInterpreter::set_state(const StateSnapshot& snapshot)
     for (const auto& [name, value] : snapshot.regs) {
         const auto it = em_->net_index.find(name);
         if (it != em_->net_index.end()) {
-            commit_net(it->second, value.resized(em_->nets[it->second].width));
+            commit_net(it->second,
+                       value.resized(em_->nets[it->second].width),
+                       /*edges=*/false);
         }
     }
     for (const auto& [name, mem] : snapshot.memories) {

@@ -157,6 +157,9 @@ class ModuleInterpreter {
 
     /// @{ State handoff for engine transitions (sw -> hw and back).
     StateSnapshot get_state() const;
+    /// Restores values without latching edge triggers: a restore is not
+    /// a signal transition (the engine the state came from already ran
+    /// the edges that produced it). Combinational dependents re-evaluate.
     void set_state(const StateSnapshot& snapshot);
     /// @}
 
@@ -231,8 +234,9 @@ class ModuleInterpreter {
                       std::vector<uint32_t>* out) const;
 
     /// Writes \p value to net \p id, recording changes, waking dependent
-    /// combinational processes, and latching edge triggers.
-    void commit_net(uint32_t id, BitVector value);
+    /// combinational processes, and latching edge triggers (unless
+    /// \p edges is false).
+    void commit_net(uint32_t id, BitVector value, bool edges = true);
     void commit_element(uint32_t id, uint64_t index, BitVector value);
 
     void run_process(size_t index);
