@@ -4,8 +4,9 @@
 /// `Runtime::start_recording()` captures every nondeterminism-bearing
 /// event of a session; replay_journal() reconstructs an identically
 /// configured Runtime from the journal header, re-feeds the recorded
-/// inputs in order, pins the sources of nondeterminism (placement seeds,
-/// adoption iterations, open-loop grants), and compares every output
+/// inputs in order, pins the sources of nondeterminism through a replay
+/// Runtime::Oracle (adoption iterations, forced outcomes, evictions,
+/// placement seeds, open-loop grants), and compares every output
 /// event the re-executed session produces against the recording — byte
 /// for byte — reporting the first diverging event if any.
 
