@@ -282,6 +282,49 @@ TEST(Debugger, HardwareTriggerEvictsStepsAndReadmits)
     std::filesystem::remove(win_path);
 }
 
+TEST(Debugger, DeletingLastPointOnJitRungRestoresTheKernel)
+{
+    // On the JIT rung (the 10-LE device rejects the fabric) arming swaps
+    // the instrumented bitstream twin in; deleting the last point must
+    // swap the kernel back, so ticks cost what they did before arming.
+    Runtime::Options opts = hw_fast();
+    opts.device_les = 10;
+    opts.enable_open_loop = false; // deterministic tick accounting
+    Runtime rt(opts);
+    rt.on_output = [](const std::string&) {};
+    std::string err;
+    ASSERT_TRUE(rt.eval(kCounter16, &err)) << err;
+    const auto start = std::chrono::steady_clock::now();
+    while (rt.user_location() == Location::Software) {
+        if (rt.telemetry().counter("jit.unavailable")->value() != 0) {
+            GTEST_SKIP() << "no usable compiler on this host";
+        }
+        ASSERT_LT(std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count(),
+                  60.0);
+        rt.step();
+    }
+    ASSERT_EQ(rt.user_location(), Location::Jit);
+    // Timeline cost of 2,000 ticks, after a few ticks that absorb any
+    // engine-swap traffic.
+    const auto cost = [&] {
+        rt.run_for_ticks(8);
+        const double t0 = rt.timeline_seconds();
+        rt.run_for_ticks(2000);
+        return rt.timeline_seconds() - t0;
+    };
+    const double before = cost();
+
+    const uint64_t id = rt.debug_break("cnt", "==", "65000", &err);
+    ASSERT_NE(id, 0u) << err;
+    EXPECT_TRUE(rt.hw_debug_armed());
+    EXPECT_TRUE(rt.debug_delete(id));
+    EXPECT_FALSE(rt.hw_debug_armed());
+    EXPECT_EQ(rt.user_location(), Location::Jit);
+    EXPECT_NEAR(cost(), before, before * 1e-6);
+}
+
 // ---------------------------------------------------------------------
 // Pre-trigger capture window vs. an open VCD dump
 // ---------------------------------------------------------------------

@@ -5,9 +5,14 @@
 
 #include "runtime/runtime.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
 #include <sstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -319,6 +324,86 @@ TEST(RuntimeExtra, EvalWithClockHighRunsNoExtraPosedge)
         rt.run_for_ticks(8);
         EXPECT_EQ(cnt(), rt.virtual_ticks());
     }
+}
+
+TEST(RuntimeExtra, AdoptWithClockHighRunsNoLostPosedge)
+{
+    // Adoption with the clock high: right after the posedge reached the
+    // software engines, and once it fully executed. The edge runs
+    // exactly once, in the engines that saw it: the adopted engine
+    // neither drops it nor runs it again. Every adopting rung: the JIT
+    // kernel (the 10-LE device rejects the fabric), the fabric, and
+    // native mode. A cold kernel cache, and a per-case constant, keep
+    // every build cold, so no cached kernel or bitstream is adopted
+    // before the clock is high.
+    const std::string cache =
+        (std::filesystem::temp_directory_path() /
+         ("cascade_adopt_edge_cache" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(cache);
+    ::setenv("CASCADE_JIT_CACHE_DIR", cache.c_str(), 1);
+    uint64_t salt = 0;
+    for (const Location rung : {Location::Jit, Location::HardwareForwarded,
+                                Location::Native}) {
+        for (const bool executed : {false, true}) {
+            SCOPED_TRACE(std::string(location_name(rung)) +
+                         (executed ? ", posedge executed"
+                                   : ", posedge delivered"));
+            Runtime::Options opts;
+            opts.enable_open_loop = false;
+            opts.compile_effort = 0.05;
+            if (rung == Location::Jit) {
+                opts.device_les = 10;
+            } else if (rung == Location::HardwareForwarded) {
+                opts.enable_jit = false;
+            } else {
+                opts.native_mode = true;
+            }
+            Runtime rt(opts);
+            // The count shows on the Led: a native engine has no peek.
+            const std::string src =
+                "Led#(8) led();\n"
+                "reg [31:0] cnt = 0;\n"
+                "reg [31:0] tag = 0;\n"
+                "assign led.val = cnt[7:0];\n"
+                "always @(posedge clk.val) begin\n"
+                "  cnt <= cnt + 1;\n"
+                "  tag <= tag + " + std::to_string(7001 + ++salt) + ";\n"
+                "end";
+            std::string err;
+            ASSERT_TRUE(rt.eval(src, &err)) << err;
+            const auto cnt = [&] { return rt.led_state().to_uint64(); };
+            ASSERT_TRUE(step_until(&rt, [&] {
+                return rt.virtual_ticks() >= 2 &&
+                       rt.posedges_seen() > rt.virtual_ticks() &&
+                       (cnt() == rt.posedges_seen()) == executed;
+            }));
+            ASSERT_EQ(rt.user_location(), Location::Software);
+            const auto start = std::chrono::steady_clock::now();
+            while (rt.user_location() == Location::Software) {
+                if (rt.wait_for_hardware(0.01)) {
+                    break;
+                }
+                if (rt.telemetry().counter("jit.unavailable")->value() !=
+                    0) {
+                    break; // no usable compiler on this host
+                }
+                ASSERT_LT(std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count(),
+                          120.0);
+                std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            }
+            if (rt.user_location() == Location::Software) {
+                continue;
+            }
+            ASSERT_EQ(rt.user_location(), rung);
+            rt.run_for_ticks(8);
+            EXPECT_EQ(cnt(), rt.virtual_ticks());
+        }
+    }
+    ::unsetenv("CASCADE_JIT_CACHE_DIR");
+    std::filesystem::remove_all(cache);
 }
 
 TEST(RuntimeExtra, EvictingAForwardedFifoPopsNoPhantomByte)
