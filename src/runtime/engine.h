@@ -65,6 +65,12 @@ class Engine {
 
     /// @{ State handoff for software/hardware transitions.
     virtual sim::StateSnapshot get_state() = 0;
+    /// Installs \p snapshot with no side effect. Entries named after
+    /// input ports carry the levels their nets hold (the runtime's
+    /// relocation puts them there), and a level that differs from the
+    /// engine's own is not an edge: no process runs, no update stays
+    /// queued and no system task fires because of it. Names the engine
+    /// does not know are ignored.
     virtual void set_state(const sim::StateSnapshot& snapshot) = 0;
     /// @}
 

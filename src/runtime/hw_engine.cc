@@ -123,6 +123,22 @@ HwEngine::get_state()
 void
 HwEngine::set_state(const sim::StateSnapshot& snapshot)
 {
+    // Input ports first: a level the fabric has not seen (the clock high)
+    // is an edge to the wrapped logic, which computes shadow updates and
+    // task bits against registers not yet restored. Commit those updates,
+    // overwrite them with the snapshot below, and drop the task bits: the
+    // snapshot is the source of truth, and those side effects either
+    // already happened in the retired engine or never happened at all.
+    for (size_t p = 0; p < port_slots_.size(); ++p) {
+        const auto it = snapshot.regs.find(port_slots_[p]->name);
+        if (port_is_input_[p] && port_slots_[p]->writable &&
+            it != snapshot.regs.end()) {
+            write_var(*port_slots_[p], it->second);
+        }
+    }
+    if (there_are_updates()) {
+        mmio_write(map_.ctrl.latch, 1);
+    }
     for (const auto& [name, value] : snapshot.regs) {
         const ir::VarSlot* slot = map_.find(name);
         if (slot != nullptr && slot->writable) {
@@ -138,6 +154,10 @@ HwEngine::set_state(const sim::StateSnapshot& snapshot)
             write_var(*slot, contents[i], i);
         }
     }
+    if (!map_.tasks.empty() && mmio_read(map_.ctrl.tasks) != 0) {
+        mmio_write(map_.ctrl.clear, 1);
+    }
+    task_pending_ = false;
     input_dirty_ = true;
 }
 
@@ -243,15 +263,6 @@ HwEngine::service_tasks()
     task_pending_ = false;
     tasks_serviced_counter()->inc();
     return true;
-}
-
-void
-HwEngine::discard_pending_tasks()
-{
-    if (!map_.tasks.empty() && mmio_read(map_.ctrl.tasks) != 0) {
-        mmio_write(map_.ctrl.clear, 1);
-    }
-    task_pending_ = false;
 }
 
 bool

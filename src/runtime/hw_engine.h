@@ -42,13 +42,6 @@ class HwEngine : public Engine {
     bool finished() const override { return finished_; }
     bool is_hardware() const override { return true; }
 
-    /// Clears task bits latched by adoption-time MMIO traffic without
-    /// servicing them. The state snapshot installed by set_state is the
-    /// source of truth; a task that fired against pre-restore register
-    /// values would replay a side effect the software engine already
-    /// delivered (or invent one that never happened).
-    void discard_pending_tasks();
-
     uint64_t open_loop(uint64_t max_iterations) override;
     bool
     supports_open_loop() const override

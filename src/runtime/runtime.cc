@@ -101,6 +101,58 @@ report_digest(const fpga::CompileReport& r)
     return telemetry::digest_hex(s);
 }
 
+/// @{ The stdlib state under an engine's inline prefixes, one pair for
+/// every relocation: a merged engine's "root" snapshot splits into one
+/// snapshot per instance at "root.<instance>", which merge back under the
+/// prefixes.
+void
+split_stdlib_state(std::map<std::string, sim::StateSnapshot>* state,
+                   const std::map<std::string, std::string>& prefixes)
+{
+    const auto root = state->find("root");
+    if (root == state->end()) {
+        return;
+    }
+    for (const auto& [instance, prefix] : prefixes) {
+        sim::StateSnapshot sub;
+        for (const auto& [name, value] : root->second.regs) {
+            if (name.rfind(prefix, 0) == 0) {
+                sub.regs[name.substr(prefix.size())] = value;
+            }
+        }
+        for (const auto& [name, mem] : root->second.memories) {
+            if (name.rfind(prefix, 0) == 0) {
+                sub.memories[name.substr(prefix.size())] = mem;
+            }
+        }
+        (*state)["root." + instance] = std::move(sub);
+    }
+}
+
+sim::StateSnapshot
+merge_stdlib_state(const std::map<std::string, sim::StateSnapshot>& state,
+                   const std::map<std::string, std::string>& prefixes)
+{
+    sim::StateSnapshot merged;
+    if (const auto root = state.find("root"); root != state.end()) {
+        merged = root->second;
+    }
+    for (const auto& [instance, prefix] : prefixes) {
+        const auto it = state.find("root." + instance);
+        if (it == state.end()) {
+            continue;
+        }
+        for (const auto& [name, value] : it->second.regs) {
+            merged.regs[prefix + name] = value;
+        }
+        for (const auto& [name, mem] : it->second.memories) {
+            merged.memories[prefix + name] = mem;
+        }
+    }
+    return merged;
+}
+/// @}
+
 /// FNV digest of a file's contents ("" on IO error) — VCD provenance.
 std::string
 file_digest_hex(const std::string& path)
@@ -226,17 +278,9 @@ class NativeEngine : public Engine {
           clock_period_s_(1.0 / (clock_mhz * 1e6))
     {
         for (size_t p = 0; p < port_names_.size(); ++p) {
-            if (port_is_input_[p]) {
-                port_index_.push_back(
-                    fabric_->input_index(port_names_[p]));
-            } else {
-                port_index_.push_back(
-                    fabric_->output_index(port_names_[p]));
-                output_cache_.emplace_back();
-            }
-        }
-        output_cache_.clear();
-        for (size_t p = 0; p < port_names_.size(); ++p) {
+            port_index_.push_back(
+                port_is_input_[p] ? fabric_->input_index(port_names_[p])
+                                  : fabric_->output_index(port_names_[p]));
             output_cache_.emplace_back(1, 0);
         }
         fabric_->eval_comb();
@@ -264,6 +308,21 @@ class NativeEngine : public Engine {
     void
     set_state(const sim::StateSnapshot& snapshot) override
     {
+        // Inputs first, then one step that absorbs any edge they present
+        // (the clock high): it latches against registers the restore
+        // below overwrites, so the state arrives with no side effect.
+        for (size_t p = 0; p < port_names_.size(); ++p) {
+            const auto it = snapshot.regs.find(port_names_[p]);
+            if (!port_is_input_[p] || port_index_[p] < 0 ||
+                it == snapshot.regs.end()) {
+                continue;
+            }
+            fabric_->set_input(port_index_[p], it->second);
+            if (port_names_[p] == clock_port_) {
+                clock_level_ = !it->second.is_zero();
+            }
+        }
+        fabric_->step();
         const fpga::Netlist& nl = fabric_->netlist();
         for (const fpga::RegDef& r : nl.regs) {
             const auto it = snapshot.regs.find(r.name);
@@ -362,12 +421,6 @@ class NativeEngine : public Engine {
     }
 
     bool clock_level() const { return clock_level_; }
-
-    void
-    sync_clock_level(bool level)
-    {
-        clock_level_ = level;
-    }
 
   private:
     std::unique_ptr<fpga::FabricExec> fabric_;
@@ -754,61 +807,9 @@ Runtime::rebuild_program(std::string* errors, const char* reason)
         return false;
     }
 
-    // Finish the in-flight timestep in the retiring engines: an edge they
-    // were delivered but have not evaluated, and the nonblocking updates
-    // they queued, belong to the program that saw the edge. (The clock's
-    // own armed toggle starts the next timestep.)
-    settle_evaluations();
-    for (int guard = 0; guard < 4096; ++guard) {
-        bool any = false;
-        for (Slot& slot : slots_) {
-            if (!slot.is_clock && slot.engine->there_are_updates()) {
-                slot.engine->update();
-                any = true;
-            }
-        }
-        if (!any) {
-            break;
-        }
-        route_outputs();
-        settle_evaluations();
-    }
-
-    // Save state and net values from the current incarnation.
-    std::map<std::string, sim::StateSnapshot> old_state;
-    for (Slot& slot : slots_) {
-        if (slot.engine != nullptr) {
-            old_state[slot.sub.path] = slot.engine->get_state();
-        }
-    }
-    // A hardware engine's snapshot covers the stdlib components inlined
-    // into it; split it back out by prefix.
-    if (stdlib_merged_) {
-        const auto it = old_state.find("root");
-        if (it != old_state.end()) {
-            for (const auto& [instance, prefix] : adopted_prefixes_) {
-                sim::StateSnapshot sub_snap;
-                for (const auto& [name, value] : it->second.regs) {
-                    if (name.rfind(prefix, 0) == 0) {
-                        sub_snap.regs[name.substr(prefix.size())] = value;
-                    }
-                }
-                for (const auto& [name, mem] : it->second.memories) {
-                    if (name.rfind(prefix, 0) == 0) {
-                        sub_snap.memories[name.substr(prefix.size())] =
-                            mem;
-                    }
-                }
-                old_state["root." + instance] = std::move(sub_snap);
-            }
-        }
-    }
-    std::map<std::string, BitVector> old_nets;
-    for (const Net& net : nets_) {
-        if (net.has_value) {
-            old_nets[net.name] = net.value;
-        }
-    }
+    // The retiring engines finish their timestep before the new ones run
+    // their initial blocks, so output keeps program order.
+    finish_timestep();
 
     // Build the new engine set (everything starts in software, §3.3).
     std::vector<Slot> new_slots;
@@ -820,12 +821,9 @@ Runtime::rebuild_program(std::string* errors, const char* reason)
                             ? slot.sub.path
                             : slot.sub.path.substr(dot + 1);
         slot.is_stdlib = slot.sub.is_stdlib;
-        slot_type_[slot.sub.path] = slot.sub.module_name;
         if (slot.sub.module_name == "Clock") {
             slot.is_clock = true;
-            auto clock = std::make_unique<ClockEngine>();
-            clock_engine_ = clock.get();
-            slot.engine = std::move(clock);
+            slot.engine = std::make_unique<ClockEngine>();
         } else {
             Diagnostics ediags;
             Elaborator elab(&ediags);
@@ -848,45 +846,13 @@ Runtime::rebuild_program(std::string* errors, const char* reason)
         for (const Port& p : slot.sub.source->ports) {
             slot.port_is_input.push_back(p.dir == PortDir::Input);
         }
-        // Restore state, with each input port already at its net's level:
-        // the retired engines ran the edge that put the clock where it is,
-        // so re-delivering a high clock below must not read as a posedge
-        // (it would run every clocked process once more — and, after a
-        // hw->sw split, before the split-out FIFO drove its `empty`).
-        sim::StateSnapshot snap;
-        const auto st = old_state.find(slot.sub.path);
-        if (st != old_state.end()) {
-            snap = std::move(st->second);
-        }
-        for (size_t p = 0; p < slot.sub.bindings.size() &&
-                           p < slot.port_is_input.size();
-             ++p) {
-            const auto net = old_nets.find(slot.sub.bindings[p].global_net);
-            if (slot.port_is_input[p] && net != old_nets.end()) {
-                snap.regs[slot.sub.bindings[p].port] = net->second;
-            }
-        }
-        slot.engine->set_state(snap);
         new_slots.push_back(std::move(slot));
     }
 
-    // The old engines die with this swap: bank their profile counters
-    // first (every failure path above returns with slots_ untouched, so
-    // each engine is absorbed exactly once).
+    // Every failure path above returns with slots_ untouched, so each
+    // engine retires (and banks its profile) exactly once.
     const bool was_fabric = fabric_resident();
-    fold_hw_window();
-    for (const Slot& slot : slots_) {
-        absorb_slot_profile(slot);
-    }
-    slots_ = std::move(new_slots);
-    hw_engine_ = nullptr;
-    // The retired fabric (and any debug instrumentation synthesized into
-    // it) is gone; software-side condition evaluation takes over until
-    // the next adoption re-arms the hardware.
-    hw_rebuild_.reset();
-    hw_debug_armed_.store(false, std::memory_order_relaxed);
-    user_location_ = Location::Software;
-    stdlib_merged_ = false;
+    relocate(std::move(new_slots), std::nullopt);
     ++version_;
     // Falling off hardware hands our fabric slot back; in shared mode
     // that completes any pending eviction and wakes tenants parked on
@@ -895,10 +861,6 @@ Runtime::rebuild_program(std::string* errors, const char* reason)
         fabric_->release_residency(tenant_);
     }
 
-    wire_nets();
-    for (const auto& [name, value] : old_nets) {
-        inject_net(name, value);
-    }
     resolve_peripherals();
     service_peripherals();
 
@@ -914,6 +876,151 @@ Runtime::rebuild_program(std::string* errors, const char* reason)
         launch_compile();
     }
     return true;
+}
+
+void
+Runtime::finish_timestep()
+{
+    // An edge the engines were delivered but have not evaluated, and the
+    // nonblocking updates they queued, belong to the engines that saw the
+    // edge. (The clock's own armed toggle starts the next timestep.)
+    settle_evaluations();
+    for (int guard = 0; guard < 4096; ++guard) {
+        bool any = false;
+        for (Slot& slot : slots_) {
+            if (!slot.is_clock && slot.engine->there_are_updates()) {
+                slot.engine->update();
+                any = true;
+            }
+        }
+        if (!any) {
+            break;
+        }
+        route_outputs();
+        settle_evaluations();
+    }
+}
+
+void
+Runtime::relocate(std::vector<Slot> incoming, std::optional<Wiring> resident)
+{
+    finish_timestep();
+
+    // Bank the retiring profiles once. A change of tier closes the open
+    // hardware attribution window (posedge-exact: a mid-window swap right
+    // after a posedge must not re-attribute the tick the retiring engine
+    // already executed); software keeps no clock ports.
+    const Location to =
+        resident.has_value() ? resident->location : Location::Software;
+    if (to != user_location()) {
+        attribute_hw_ticks(&profile_acc_, posedges_seen() - hw_adopt_ticks_);
+        hw_adopt_ticks_ = posedges_seen();
+    }
+    if (!resident.has_value()) {
+        hw_clock_ports_.clear();
+    }
+    const bool merging = resident.has_value() && resident->merged();
+    std::set<std::string> replaced;
+    for (const Slot& slot : incoming) {
+        replaced.insert(slot.sub.path);
+    }
+    std::vector<Slot> next;
+    std::map<std::string, sim::StateSnapshot> state;
+    for (Slot& slot : slots_) {
+        if (replaced.count(slot.sub.path) == 0 &&
+            !(merging && !slot.is_clock)) {
+            next.push_back(std::move(slot)); // survives the swap
+            continue;
+        }
+        state[slot.sub.path] = slot.engine->get_state();
+        absorb_slot_profile(slot,
+                            resident.has_value() ? resident->clock_net : "");
+    }
+    if (resident_.has_value() && resident_->merged()) {
+        split_stdlib_state(&state, resident_->prefixes);
+    }
+
+    // Restore each incoming engine with its input ports already at their
+    // net levels: the retired engines ran the edge that put the clock
+    // where it is, so the new engine must not see it as an edge again (it
+    // would run every clocked process once more — and, after a hw->sw
+    // split, before the split-out FIFO drove its `empty`).
+    std::map<std::string, BitVector> levels;
+    for (const Net& net : nets_) {
+        if (net.has_value) {
+            levels[net.name] = net.value;
+        }
+    }
+    for (Slot& slot : incoming) {
+        sim::StateSnapshot snap =
+            merging && slot.sub.path == "root"
+                ? merge_stdlib_state(state, resident->prefixes)
+                : std::move(state[slot.sub.path]);
+        for (size_t p = 0; p < slot.sub.bindings.size() &&
+                           p < slot.port_is_input.size();
+             ++p) {
+            const auto level = levels.find(slot.sub.bindings[p].global_net);
+            if (slot.port_is_input[p] && level != levels.end()) {
+                snap.regs[slot.sub.bindings[p].port] = level->second;
+            }
+        }
+        slot.engine->set_state(snap);
+        next.push_back(std::move(slot));
+    }
+    slots_ = std::move(next);
+    resident_ = std::move(resident);
+
+    clock_engine_ = nullptr;
+    hw_engine_ = nullptr;
+    for (Slot& slot : slots_) {
+        if (slot.is_clock) {
+            clock_engine_ = static_cast<ClockEngine*>(slot.engine.get());
+        } else if (slot.sub.path == "root") {
+            hw_engine_ = dynamic_cast<HwEngine*>(slot.engine.get());
+        }
+    }
+    // A new engine carries no trigger cells (the debugger re-arms it).
+    hw_debug_armed_.store(false, std::memory_order_relaxed);
+    if (hw_engine_ != nullptr) {
+        hw_engine_->set_profiling(options_.profiling);
+    }
+    // Net values survive the rewiring (pad levels, clock phase, ...); every
+    // engine reading them already holds them.
+    wire_nets();
+    for (Net& net : nets_) {
+        const auto it = levels.find(net.name);
+        if (it != levels.end()) {
+            net.value = it->second;
+            net.has_value = true;
+        }
+    }
+}
+
+Runtime::Slot
+Runtime::engine_slot(const Wiring& wiring,
+                     std::unique_ptr<fpga::FabricExec> fabric,
+                     double mmio_latency_s)
+{
+    Slot slot;
+    slot.sub.path = "root";
+    slot.sub.module_name = "Root";
+    slot.instance = "root";
+    std::vector<std::string> port_names;
+    for (const auto& [port, net, is_input] : wiring.ports) {
+        slot.sub.bindings.push_back({port, net});
+        slot.port_is_input.push_back(is_input);
+        port_names.push_back(port);
+    }
+    if (wiring.native) {
+        slot.engine = std::make_unique<NativeEngine>(
+            std::move(fabric), port_names, slot.port_is_input,
+            wiring.map.clock_input, wiring.clock_mhz);
+    } else {
+        slot.engine = std::make_unique<HwEngine>(
+            std::move(fabric), wiring.map, port_names, slot.port_is_input,
+            this, wiring.clock_mhz, mmio_latency_s);
+    }
+    return slot;
 }
 
 void
@@ -1146,7 +1253,7 @@ Runtime::step_body()
     for (Slot& slot : slots_) {
         modeled += slot.engine->take_modeled_seconds();
     }
-    if (user_location_ == Location::Software) {
+    if (!resident_.has_value()) {
         timeline_s_ += wall_seconds() - t0;
     } else {
         timeline_s_ += modeled;
@@ -1206,7 +1313,7 @@ Runtime::window()
     // relocation is safe.
     if (!finished_ &&
         oracle_->evict_now(iterations_,
-                           user_location_ != Location::Software)) {
+                           user_location() != Location::Software)) {
         evict_to_software();
     }
     // JIT results before fabric results: when both tiers finish inside
@@ -2086,7 +2193,7 @@ Runtime::handle_debug_fire(const Debugger::Fire& fire, bool hw_fire)
                   (hw_fire ? " (hardware trigger; evicting to software "
                              "for cycle-stepping)"
                            : ""));
-    if (user_location_ != Location::Software && !finished_) {
+    if (user_location() != Location::Software && !finished_) {
         // Cooperative eviction over the state-transfer ABI: the user
         // cycle-steps in the interpreter; :continue re-admits via the
         // compile the rebuild relaunches.
@@ -2220,16 +2327,9 @@ bool
 Runtime::rearm_hardware_debug(std::string* err)
 {
     hw_debug_armed_.store(false, std::memory_order_relaxed);
-    if (hw_engine_ == nullptr || !hw_rebuild_.has_value()) {
+    if (hw_engine_ == nullptr || resident_->netlist == nullptr) {
         if (err != nullptr) {
             *err = "no rebuildable hardware engine";
-        }
-        return false;
-    }
-    Slot* user = user_slot();
-    if (user == nullptr || user->engine.get() != hw_engine_) {
-        if (err != nullptr) {
-            *err = "user slot is not the hardware engine";
         }
         return false;
     }
@@ -2255,13 +2355,14 @@ Runtime::rearm_hardware_debug(std::string* err)
     std::sort(probes.begin(), probes.end());
     probes.erase(std::unique(probes.begin(), probes.end()), probes.end());
 
-    std::unique_ptr<fpga::Bitstream> fabric;
+    std::unique_ptr<fpga::FabricExec> fabric;
+    double mmio_latency_s = options_.mmio_latency_s;
     std::vector<fpga::Bitstream::DebugTrigger> triggers;
     std::vector<fpga::Bitstream::DebugProbe> ring_probes;
     if (!specs.empty()) {
         std::string ierr;
         fpga::DebugInstrumented inst = fpga::instrument_debug_triggers(
-            *hw_rebuild_->netlist, specs, probes, &ierr);
+            *resident_->netlist, specs, probes, &ierr);
         if (inst.netlist == nullptr) {
             if (err != nullptr) {
                 *err = ierr;
@@ -2286,45 +2387,23 @@ Runtime::rearm_hardware_debug(std::string* err)
         }
         fabric->arm_debug(triggers, ring_probes, debug_ring_.depth);
     } else {
-        // Last point deleted: swap back to the uninstrumented twin.
-        fabric = std::make_unique<fpga::Bitstream>(hw_rebuild_->netlist);
-    }
-
-    // Hot-swap the engine around the new fabric: the same name-based
-    // state transfer as an adoption, minus the slot rebuild.
-    size_t slot_index = 0;
-    for (size_t i = 0; i < slots_.size(); ++i) {
-        if (&slots_[i] == user) {
-            slot_index = i;
-            break;
+        // Last point deleted: the resident tier's plain engine again. On
+        // the JIT rung that is the kernel (an in-process cache hit) at
+        // the tier's zero MMIO latency.
+        std::string jerr;
+        if (resident_->location == Location::Jit) {
+            fabric = jit::JitKernel::create(resident_->netlist, &jerr);
+        }
+        if (fabric != nullptr) {
+            mmio_latency_s = 0;
+        } else {
+            fabric = std::make_unique<fpga::Bitstream>(resident_->netlist);
         }
     }
-    sim::StateSnapshot snap = user->engine->get_state();
-    auto e = std::make_unique<HwEngine>(
-        std::move(fabric), hw_rebuild_->map, hw_rebuild_->port_names,
-        hw_rebuild_->port_is_input, this, hw_rebuild_->clock_mhz,
-        options_.mmio_latency_s);
-    HwEngine* hw = e.get();
-    user->engine = std::move(e);
-    hw_engine_ = hw;
-    // Re-deliver current input levels (clock phase, pads); any spurious
-    // edge is neutralized by the state restore, as at adoption.
-    for (Net& net : nets_) {
-        if (!net.has_value) {
-            continue;
-        }
-        for (const auto& [s, p] : net.readers) {
-            if (s == slot_index) {
-                slots_[s].engine->read({p, net.value});
-            }
-        }
-    }
-    if (hw->there_are_updates()) {
-        hw->update();
-    }
-    hw->set_state(snap);
-    hw->discard_pending_tasks();
-    hw->set_profiling(options_.profiling);
+    std::vector<Slot> incoming;
+    incoming.push_back(
+        engine_slot(*resident_, std::move(fabric), mmio_latency_s));
+    relocate(std::move(incoming), resident_);
     hw_debug_armed_.store(!triggers.empty(), std::memory_order_relaxed);
     journal_.record("debug.rearm",
                     telemetry::JsonWriter()
@@ -2443,17 +2522,6 @@ Runtime::resolve_peripherals()
             fifos_.push_back(std::move(f));
         }
     }
-    // In hardware shapes the stdlib slots are gone, but the nets persist
-    // through the adopted engine's bindings; remember them from adoption.
-    for (const auto& net : adopted_pads_) {
-        pads_.push_back(net);
-    }
-    for (const auto& net : adopted_leds_) {
-        leds_.push_back(net);
-    }
-    for (const auto& f : adopted_fifos_) {
-        fifos_.push_back(f);
-    }
 }
 
 void
@@ -2462,7 +2530,6 @@ Runtime::set_pad(uint64_t buttons)
     flush_api_steps();
     journal_.record("api.set_pad",
                     telemetry::JsonWriter().num("value", buttons).build());
-    pad_value_ = buttons;
     for (const std::string& net : pads_) {
         const int n = find_net(net);
         if (n < 0) {
@@ -2550,7 +2617,7 @@ Runtime::service_peripherals()
     // Hardware-forwarded FIFOs are fed between open-loop batches through
     // direct state writes (run_open_loop); step-mode feeding happens here,
     // one byte per clock cycle, gated on the clock being low.
-    if (stdlib_merged_) {
+    if (resident_.has_value() && resident_->merged()) {
         return;
     }
     if (clock_engine_ == nullptr || clock_engine_->value()) {
@@ -2589,7 +2656,8 @@ Runtime::launch_compile()
 
     CompileOutcome outcome;
     outcome.version = version_;
-    outcome.native = options_.native_mode;
+    Wiring& wiring = outcome.wiring;
+    wiring.native = options_.native_mode;
 
     const bool merge_stdlib =
         options_.native_mode ||
@@ -2621,12 +2689,10 @@ Runtime::launch_compile()
                 pin_ports.emplace_back(net_name,
                                        slot.sub.path + "." + port,
                                        is_input);
-                outcome.prefixes[slot.instance] = slot.instance + "__";
             }
-            // Non-peripheral stdlib (Memory) still needs its state
-            // prefix recorded for handoff.
-            outcome.prefixes.emplace(slot.instance,
-                                     slot.instance + "__");
+            // Every merged component, peripheral or not (Memory), hands
+            // its state over under its inline prefix.
+            wiring.prefixes.emplace(slot.instance, slot.instance + "__");
         }
         if (!promote_pins(merged.get(), pin_ports)) {
             return;
@@ -2655,7 +2721,7 @@ Runtime::launch_compile()
     for (const auto& b : user->bindings) {
         if (!clock_path.empty() && b.global_net == clock_path + ".val") {
             clock_port = b.port;
-            outcome.clock_net = b.global_net;
+            wiring.clock_net = b.global_net;
         }
     }
 
@@ -2668,7 +2734,7 @@ Runtime::launch_compile()
     for (size_t p = 0; p < user->source->ports.size(); ++p) {
         const std::string& name = user->source->ports[p].name;
         const auto it = pin_net_of.find(name);
-        outcome.ports.emplace_back(
+        wiring.ports.emplace_back(
             name,
             it != pin_net_of.end() ? it->second
                                    : user->bindings[p].global_net,
@@ -2684,16 +2750,14 @@ Runtime::launch_compile()
             return;
         }
         em = std::shared_ptr<const ElaboratedModule>(std::move(raw));
-        outcome.clock_net =
-            clock_port.empty() ? "" : outcome.clock_net;
-        outcome.map.clock_input = clock_port;
+        wiring.map.clock_input = clock_port;
     } else {
         auto raw = elab.elaborate(*user->source, user->params);
         if (raw == nullptr) {
             return;
         }
         auto wrapper = ir::generate_hw_wrapper(*raw, clock_port,
-                                               &outcome.map, &diags);
+                                               &wiring.map, &diags);
         if (wrapper == nullptr) {
             // Unsynthesizable in a way the wrapper cannot absorb; the
             // subprogram stays in software.
@@ -3018,19 +3082,9 @@ Runtime::adopt_fabric(CompileOutcome outcome,
         fabric = std::move(outcome.kernel);
     }
     // Upgrading: the real fabric landed while the same version was
-    // running on the JIT tier. The wrapper metadata is identical (both
-    // tiers come from the same launch), so the adopted peripheral lists
-    // carry over verbatim — the stdlib slots they were computed from
-    // retired at JIT adoption and cannot be recomputed here.
-    const bool upgrading = user_location_ == Location::Jit;
+    // running on the JIT tier.
+    const bool upgrading = user_location() == Location::Jit;
     if (upgrading) {
-        // Attribute the kernel's window before the engine swap. Not
-        // fold_hw_window(): the clock-port map survives the upgrade (the
-        // fabric keeps the same clock wiring and the retired stdlib
-        // slots it was computed from no longer exist to recompute it).
-        attribute_hw_ticks(&profile_acc_,
-                           posedges_seen() - hw_adopt_ticks_);
-        hw_adopt_ticks_ = posedges_seen();
         m_.jit_discarded->inc();
         // Info-class: replay infers the same upgrade from the compared
         // adopt event that follows.
@@ -3041,192 +3095,30 @@ Runtime::adopt_fabric(CompileOutcome outcome,
                             .build());
     }
 
-    // Gather state: the user subprogram plus (under forwarding) each
-    // stdlib component, re-prefixed to the merged module's names.
-    sim::StateSnapshot combined;
-    for (Slot& slot : slots_) {
-        if (slot.sub.path == "root") {
-            combined = slot.engine->get_state();
-        }
-    }
-    for (Slot& slot : slots_) {
-        if (slot.is_clock || slot.sub.path == "root") {
-            continue;
-        }
-        const auto it = outcome.prefixes.find(slot.instance);
-        if (it == outcome.prefixes.end()) {
-            continue;
-        }
-        sim::StateSnapshot snap = slot.engine->get_state();
-        for (auto& [name, value] : snap.regs) {
-            combined.regs[it->second + name] = value;
-        }
-        for (auto& [name, mem] : snap.memories) {
-            combined.memories[it->second + name] = mem;
-        }
-    }
-
-    std::vector<std::string> port_names;
-    std::vector<bool> port_is_input;
-    for (const auto& [port, net, is_input] : outcome.ports) {
-        port_names.push_back(port);
-        port_is_input.push_back(is_input);
-    }
-
-    std::unique_ptr<Engine> engine;
-    NativeEngine* native = nullptr;
-    HwEngine* hw = nullptr;
-    if (outcome.native) {
-        auto e = std::make_unique<NativeEngine>(
-            std::move(fabric), port_names, port_is_input,
-            outcome.map.clock_input, actual_clock_mhz);
-        native = e.get();
-        engine = std::move(e);
-    } else {
-        // The JIT kernel is in-process: the MMIO slot protocol is the
-        // same, but each access is a function call, not a bus round
-        // trip, so the modeled MMIO latency is zero for that tier.
-        auto e = std::make_unique<HwEngine>(
-            std::move(fabric), outcome.map, port_names, port_is_input,
-            this, actual_clock_mhz,
-            is_jit ? 0.0 : options_.mmio_latency_s);
-        hw = e.get();
-        engine = std::move(e);
-    }
-    Engine* adopted = engine.get();
-
-    // Rebuild the slot set: clock + the hardware engine.
-    const bool merged = !outcome.prefixes.empty() || outcome.native;
-    stdlib_merged_ = merged;
-
-    // Every slot the fabric replaces retires here: bank its interpreter
-    // profile and record the local port name its clock entered through,
-    // so device ticks can be attributed to its clock-driven processes
-    // (trigger descriptions use subprogram-local net names).
-    if (!upgrading) {
-        hw_clock_ports_.clear();
-        for (const Slot& slot : slots_) {
-            if (slot.sub.path != "root" && !(merged && !slot.is_clock)) {
-                continue; // survives the adoption; absorbed on retire
-            }
-            absorb_slot_profile(slot);
-            if (!outcome.clock_net.empty()) {
-                for (const auto& b : slot.sub.bindings) {
-                    if (b.global_net == outcome.clock_net) {
-                        hw_clock_ports_[slot.instance] = b.port;
-                    }
-                }
-            }
-        }
-    }
-
-    std::vector<Slot> new_slots;
-    if (!upgrading) {
-        adopted_pads_.clear();
-        adopted_leds_.clear();
-        adopted_fifos_.clear();
-    }
-    for (Slot& slot : slots_) {
-        if (slot.is_clock) {
-            new_slots.push_back(std::move(slot));
-            continue;
-        }
-        if (slot.sub.path == "root") {
-            continue; // replaced below
-        }
-        if (merged && !upgrading) {
-            // Forwarded into the hardware engine; remember peripherals.
-            const std::string& type = slot.sub.module_name;
-            if (type == "Pad" || type == "Reset") {
-                adopted_pads_.push_back(slot.sub.path + ".pins");
-            } else if (type == "Led") {
-                adopted_leds_.push_back(slot.sub.path + ".pins");
-            } else if (type == "GPIO") {
-                adopted_pads_.push_back(slot.sub.path + ".pins");
-                adopted_leds_.push_back(slot.sub.path + ".out_pins");
-            } else if (type == "FIFO") {
-                FifoBinding f;
-                f.pins_net = slot.sub.path + ".pins";
-                f.push_net = slot.sub.path + ".push";
-                f.full_net = slot.sub.path + ".full";
-                f.prefix = slot.instance + "__";
-                adopted_fifos_.push_back(std::move(f));
-            }
-        } else {
-            new_slots.push_back(std::move(slot));
-        }
-    }
-
-    Slot hw_slot;
-    hw_slot.sub.path = "root";
-    hw_slot.sub.module_name = "Root";
-    hw_slot.instance = "root";
-    for (const auto& [port, net, is_input] : outcome.ports) {
-        hw_slot.sub.bindings.push_back({port, net});
-        hw_slot.port_is_input.push_back(is_input);
-    }
-    hw_slot.engine = std::move(engine);
-    new_slots.push_back(std::move(hw_slot));
-
-    slots_ = std::move(new_slots);
-    hw_engine_ = hw;
-    native_engine_ = native;
-    adopted_prefixes_ = outcome.prefixes;
-    user_location_ =
+    Wiring wiring = std::move(outcome.wiring);
+    wiring.location =
         is_jit ? Location::Jit
-               : (outcome.native ? Location::Native
-                                 : (merged ? Location::HardwareForwarded
-                                           : Location::Hardware));
-    clock_net_name_ = outcome.clock_net;
-
-    // Net values must survive the rewiring (pad levels, clock phase, ...).
-    std::map<std::string, BitVector> old_nets;
-    for (const Net& net : nets_) {
-        if (net.has_value) {
-            old_nets[net.name] = net.value;
-        }
-    }
-    wire_nets();
-    resolve_peripherals();
-    // Re-deliver current input values (clock level, pad pins, ...). Any
-    // spurious clock edge this produces is neutralized by restoring the
-    // state snapshot afterwards: the snapshot is the source of truth.
-    for (Net& net : nets_) {
-        const auto it = old_nets.find(net.name);
-        if (it != old_nets.end()) {
-            net.value = it->second;
-            net.has_value = true;
-        }
-        if (net.has_value) {
-            const BitVector v = net.value;
-            for (const auto& [slot, port] : net.readers) {
-                slots_[slot].engine->read({port, v});
-            }
-        }
-    }
+               : (wiring.native ? Location::Native
+                                : (wiring.merged() ? Location::HardwareForwarded
+                                                   : Location::Hardware));
+    wiring.clock_mhz = actual_clock_mhz;
+    wiring.netlist = outcome.result.netlist;
+    // The JIT kernel is in-process: the MMIO slot protocol is the same,
+    // but each access is a function call, not a bus round trip, so the
+    // modeled MMIO latency is zero for that tier.
+    std::vector<Slot> incoming;
+    incoming.push_back(engine_slot(wiring, std::move(fabric),
+                                   is_jit ? 0.0 : options_.mmio_latency_s));
+    relocate(std::move(incoming), std::move(wiring));
     // Hardware-forwarded FIFOs are fed through direct state writes, not
     // the pins/push ports: park the step-mode drive lines low so a push
     // left high by the software phase cannot free-run.
-    for (const FifoBinding& f : adopted_fifos_) {
-        inject_net(f.push_net, BitVector(1, 0));
+    if (resident_->merged()) {
+        for (const FifoBinding& f : fifos_) {
+            inject_net(f.push_net, BitVector(1, 0));
+        }
     }
     fifo_push_high_ = false;
-    // Flush any spurious shadow updates the edge produced, then restore.
-    if (adopted->there_are_updates()) {
-        adopted->update();
-    }
-    adopted->set_state(combined);
-    if (hw != nullptr) {
-        // Adoption-time MMIO traffic (net re-delivery, the update flush,
-        // set_state itself) can latch task bits against pre-restore
-        // register values; those side effects either already happened in
-        // software or never happened at all.
-        hw->discard_pending_tasks();
-        hw->set_profiling(options_.profiling);
-    }
-    if (clock_engine_ != nullptr && native_engine_ != nullptr) {
-        native_engine_->sync_clock_level(clock_engine_->value());
-    }
 
     // The software-to-hardware (or software-to-JIT) transition, tagged
     // with the adopted version (the event SYNERGY-style schedulers key
@@ -3235,7 +3127,7 @@ Runtime::adopt_fabric(CompileOutcome outcome,
     m_.transitions->inc();
     TransitionRecord rec;
     rec.version = outcome.version;
-    rec.to = user_location_;
+    rec.to = user_location();
     rec.timeline_seconds = timeline_s_;
     rec.trace_ts_us = telemetry::Tracer::global().now_us();
     rec.clock_mhz = actual_clock_mhz;
@@ -3256,7 +3148,7 @@ Runtime::adopt_fabric(CompileOutcome outcome,
                             .num("version", outcome.version)
                             .num("iteration", iterations_)
                             .str("location",
-                                 location_name(user_location_))
+                                 location_name(user_location()))
                             .dbl("clock_mhz", actual_clock_mhz)
                             .build());
     }
@@ -3274,47 +3166,27 @@ Runtime::adopt_fabric(CompileOutcome outcome,
     log_event(LogLevel::Info, is_jit ? "jit" : "adopt",
               std::string("program v") +
                   std::to_string(outcome.version) + " moved to " +
-                  location_name(user_location_) + " at iteration " +
+                  location_name(user_location()) + " at iteration " +
                   std::to_string(iterations_));
     telemetry::Tracer::global().instant(
         is_jit ? "transition.sw_to_jit"
                : (upgrading ? "transition.jit_to_hw"
                             : "transition.sw_to_hw"),
         outcome.version);
-    // Debugger support: keep everything needed to rebuild this engine
-    // around an instrumented bitstream (the compiled netlist is
-    // cache-shared and const — arming a trigger synthesizes comparator
-    // cells into a copy and hot-swaps the engine). Native engines run
-    // uninstrumented by definition, so conditions on them stay in
-    // software.
-    if (hw != nullptr && outcome.result.netlist != nullptr) {
-        HwRebuildInfo info;
-        info.netlist = outcome.result.netlist;
-        info.map = outcome.map;
-        info.port_names = port_names;
-        info.port_is_input = port_is_input;
-        info.clock_mhz = actual_clock_mhz;
-        hw_rebuild_ = std::move(info);
-        if (debugger_.armed()) {
-            std::string derr;
-            if (!rearm_hardware_debug(&derr)) {
-                log_event(LogLevel::Warn, "debug",
-                          "hardware trigger instrumentation unavailable: " +
-                              derr +
-                              " (conditions evaluate in software; "
-                              "open loop suspended)");
-            }
+    // Debugger support: arming a trigger on a fabric engine synthesizes
+    // comparator cells into a copy of its netlist and swaps the engine.
+    // Native engines run uninstrumented by definition, so conditions on
+    // them stay in software.
+    if (hw_engine_ != nullptr && debugger_.armed()) {
+        std::string derr;
+        if (!rearm_hardware_debug(&derr)) {
+            log_event(LogLevel::Warn, "debug",
+                      "hardware trigger instrumentation unavailable: " +
+                          derr +
+                          " (conditions evaluate in software; "
+                          "open loop suspended)");
         }
-    } else {
-        hw_rebuild_.reset();
-        hw_debug_armed_.store(false, std::memory_order_relaxed);
     }
-    // The hardware attribution window opens now: ticks from here on
-    // execute on the fabric (any spurious adoption-time fabric edges
-    // above are invisible to tick-based attribution). Posedge-exact: a
-    // mid-window adoption right after a posedge must not re-attribute
-    // the tick the retiring engine already executed.
-    hw_adopt_ticks_ = posedges_seen();
 }
 
 void
@@ -3336,10 +3208,7 @@ Runtime::launch_jit(std::shared_ptr<const verilog::ElaboratedModule> em,
     // needs it, exactly like a fabric netlist), fill in on the worker.
     CompileOutcome build;
     build.version = outcome.version;
-    build.map = outcome.map;
-    build.ports = outcome.ports;
-    build.prefixes = outcome.prefixes;
-    build.clock_net = outcome.clock_net;
+    build.wiring = outcome.wiring;
     jit_build_ = std::async(
         std::launch::async, [em, build = std::move(build)]() mutable {
             Diagnostics diags;
@@ -3381,7 +3250,7 @@ Runtime::poll_jit()
     }
     CompileOutcome build = jit_build_.get();
     if (build.version != version_ ||
-        user_location_ != Location::Software || finished_) {
+        user_location() != Location::Software || finished_) {
         // Stale (the program changed since launch) or the tenant is
         // already somewhere faster than software. Info-class event:
         // whether an orphaned build surfaces before the queue clears is
@@ -3431,7 +3300,7 @@ Runtime::poll_jit()
 void
 Runtime::evict_to_software()
 {
-    if (user_location_ == Location::Software || finished_) {
+    if (user_location() == Location::Software || finished_) {
         return;
     }
     // Journal first: replay keys the eviction off this event's iteration
@@ -3470,7 +3339,7 @@ Runtime::note_first_hw_tick()
     if (first_tick_request_ == 0) {
         return;
     }
-    if (user_location_ == Location::Software) {
+    if (user_location() == Location::Software) {
         // Evicted (or rebuilt) before the fabric ever ticked for this
         // request: it ends at its adoption point — the hardware ran no
         // cycles on its behalf, so there is no first_tick segment.
@@ -3516,21 +3385,16 @@ Runtime::run_open_loop()
     // software peripherals still alongside (plain Hardware, or the JIT
     // tier's analogue), every tick must interleave with their step-mode
     // servicing.
-    if (!stdlib_merged_) {
+    if (!resident_.has_value() || !resident_->merged()) {
         return;
     }
-    Slot* user = nullptr;
-    for (Slot& slot : slots_) {
-        if (slot.sub.path == "root") {
-            user = &slot;
-        }
-    }
+    Slot* user = user_slot();
     if (user == nullptr || !user->engine->supports_open_loop()) {
         return;
     }
     // Feed the hardware FIFO before relinquishing control.
     if (hw_engine_ != nullptr) {
-        for (const FifoBinding& f : adopted_fifos_) {
+        for (const FifoBinding& f : fifos_) {
             feed_fifo_hw(f);
         }
     }
@@ -3589,13 +3453,14 @@ Runtime::run_open_loop()
         if (clk != nullptr) {
             level = !hw_engine_->read_var(*clk).is_zero();
         }
-    } else if (native_engine_ != nullptr) {
-        level = native_engine_->clock_level();
+    } else if (const auto* native =
+                   dynamic_cast<const NativeEngine*>(user->engine.get())) {
+        level = native->clock_level();
     }
     if (clock_engine_ != nullptr) {
         clock_engine_->force_value(level);
     }
-    const int clk_net = find_net(clock_net_name_);
+    const int clk_net = find_net(resident_->clock_net);
     if (clk_net >= 0) {
         nets_[static_cast<size_t>(clk_net)].value = BitVector(1, level);
         nets_[static_cast<size_t>(clk_net)].has_value = true;
@@ -3683,17 +3548,6 @@ Runtime::promote_pins(
     return true;
 }
 
-const Runtime::Slot*
-Runtime::find_stdlib(const std::string& type) const
-{
-    for (const Slot& slot : slots_) {
-        if (slot.sub.module_name == type) {
-            return &slot;
-        }
-    }
-    return nullptr;
-}
-
 Runtime::Slot*
 Runtime::user_slot()
 {
@@ -3741,7 +3595,7 @@ Runtime::stats_json() const
 
     std::string out = "{\"schema\":\"cascade.stats.v1\"";
     out += ",\"location\":\"";
-    out += location_name(user_location_);
+    out += location_name(user_location());
     out += "\",\"virtual_ticks\":" + std::to_string(virtual_ticks());
     out += ",\"timeline_seconds\":" + json_double(timeline_s_);
     out += ",\"scheduler_iterations\":" + std::to_string(iterations_);
@@ -3814,7 +3668,7 @@ Runtime::top_table() const
     std::snprintf(line, sizeof line,
                   "  location %-9s ticks %llu  iterations %llu  "
                   "timeline %.6fs\n",
-                  location_name(user_location_),
+                  location_name(user_location()),
                   static_cast<unsigned long long>(virtual_ticks()),
                   static_cast<unsigned long long>(iterations_),
                   timeline_s_);
@@ -3828,7 +3682,7 @@ Runtime::stats_table() const
     char line[160];
     std::string out = "cascade stats\n";
     std::snprintf(line, sizeof line, "  %-26s %s\n", "location",
-                  location_name(user_location_));
+                  location_name(user_location()));
     out += line;
     std::snprintf(line, sizeof line, "  %-26s %llu\n", "virtual ticks",
                   static_cast<unsigned long long>(virtual_ticks()));
@@ -3930,7 +3784,7 @@ Runtime::sample_monitor()
         static_cast<double>(m_.interrupt_depth->value()));
     timeseries_.sample(
         "runtime.resident", t,
-        user_location_ != Location::Software ? 1.0 : 0.0);
+        user_location() != Location::Software ? 1.0 : 0.0);
     timeseries_.sample(
         "runtime.halted", t,
         debug_halted_.load(std::memory_order_relaxed) ? 1.0 : 0.0);
@@ -4289,7 +4143,7 @@ Runtime::set_profiling(bool on)
 }
 
 void
-Runtime::absorb_slot_profile(const Slot& slot)
+Runtime::absorb_slot_profile(const Slot& slot, const std::string& clock_net)
 {
     const auto* sw = dynamic_cast<const SwEngine*>(slot.engine.get());
     if (sw == nullptr) {
@@ -4305,6 +4159,11 @@ Runtime::absorb_slot_profile(const Slot& slot)
         }
         a.executions += p.executions;
         a.eval_ns += p.eval_ns;
+    }
+    for (const auto& b : slot.sub.bindings) {
+        if (!clock_net.empty() && b.global_net == clock_net) {
+            hw_clock_ports_[slot.instance] = b.port;
+        }
     }
 }
 
@@ -4343,17 +4202,6 @@ Runtime::attribute_hw_ticks(
             }
         }
     }
-}
-
-void
-Runtime::fold_hw_window()
-{
-    if (hw_clock_ports_.empty()) {
-        return;
-    }
-    attribute_hw_ticks(&profile_acc_, posedges_seen() - hw_adopt_ticks_);
-    hw_adopt_ticks_ = posedges_seen();
-    hw_clock_ports_.clear();
 }
 
 std::vector<Runtime::ProfileEntry>
@@ -4420,7 +4268,7 @@ Runtime::profile_json() const
     out += ",\"profiling\":";
     out += options_.profiling ? "true" : "false";
     out += ",\"location\":\"";
-    out += location_name(user_location_);
+    out += location_name(user_location());
     out += "\",\"virtual_ticks\":" + std::to_string(virtual_ticks());
     out += ",\"entries\":[";
     bool first = true;
@@ -4457,7 +4305,7 @@ Runtime::profile_table() const
     std::string out = "cascade profile (timing ";
     out += options_.profiling ? "on" : "off";
     out += ", location ";
-    out += location_name(user_location_);
+    out += location_name(user_location());
     out += ")\n";
     const auto entries = profile();
     if (entries.empty()) {
@@ -4520,7 +4368,7 @@ Runtime::fabric_table() const
     char line[256];
     std::string out = "cascade fabric\n";
     std::snprintf(line, sizeof line, "  %-26s %s\n", "user location",
-                  location_name(user_location_));
+                  location_name(user_location()));
     out += line;
     if (!last_report_.has_value()) {
         out += "  (no hardware compile has completed)\n";

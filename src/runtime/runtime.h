@@ -198,7 +198,11 @@ class Runtime : public EngineCallbacks {
     /// The virtual timeline (seconds): wall time while user logic runs in
     /// software, modeled device/bus time while it runs in hardware.
     double timeline_seconds() const { return timeline_s_; }
-    Location user_location() const { return user_location_; }
+    Location user_location() const
+    {
+        return resident_.has_value() ? resident_->location
+                                     : Location::Software;
+    }
     /// A fabric compile finished and was adopted (Hardware,
     /// HardwareForwarded or Native). The JIT tier does not count: it is
     /// hardware-shaped but fabric-free, so callers waiting on real
@@ -556,17 +560,11 @@ class Runtime : public EngineCallbacks {
         std::string instance; ///< last path component
     };
 
-    /// One background build of a program version, in flight or finished:
-    /// the wrapper metadata adoption needs, plus the result of whichever
-    /// tier built it — a fabric compile (\p result from the compile
-    /// service) or a JIT build (\p kernel, generated from
-    /// result.netlist; null when the tier is unavailable, with
-    /// result.error saying why).
-    struct CompileOutcome {
-        uint64_t version = 0;
-        fpga::CompileResult result;
-        std::unique_ptr<jit::JitKernel> kernel;
-        std::string kernel_digest; ///< the kernel's content address
+    /// How a compiled user engine is wired into the program. launch_compile
+    /// builds it from the stdlib slots it walks (both tiers of one launch
+    /// share it), adoption completes it, and it stays as resident_ while
+    /// that engine runs; a rebuild into software clears it.
+    struct Wiring {
         ir::WrapperMap map;
         /// Wrapper port wiring: (port name, net name, is_input).
         std::vector<std::tuple<std::string, std::string, bool>> ports;
@@ -574,6 +572,31 @@ class Runtime : public EngineCallbacks {
         std::map<std::string, std::string> prefixes;
         bool native = false;
         std::string clock_net;
+        /// @{ Set at adoption.
+        Location location = Location::Software;
+        double clock_mhz = 0;
+        /// The compiled netlist (cache-shared, never mutated): the
+        /// debugger rebuilds the engine around an instrumented copy, or
+        /// around the plain tier again, without a recompile.
+        std::shared_ptr<const fpga::Netlist> netlist;
+        /// @}
+        /// The stdlib components are merged into the engine: their state
+        /// lives under \p prefixes, the FIFO is fed by state writes
+        /// between open-loop batches, and the engine may free-run.
+        bool merged() const { return native || !prefixes.empty(); }
+    };
+
+    /// One background build of a program version, in flight or finished:
+    /// the wiring adoption needs, plus the result of whichever tier built
+    /// it — a fabric compile (\p result from the compile service) or a
+    /// JIT build (\p kernel, generated from result.netlist; null when the
+    /// tier is unavailable, with result.error saying why).
+    struct CompileOutcome {
+        uint64_t version = 0;
+        fpga::CompileResult result;
+        std::unique_ptr<jit::JitKernel> kernel;
+        std::string kernel_digest; ///< the kernel's content address
+        Wiring wiring;
         /// @{ Request tracing: the causal id (journal seq of this
         /// compile's compile.launch event) and the timeline anchors the
         /// critical-path analyzer partitions into segments. submit_us is
@@ -618,7 +641,7 @@ class Runtime : public EngineCallbacks {
                    const std::string& message);
     /// Journals compile.cache + compile.done, takes the bitstream (the
     /// hypervisor's grant, the private device's, or a forced rejection)
-    /// and relocates onto it through adopt_fabric(). \p admission is the
+    /// and adopts it through adopt_fabric(). \p admission is the
     /// slot grant in shared mode, null in exclusive mode.
     void act_on_compile(CompileOutcome outcome,
                         hypervisor::Admission* admission);
@@ -651,14 +674,33 @@ class Runtime : public EngineCallbacks {
     /// pending_outcome_. True once pending_outcome_ holds its result.
     bool compile_finished(double wait_s);
     void launch_compile();
-    /// The one relocation onto an adopted engine: state gather, slot
-    /// rebuild around the new engine, net rewiring, state restore,
-    /// journaling. The engine runs outcome.kernel when it holds one (the
-    /// JIT tier), else \p bitstream at \p actual_clock_mhz.
+    /// Relocates the user program onto an adopted engine and journals
+    /// the transition. The engine runs outcome.kernel when it holds one
+    /// (the JIT tier), else \p bitstream at \p actual_clock_mhz.
     void adopt_fabric(CompileOutcome outcome,
                       std::unique_ptr<fpga::Bitstream> bitstream,
                       double actual_clock_mhz,
                       hypervisor::Admission* admission);
+    /// The one relocation (paper §3.3), behind every engine swap: an
+    /// eval's or an eviction's rebuild, both adoption kinds, and the
+    /// debugger's instrumented-twin swap. The slots \p incoming replaces
+    /// retire: those at an incoming path, and every non-clock slot when
+    /// \p resident merges the stdlib. It finishes the in-flight timestep
+    /// in the engines, banks each retiring profile once, moves the
+    /// retiring state into the incoming engines (splitting the old
+    /// wiring's merged stdlib state out, merging it under the new one's)
+    /// with their input ports at their net levels, and rewires the nets.
+    /// \p resident describes the new user engine; nullopt is software.
+    void relocate(std::vector<Slot> incoming,
+                  std::optional<Wiring> resident);
+    /// Runs delivered edges and queued nonblocking updates to completion
+    /// in every engine (not the clock's armed toggle, which starts the
+    /// next timestep).
+    void finish_timestep();
+    /// A root slot running \p fabric under \p wiring's ports.
+    Slot engine_slot(const Wiring& wiring,
+                     std::unique_ptr<fpga::FabricExec> fabric,
+                     double mmio_latency_s);
     /// Spawns the async JIT build for the wrapper module just submitted
     /// to the fabric compiler (journals jit.launch).
     void launch_jit(std::shared_ptr<const verilog::ElaboratedModule> em,
@@ -673,9 +715,10 @@ class Runtime : public EngineCallbacks {
     /// hypervisor residency release and hardware_ready().
     bool fabric_resident() const
     {
-        return user_location_ == Location::Hardware ||
-               user_location_ == Location::HardwareForwarded ||
-               user_location_ == Location::Native;
+        const Location loc = user_location();
+        return loc == Location::Hardware ||
+               loc == Location::HardwareForwarded ||
+               loc == Location::Native;
     }
     /// Closes an adopted compile request once the fabric executed its
     /// first post-adoption tick (called from window()); also closes it
@@ -695,7 +738,6 @@ class Runtime : public EngineCallbacks {
     std::vector<bool> initial_skip_mask(
         const verilog::ElaboratedModule& em, const std::string& path,
         bool record);
-    const Slot* find_stdlib(const std::string& type) const;
     Slot* user_slot();
 
     /// Accumulated profile of one process across retired engine
@@ -710,15 +752,14 @@ class Runtime : public EngineCallbacks {
         uint64_t hw_triggers = 0; ///< fabric attribution (closed windows)
     };
 
-    /// Folds a retiring slot's interpreter counters into profile_acc_.
+    /// Folds a retiring slot's interpreter counters into profile_acc_
+    /// and, when its processes move onto a compiled engine wired to
+    /// \p clock_net, notes the local port that clock entered through.
     /// Must run before the slot's engine is destroyed; each engine is
     /// absorbed exactly once (counters are not reset, so live engines
     /// must not be absorbed).
-    void absorb_slot_profile(const Slot& slot);
-    /// Closes the open hardware attribution window: credits device ticks
-    /// since adoption to clock-driven processes and restarts the window.
-    void fold_hw_window();
-    /// Shared by profile() and fold_hw_window(): adds \p ticks of fabric
+    void absorb_slot_profile(const Slot& slot, const std::string& clock_net);
+    /// Shared by profile() and relocate(): adds \p ticks of fabric
     /// execution to every accumulated process driven purely by the
     /// adopted clock.
     void attribute_hw_ticks(
@@ -773,9 +814,9 @@ class Runtime : public EngineCallbacks {
     /// tail), else explicit probes, else the armed signals.
     void sample_debug_ring(std::map<std::string, BitVector>* cache);
     /// Swaps the resident hardware engine for an instrumented twin
-    /// (trigger comparator cells + capture ring) — or back to a plain
-    /// one when the last point is deleted — rebuilding from
-    /// hw_rebuild_ with name-based state transfer. False + *err when
+    /// (trigger comparator cells + capture ring) — or back to the plain
+    /// tier when the last point is deleted — rebuilt from resident_ and
+    /// moved in by relocate(). False + *err when
     /// instrumentation is unavailable (condition evaluation then falls
     /// back to per-window software reads with open loop suspended).
     bool rearm_hardware_debug(std::string* err);
@@ -851,14 +892,14 @@ class Runtime : public EngineCallbacks {
     std::vector<Slot> slots_;
     std::vector<Net> nets_;
     std::map<std::string, size_t> net_index_;
-    std::map<std::string, std::string> slot_type_; ///< path -> module type
 
     std::deque<std::string> interrupt_queue_;
     bool finished_ = false;
     uint64_t clock_toggles_ = 0;
     uint64_t iterations_ = 0;
     double timeline_s_ = 0;
-    Location user_location_ = Location::Software;
+    /// The resident compiled user engine's wiring (nullopt: software).
+    std::optional<Wiring> resident_;
     std::optional<fpga::CompileReport> last_report_;
 
     /// Executed-initial bookkeeping: path -> printed-initial -> count.
@@ -879,38 +920,29 @@ class Runtime : public EngineCallbacks {
     std::vector<Probe> vcd_probes_;        ///< resolved at declare time
     uint64_t vcd_bytes_seen_ = 0; ///< last writer byte count mirrored
 
-    // Peripheral state.
-    uint64_t pad_value_ = 0;
+    // Peripheral state. The peripheral nets keep their names when the
+    // stdlib merges into an adopted engine, so these lists, resolved at
+    // each rebuild, hold across adoptions.
     std::deque<uint8_t> fifo_queue_;
     uint64_t fifo_consumed_ = 0;
     bool fifo_push_high_ = false;
     std::vector<std::string> pads_;
     std::vector<std::string> leds_;
     std::vector<FifoBinding> fifos_;
-    std::vector<std::string> adopted_pads_;
-    std::vector<std::string> adopted_leds_;
-    std::vector<FifoBinding> adopted_fifos_;
-    std::map<std::string, std::string> adopted_prefixes_;
-    /// The stdlib components are merged into the adopted engine (set at
-    /// adoption, cleared by a rebuild): their state lives under
-    /// adopted_prefixes_, the FIFO is fed by state writes between
-    /// open-loop batches, and the engine may free-run.
-    bool stdlib_merged_ = false;
-    std::string clock_net_name_;
 
     // Profiler state: instance -> canonical process key -> accumulator.
     std::map<std::string, std::map<std::string, ProcAccum>> profile_acc_;
     /// Per retired-into-hardware instance: the local port name the
     /// adopted clock entered through (trigger descriptions use local
-    /// names). Rebuilt at each adoption.
+    /// names). Filled at adoption, cleared by a rebuild.
     std::map<std::string, std::string> hw_clock_ports_;
-    /// Virtual tick count when the open hardware window started.
+    /// Posedges seen when the open hardware window started (restarted
+    /// whenever the user program changes tier).
     uint64_t hw_adopt_ticks_ = 0;
 
     // Engine shortcuts (owned by slots_).
     class ClockEngine* clock_engine_ = nullptr;
     class HwEngine* hw_engine_ = nullptr;
-    class NativeEngine* native_engine_ = nullptr;
 
     // Interactive-debugger state.
     Debugger debugger_;
@@ -932,19 +964,6 @@ class Runtime : public EngineCallbacks {
     /// Tracer timestamp at the halting fire (closes a "debug.halt" span
     /// at debug_continue()).
     double debug_halt_start_us_ = 0;
-    /// Everything needed to rebuild the user hardware engine around a
-    /// new bitstream without a recompile (captured at adoption): the
-    /// cache-shared compiled netlist is never mutated — the debugger
-    /// instruments a copy and hot-swaps the engine.
-    struct HwRebuildInfo {
-        std::shared_ptr<const fpga::Netlist> netlist;
-        ir::WrapperMap map;
-        std::vector<std::string> port_names;
-        std::vector<bool> port_is_input;
-        double clock_mhz = 0;
-    };
-    std::optional<HwRebuildInfo> hw_rebuild_;
-
     /// Adaptive open-loop batch size (§4.4).
     uint64_t open_loop_batch_ = 0;
 
