@@ -496,12 +496,8 @@ Repl::run_meta_command(const std::string& line)
 bool
 Repl::feed(const std::string& text)
 {
-    // Info-class journal event: what the user actually typed (the eval
-    // event later records the accumulated program text that was
-    // submitted; this records the raw interaction for the black box).
-    runtime_->journal().record(
-        "repl.input",
-        telemetry::JsonWriter().str("text", text).build());
+    runtime_->emit(EventKind::ReplInput,
+                   telemetry::JsonWriter().str("text", text));
     // Meta-commands are line-oriented and only recognized when no Verilog
     // is being accumulated (':' cannot start a Verilog item).
     if (buffer_.find_first_not_of(" \t\r\n") == std::string::npos) {

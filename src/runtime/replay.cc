@@ -8,29 +8,19 @@
 #include <set>
 
 #include "common/diagnostics.h"
+#include "runtime/events.h"
 #include "telemetry/trace.h"
 
 namespace cascade::runtime {
 
 namespace {
 
-/// Event classes. Input events are re-executed (they are the API calls
-/// the original driver made); compared events are outputs the re-executed
-/// session must reproduce byte-for-byte; everything else (repl.input,
-/// log, compile.stale) is informational and ignored.
+/// Whether replay compares a \p type event (its events.h row says).
 bool
 is_compared(const std::string& type)
 {
-    return type == "eval" || type == "rebuild" ||
-           type == "interrupt.enqueue" || type == "interrupt.flush" ||
-           type == "monitor.line" || type == "compile.launch" ||
-           type == "compile.done" || type == "compile.rejected" ||
-           type == "adopt" || type == "jit.launch" ||
-           type == "jit.adopt" || type == "jit.unavailable" ||
-           type == "openloop.grant" ||
-           type == "vcd.digest" || type == "finish" ||
-           type == "debug.fire" || type == "debug.peek" ||
-           type == "debug.step" || type == "debug.resume";
+    const EventSpec* spec = find_event(type);
+    return spec != nullptr && spec->replay == ReplayClass::Compared;
 }
 
 std::vector<uint8_t>

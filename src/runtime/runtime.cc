@@ -28,6 +28,7 @@
 namespace cascade::runtime {
 
 using namespace verilog;
+using telemetry::JsonWriter;
 
 namespace {
 
@@ -61,10 +62,10 @@ wall_seconds()
 /// Journal payload for one interrupt: full digest, text capped so a hot
 /// $display loop cannot bloat the ring/file (the digest still pins the
 /// full content for divergence detection).
-std::string
+JsonWriter
 interrupt_payload(const char* kind, const std::string& text)
 {
-    telemetry::JsonWriter w;
+    JsonWriter w;
     w.str("kind", kind);
     if (text.size() <= 200) {
         w.str("text", text);
@@ -73,7 +74,7 @@ interrupt_payload(const char* kind, const std::string& text)
         w.num("len", text.size());
     }
     w.str("digest", telemetry::digest_hex(text));
-    return w.build();
+    return w;
 }
 
 /// Digest over the deterministic fields of a compile report (everything
@@ -614,22 +615,12 @@ Runtime::init_metrics()
     m_.net_events = telemetry_.counter("net.events_routed");
     m_.interrupts = telemetry_.counter("interrupt.enqueued");
     m_.clock_toggles = telemetry_.counter("clock.toggles");
-    m_.compiles_launched = telemetry_.counter("compile.launched");
-    m_.compiles_adopted = telemetry_.counter("compile.adopted");
-    m_.compiles_rejected = telemetry_.counter("compile.rejected");
-    m_.jit_launched = telemetry_.counter("jit.launched");
-    m_.jit_adopted = telemetry_.counter("jit.adopted");
-    m_.jit_unavailable = telemetry_.counter("jit.unavailable");
-    m_.jit_discarded = telemetry_.counter("jit.discarded");
     m_.transitions = telemetry_.counter("transition.count");
     m_.open_loop_iterations = telemetry_.counter("openloop.iterations");
     m_.vcd_samples = telemetry_.counter("vcd.samples");
     m_.vcd_bytes = telemetry_.counter("vcd.bytes_written");
-    m_.monitor_lines = telemetry_.counter("monitor.lines");
     m_.monitor_suppressed = telemetry_.counter("monitor.suppressed");
-    m_.debug_fires = telemetry_.counter("debug.fires");
     m_.debug_steps = telemetry_.counter("debug.steps");
-    m_.debug_peeks = telemetry_.counter("debug.peeks");
     m_.interrupt_depth = telemetry_.gauge("interrupt.queue_depth");
     m_.fifo_backlog = telemetry_.gauge("fifo.backlog");
     m_.debug_points = telemetry_.gauge("debug.points");
@@ -639,6 +630,28 @@ Runtime::init_metrics()
     m_.open_loop_batch = telemetry_.histogram("openloop.batch");
     m_.open_loop_wall_ns = telemetry_.histogram("openloop.wall_ns");
     m_.compile_wait_ns = telemetry_.histogram("compile.wait_ns");
+    for (size_t k = 0; k < kEventKinds; ++k) {
+        if (kEvents[k].counter != nullptr) {
+            event_counters_[k] = telemetry_.counter(kEvents[k].counter);
+        }
+    }
+}
+
+uint64_t
+Runtime::emit(EventKind kind, const JsonWriter& payload, uint64_t trace_arg)
+{
+    const EventSpec& spec = kEvents[static_cast<size_t>(kind)];
+    if (spec.replay == ReplayClass::Input) {
+        flush_api_steps();
+    }
+    const uint64_t seq = journal_.record(spec.type, payload.build());
+    if (telemetry::Counter* c = event_counters_[static_cast<size_t>(kind)]) {
+        c->inc();
+    }
+    if (spec.instant != nullptr) {
+        telemetry::Tracer::global().instant(spec.instant, trace_arg);
+    }
+    return seq;
 }
 
 void
@@ -671,21 +684,16 @@ Runtime::eval(std::string_view source, std::string* errors)
         requests_.add_segment(id, "eval", now_us - eval_start_us);
         finish_request(id, "eval", version_, ok, now_us);
     };
-    // Every outcome journals an `eval` event: the source text is what
-    // replay re-feeds, and the ok/err fields are compared (a rejected
-    // eval is as much a part of the session as an accepted one).
     const auto reject = [&](const std::string& err_text) {
         if (errors != nullptr) {
             *errors = err_text;
         }
         m_.evals_rejected->inc();
-        const uint64_t id =
-            journal_.record("eval", telemetry::JsonWriter()
-                                        .boolean("ok", false)
-                                        .num("version", version_)
-                                        .str("src", source)
-                                        .str("err", err_text)
-                                        .build());
+        const uint64_t id = emit(EventKind::Eval, JsonWriter()
+                                                      .boolean("ok", false)
+                                                      .num("version", version_)
+                                                      .str("src", source)
+                                                      .str("err", err_text));
         track_eval(id, false);
         return false;
     };
@@ -729,12 +737,10 @@ Runtime::eval(std::string_view source, std::string* errors)
     if (!bootstrapping_) {
         m_.evals_accepted->inc();
     }
-    const uint64_t id =
-        journal_.record("eval", telemetry::JsonWriter()
-                                    .boolean("ok", true)
-                                    .num("version", version_)
-                                    .str("src", source)
-                                    .build());
+    const uint64_t id = emit(EventKind::Eval, JsonWriter()
+                                                  .boolean("ok", true)
+                                                  .num("version", version_)
+                                                  .str("src", source));
     track_eval(id, true);
     return true;
 }
@@ -866,12 +872,11 @@ Runtime::rebuild_program(std::string* errors, const char* reason)
 
     settle_evaluations();
 
-    journal_.record("rebuild", telemetry::JsonWriter()
-                                   .num("version", version_)
-                                   .str("reason", reason)
-                                   .num("slots", slots_.size())
-                                   .num("nets", nets_.size())
-                                   .build());
+    emit(EventKind::Rebuild, JsonWriter()
+                                 .num("version", version_)
+                                 .str("reason", reason)
+                                 .num("slots", slots_.size())
+                                 .num("nets", nets_.size()));
     if (options_.enable_hardware) {
         launch_compile();
     }
@@ -1046,11 +1051,8 @@ Runtime::flush_interrupts()
 {
     uint64_t flush_id = 0;
     if (!interrupt_queue_.empty()) {
-        flush_id = journal_.record("interrupt.flush",
-                                   telemetry::JsonWriter()
-                                       .num("count",
-                                            interrupt_queue_.size())
-                                       .build());
+        flush_id = emit(EventKind::InterruptFlush,
+                        JsonWriter().num("count", interrupt_queue_.size()));
     }
     // Queue-residency latency for the SLO window: every stamped entry
     // drains in this batch (the queue empties below), so the stamp deque
@@ -1267,11 +1269,8 @@ Runtime::step_body()
         for (Slot& slot : slots_) {
             slot.engine->end();
         }
-        journal_.record("finish", telemetry::JsonWriter()
-                                      .num("iteration", iterations_)
-                                      .build());
-        telemetry::Tracer::global().instant("runtime.finish",
-                                            virtual_ticks());
+        emit(EventKind::Finish,
+             JsonWriter().num("iteration", iterations_), virtual_ticks());
     }
     return !finished_;
 }
@@ -1346,9 +1345,7 @@ bool
 Runtime::run_for_ticks(uint64_t ticks)
 {
     bind_thread_tenant();
-    flush_api_steps();
-    journal_.record("api.run_ticks",
-                    telemetry::JsonWriter().num("n", ticks).build());
+    emit(EventKind::ApiRunTicks, JsonWriter().num("n", ticks));
     const uint64_t target = virtual_ticks() + ticks;
     uint64_t guard = 0;
     while (virtual_ticks() < target && !finished_) {
@@ -1369,9 +1366,7 @@ bool
 Runtime::run(uint64_t max_iterations)
 {
     bind_thread_tenant();
-    flush_api_steps();
-    journal_.record("api.run",
-                    telemetry::JsonWriter().num("n", max_iterations).build());
+    emit(EventKind::ApiRun, JsonWriter().num("n", max_iterations));
     for (uint64_t i = 0; i < max_iterations && !finished_; ++i) {
         if (debug_halted_.load(std::memory_order_relaxed)) {
             break; // halted at a breakpoint: the virtual clock is paused
@@ -1429,8 +1424,7 @@ Runtime::wait_for_hardware(double timeout_s)
         }
     }
     const bool ok = fabric_resident();
-    journal_.record("api.wait_hw",
-                    telemetry::JsonWriter().boolean("ok", ok).build());
+    emit(EventKind::ApiWaitHw, JsonWriter().boolean("ok", ok));
     return ok;
 }
 
@@ -1449,19 +1443,17 @@ Runtime::flush_api_steps()
     }
     const uint64_t n = pending_api_steps_;
     pending_api_steps_ = 0;
-    journal_.record("api.step",
-                    telemetry::JsonWriter().num("n", n).build());
+    emit(EventKind::ApiStep, JsonWriter().num("n", n));
 }
 
 void
 Runtime::log_event(LogLevel level, const char* component,
                    const std::string& message)
 {
-    journal_.record("log", telemetry::JsonWriter()
-                               .str("level", log_level_name(level))
-                               .str("component", component)
-                               .str("msg", message)
-                               .build());
+    emit(EventKind::Log, JsonWriter()
+                             .str("level", log_level_name(level))
+                             .str("component", component)
+                             .str("msg", message));
     if (Logger::instance().enabled(level)) {
         Logger::instance().write(level, component, message);
     }
@@ -1519,11 +1511,9 @@ Runtime::set_oracle(std::unique_ptr<Oracle> oracle)
 }
 
 void
-Runtime::on_display(const std::string& text)
+Runtime::enqueue_interrupt(std::string text)
 {
-    interrupt_queue_.push_back(text + "\n");
-    journal_.record("interrupt.enqueue",
-                    interrupt_payload("display", interrupt_queue_.back()));
+    interrupt_queue_.push_back(std::move(text));
     m_.interrupts->inc();
     m_.interrupt_depth->set(
         static_cast<int64_t>(interrupt_queue_.size()));
@@ -1533,17 +1523,19 @@ Runtime::on_display(const std::string& text)
 }
 
 void
+Runtime::on_display(const std::string& text)
+{
+    enqueue_interrupt(text + "\n");
+    emit(EventKind::InterruptEnqueue,
+         interrupt_payload("display", interrupt_queue_.back()));
+}
+
+void
 Runtime::on_write(const std::string& text)
 {
-    interrupt_queue_.push_back(text);
-    journal_.record("interrupt.enqueue",
-                    interrupt_payload("write", interrupt_queue_.back()));
-    m_.interrupts->inc();
-    m_.interrupt_depth->set(
-        static_cast<int64_t>(interrupt_queue_.size()));
-    if (options_.slo_max_interrupt_p99_s > 0) {
-        interrupt_enqueue_wall_.push_back(wall_seconds());
-    }
+    enqueue_interrupt(text);
+    emit(EventKind::InterruptEnqueue,
+         interrupt_payload("write", interrupt_queue_.back()));
 }
 
 void
@@ -1564,13 +1556,10 @@ Runtime::on_monitor(const std::string& key, const std::string& text)
         return;
     }
     monitor_last_[key] = text;
-    m_.monitor_lines->inc();
-    journal_.record(
-        "monitor.line",
-        telemetry::JsonWriter()
-            .str("key_digest", telemetry::digest_hex(key))
-            .str("text", text)
-            .build());
+    emit(EventKind::MonitorLine,
+         JsonWriter()
+             .str("key_digest", telemetry::digest_hex(key))
+             .str("text", text));
     on_display(text);
 }
 
@@ -1578,8 +1567,7 @@ void
 Runtime::on_dumpfile(const std::string& path)
 {
     if (vcd_declared_) {
-        interrupt_queue_.push_back(
-            "vcd: $dumpfile ignored, dump already started\n");
+        enqueue_interrupt("vcd: $dumpfile ignored, dump already started\n");
         return;
     }
     vcd_requested_path_ = path;
@@ -1625,8 +1613,7 @@ Runtime::vcd_open(const std::string& path, std::string* err)
     if (!vcd_.open(path, err)) {
         return false;
     }
-    journal_.record("api.vcd",
-                    telemetry::JsonWriter().str("path", path).build());
+    emit(EventKind::ApiVcd, JsonWriter().str("path", path));
     vcd_requested_path_ = path;
     vcd_bytes_seen_ = 0; // the writer's byte counter restarted at zero
     vcd_capture_ = true;
@@ -1637,22 +1624,17 @@ void
 Runtime::close_vcd()
 {
     if (vcd_.is_open()) {
-        flush_api_steps();
-        journal_.record("api.vcd_close", "{}");
+        emit(EventKind::ApiVcdClose);
         const std::string path = vcd_requested_path_;
         const uint64_t before = vcd_.bytes_written();
         vcd_.close();
         m_.vcd_bytes->inc(
             static_cast<int64_t>(vcd_.bytes_written() - before));
         vcd_bytes_seen_ = vcd_.bytes_written();
-        // Digest the closed waveform: identical stimulus must produce an
-        // identical file, so replay compares this event byte-for-byte.
-        journal_.record("vcd.digest",
-                        telemetry::JsonWriter()
-                            .str("path", path)
-                            .num("bytes", vcd_.bytes_written())
-                            .str("digest", file_digest_hex(path))
-                            .build());
+        emit(EventKind::VcdDigest, JsonWriter()
+                                       .str("path", path)
+                                       .num("bytes", vcd_.bytes_written())
+                                       .str("digest", file_digest_hex(path)));
     }
     vcd_capture_ = false;
     vcd_declared_ = false;
@@ -1698,9 +1680,7 @@ Runtime::add_probe(const std::string& name, std::string* err)
         probe_names_.end()) {
         probe_names_.push_back(name);
     }
-    flush_api_steps();
-    journal_.record("api.probe",
-                    telemetry::JsonWriter().str("name", name).build());
+    emit(EventKind::ApiProbe, JsonWriter().str("name", name));
     return true;
 }
 
@@ -1713,9 +1693,7 @@ Runtime::remove_probe(const std::string& name)
         return false;
     }
     probe_names_.erase(it);
-    flush_api_steps();
-    journal_.record("api.unprobe",
-                    telemetry::JsonWriter().str("name", name).build());
+    emit(EventKind::ApiUnprobe, JsonWriter().str("name", name));
     return true;
 }
 
@@ -1835,7 +1813,7 @@ Runtime::sample_vcd()
                                      : vcd_requested_path_;
         std::string err;
         if (!vcd_.open(path, &err)) {
-            interrupt_queue_.push_back("vcd: " + err + "\n");
+            enqueue_interrupt("vcd: " + err + "\n");
             vcd_capture_ = false;
             return;
         }
@@ -1915,13 +1893,11 @@ Runtime::debug_break(const std::string& signal, const std::string& op,
         }
         return 0;
     }
-    flush_api_steps();
-    const uint64_t seq =
-        journal_.record("api.debug_break", telemetry::JsonWriter()
-                                               .str("signal", signal)
-                                               .str("op", op)
-                                               .str("value", value)
-                                               .build());
+    const uint64_t seq = emit(EventKind::ApiDebugBreak,
+                              JsonWriter()
+                                  .str("signal", signal)
+                                  .str("op", op)
+                                  .str("value", value));
     const uint64_t id = debugger_.add_break(signal, op, *parsed);
     debug_arm_seq_[id] = seq;
     m_.debug_points->set(static_cast<int64_t>(debugger_.size()));
@@ -1953,11 +1929,8 @@ Runtime::debug_watch(const std::string& signal, std::string* err)
         }
         return 0;
     }
-    flush_api_steps();
-    const uint64_t seq =
-        journal_.record("api.debug_watch", telemetry::JsonWriter()
-                                               .str("signal", signal)
-                                               .build());
+    const uint64_t seq = emit(EventKind::ApiDebugWatch,
+                              JsonWriter().str("signal", signal));
     const uint64_t id = debugger_.add_watch(signal);
     debug_arm_seq_[id] = seq;
     m_.debug_points->set(static_cast<int64_t>(debugger_.size()));
@@ -1980,9 +1953,7 @@ bool
 Runtime::debug_delete(uint64_t id)
 {
     bind_thread_tenant();
-    flush_api_steps();
-    journal_.record("api.debug_delete",
-                    telemetry::JsonWriter().num("id", id).build());
+    emit(EventKind::ApiDebugDelete, JsonWriter().num("id", id));
     if (!debugger_.remove(id)) {
         return false;
     }
@@ -2011,15 +1982,12 @@ Runtime::debug_step(uint64_t cycles, std::string* err)
         }
         return false;
     }
-    flush_api_steps();
-    journal_.record("api.debug_step",
-                    telemetry::JsonWriter().num("n", cycles).build());
+    emit(EventKind::ApiDebugStep, JsonWriter().num("n", cycles));
     m_.debug_steps->inc(cycles);
-    journal_.record("debug.step", telemetry::JsonWriter()
-                                      .num("n", cycles)
-                                      .num("iteration", iterations_)
-                                      .num("tick", virtual_ticks())
-                                      .build());
+    emit(EventKind::DebugStep, JsonWriter()
+                                   .num("n", cycles)
+                                   .num("iteration", iterations_)
+                                   .num("tick", virtual_ticks()));
     // Let exactly \p cycles virtual clock cycles through the halt gate.
     debug_stepping_ = true;
     const uint64_t target = virtual_ticks() + cycles;
@@ -2041,10 +2009,8 @@ Runtime::debug_continue()
     if (!debug_halted_.load(std::memory_order_relaxed)) {
         return false;
     }
-    flush_api_steps();
-    journal_.record("api.debug_continue", telemetry::JsonWriter()
-                                              .num("iteration", iterations_)
-                                              .build());
+    emit(EventKind::ApiDebugContinue,
+         JsonWriter().num("iteration", iterations_));
     debug_halted_.store(false, std::memory_order_relaxed);
     m_.debug_halted->set(0);
     // The halt is a span on this tenant's trace lane, from fire to here.
@@ -2058,10 +2024,9 @@ Runtime::debug_continue()
         tracer.record_complete("debug.halt", debug_halt_start_us_,
                                now_us - debug_halt_start_us_, 0);
     }
-    journal_.record("debug.resume", telemetry::JsonWriter()
-                                        .num("iteration", iterations_)
-                                        .num("tick", virtual_ticks())
-                                        .build());
+    emit(EventKind::DebugResume, JsonWriter()
+                                     .num("iteration", iterations_)
+                                     .num("tick", virtual_ticks()));
     log_event(LogLevel::Info, "debug",
               "continuing from tick " + std::to_string(virtual_ticks()));
     // Re-admission is already in flight: the eviction's rebuild
@@ -2074,9 +2039,7 @@ std::optional<BitVector>
 Runtime::debug_peek(const std::string& signal, std::string* err)
 {
     bind_thread_tenant();
-    flush_api_steps();
-    journal_.record("api.debug_peek",
-                    telemetry::JsonWriter().str("signal", signal).build());
+    emit(EventKind::ApiDebugPeek, JsonWriter().str("signal", signal));
     std::map<std::string, BitVector> cache;
     const BitVector* v = debug_read(signal, &cache);
     if (v == nullptr) {
@@ -2085,16 +2048,11 @@ Runtime::debug_peek(const std::string& signal, std::string* err)
         }
         return std::nullopt;
     }
-    m_.debug_peeks->inc();
-    // Compared on replay: a replayed peek cross-checks the recorded
-    // value, so state divergence surfaces at the first peek.
-    journal_.record("debug.peek",
-                    telemetry::JsonWriter()
-                        .str("signal", signal)
-                        .str("value", "0x" + v->to_hex_string())
-                        .num("width", v->width())
-                        .num("tick", virtual_ticks())
-                        .build());
+    emit(EventKind::DebugPeek, JsonWriter()
+                                   .str("signal", signal)
+                                   .str("value", "0x" + v->to_hex_string())
+                                   .num("width", v->width())
+                                   .num("tick", virtual_ticks()));
     return *v;
 }
 
@@ -2145,20 +2103,16 @@ Runtime::handle_debug_fire(const Debugger::Fire& fire, bool hw_fire)
         debug_halted_.load(std::memory_order_relaxed);
     const char* kind =
         fire.kind == Debugger::Kind::Watch ? "watch" : "break";
-    // Replay compares this event: a fire is pinned by its recorded
-    // iteration, exactly like an eviction. The payload stays value-free
-    // except the signal identity (values are cross-checked by peeks).
-    journal_.record("debug.fire", telemetry::JsonWriter()
-                                      .num("id", fire.id)
-                                      .str("kind", kind)
-                                      .str("signal", fire.signal)
-                                      .num("iteration", iterations_)
-                                      .num("tick", virtual_ticks())
-                                      .str("origin", hw_fire ? "hw" : "sw")
-                                      .build());
-    m_.debug_fires->inc();
+    emit(EventKind::DebugFire,
+         JsonWriter()
+             .num("id", fire.id)
+             .str("kind", kind)
+             .str("signal", fire.signal)
+             .num("iteration", iterations_)
+             .num("tick", virtual_ticks())
+             .str("origin", hw_fire ? "hw" : "sw"),
+         fire.id);
     telemetry::Tracer& tracer = telemetry::Tracer::global();
-    tracer.instant("debug.fire", fire.id);
     const auto arm = debug_arm_seq_.find(fire.id);
     if (arm != debug_arm_seq_.end()) {
         // Close the causal arrow opened when the point was armed.
@@ -2173,8 +2127,7 @@ Runtime::handle_debug_fire(const Debugger::Fire& fire, bool hw_fire)
     }
     line += " at tick " + std::to_string(virtual_ticks()) +
             (hw_fire ? " [hardware]" : "") + "\n";
-    interrupt_queue_.push_back(std::move(line));
-    m_.interrupts->inc();
+    enqueue_interrupt(std::move(line));
     if (was_halted) {
         // Fired while single-stepping: report it, stay halted.
         flush_interrupts();
@@ -2308,19 +2261,15 @@ Runtime::dump_debug_window(bool hw_fire)
     }
     window.flush();
     window.close();
-    // Info-class provenance (not compared: the digest covers wall-free
-    // content, but the event exists only on sessions that dump).
-    journal_.record("debug.window",
-                    telemetry::JsonWriter()
-                        .str("path", debug_window_path_)
-                        .num("samples", samples)
-                        .str("source", use_hw_ring ? "hw" : "sw")
-                        .str("digest", file_digest_hex(debug_window_path_))
-                        .build());
-    interrupt_queue_.push_back("debug: pre-trigger window (" +
-                               std::to_string(samples) + " samples) -> " +
-                               debug_window_path_ + "\n");
-    m_.interrupts->inc();
+    emit(EventKind::DebugWindow,
+         JsonWriter()
+             .str("path", debug_window_path_)
+             .num("samples", samples)
+             .str("source", use_hw_ring ? "hw" : "sw")
+             .str("digest", file_digest_hex(debug_window_path_)));
+    enqueue_interrupt("debug: pre-trigger window (" +
+                      std::to_string(samples) + " samples) -> " +
+                      debug_window_path_ + "\n");
 }
 
 bool
@@ -2405,12 +2354,10 @@ Runtime::rearm_hardware_debug(std::string* err)
         engine_slot(*resident_, std::move(fabric), mmio_latency_s));
     relocate(std::move(incoming), resident_);
     hw_debug_armed_.store(!triggers.empty(), std::memory_order_relaxed);
-    journal_.record("debug.rearm",
-                    telemetry::JsonWriter()
-                        .num("triggers", triggers.size())
-                        .num("probes", ring_probes.size())
-                        .boolean("armed", !triggers.empty())
-                        .build());
+    emit(EventKind::DebugRearm, JsonWriter()
+                                    .num("triggers", triggers.size())
+                                    .num("probes", ring_probes.size())
+                                    .boolean("armed", !triggers.empty()));
     log_event(LogLevel::Info, "debug",
               !triggers.empty()
                   ? "fabric re-armed with " +
@@ -2527,9 +2474,7 @@ Runtime::resolve_peripherals()
 void
 Runtime::set_pad(uint64_t buttons)
 {
-    flush_api_steps();
-    journal_.record("api.set_pad",
-                    telemetry::JsonWriter().num("value", buttons).build());
+    emit(EventKind::ApiSetPad, JsonWriter().num("value", buttons));
     for (const std::string& net : pads_) {
         const int n = find_net(net);
         if (n < 0) {
@@ -2582,17 +2527,14 @@ Runtime::led_state()
             break;
         }
     }
-    journal_.record("api.led", telemetry::JsonWriter()
-                                   .num("width", out.width())
-                                   .num("value", out.to_uint64())
-                                   .build());
+    emit(EventKind::ApiLed,
+         JsonWriter().num("width", out.width()).num("value", out.to_uint64()));
     return out;
 }
 
 void
 Runtime::fifo_push(const std::vector<uint8_t>& bytes)
 {
-    flush_api_steps();
     std::string hex;
     hex.reserve(bytes.size() * 2);
     for (const uint8_t b : bytes) {
@@ -2600,10 +2542,8 @@ Runtime::fifo_push(const std::vector<uint8_t>& bytes)
         std::snprintf(buf, sizeof(buf), "%02x", b);
         hex += buf;
     }
-    journal_.record("api.fifo_push", telemetry::JsonWriter()
-                                         .num("count", bytes.size())
-                                         .str("hex", hex)
-                                         .build());
+    emit(EventKind::ApiFifoPush,
+         JsonWriter().num("count", bytes.size()).str("hex", hex));
     fifo_queue_.insert(fifo_queue_.end(), bytes.begin(), bytes.end());
     m_.fifo_backlog->set(static_cast<int64_t>(fifo_queue_.size()));
 }
@@ -2794,12 +2734,11 @@ Runtime::launch_compile()
         finish_request(parked_outcome_->request, "compile",
                        parked_outcome_->version, false, submit_us);
     }
-    m_.compiles_launched->inc();
-    const uint64_t request =
-        journal_.record("compile.launch", telemetry::JsonWriter()
-                                              .num("version", version_)
-                                              .num("seed", seed)
-                                              .build());
+    const uint64_t request = emit(EventKind::CompileLaunch,
+                                  JsonWriter()
+                                      .num("version", version_)
+                                      .num("seed", seed),
+                                  version_);
     outcome.request = request;
     outcome.submit_us = submit_us;
     requests_.begin(request, "compile", version_, tenant_, submit_us);
@@ -2827,7 +2766,6 @@ Runtime::launch_compile()
     job.options.seed = seed;
     compile_submit_wall_[version_] = wall_seconds();
     compile_service_->submit(compile_client_, std::move(job));
-    telemetry::Tracer::global().instant("compile.launch", version_);
 }
 
 void
@@ -2862,16 +2800,14 @@ Runtime::compile_finished(double wait_s)
             outcome.polled_us = telemetry::Tracer::global().now_us();
             continue;
         }
-        // Stale: the program changed since submission. Info-class event
-        // (never compared), journaled only by a poll that does not wait:
-        // whether a stale result surfaces is a wall-clock race, and one
-        // that surfaces while a pinned (replayed) decision waits must stay
-        // out of the journal, which replays byte-identically.
+        // Stale: the program changed since submission. Journaled only by
+        // a poll that does not wait: a stale result that surfaces while a
+        // pinned (replayed) decision waits must stay out of the journal,
+        // which replays byte-identically.
         if (wait_s == 0) {
-            journal_.record("compile.stale", telemetry::JsonWriter()
-                                                 .num("version", done.version)
-                                                 .num("req", done.request)
-                                                 .build());
+            emit(EventKind::CompileStale, JsonWriter()
+                                              .num("version", done.version)
+                                              .num("req", done.request));
         }
         if (done.request != 0) {
             finish_request(done.request, "compile", done.version, false,
@@ -2895,14 +2831,11 @@ Runtime::maybe_admit_and_act(CompileOutcome outcome)
         fabric_->request_residency(tenant_, outcome.result);
     if (adm.bitstream == nullptr && adm.retryable) {
         // Capacity pressure: park the finished compile and re-request
-        // when the fabric changes. Info-class journal event — replay
-        // runs on an exclusive device where the denial never recurs.
-        journal_.record("hypervisor.defer",
-                        telemetry::JsonWriter()
-                            .num("version", outcome.version)
-                            .num("req", outcome.request)
-                            .str("reason", adm.error)
-                            .build());
+        // when the fabric changes.
+        emit(EventKind::HypervisorDefer, JsonWriter()
+                                             .num("version", outcome.version)
+                                             .num("req", outcome.request)
+                                             .str("reason", adm.error));
         log_event(LogLevel::Info, "hypervisor",
                   "admission deferred for v" +
                       std::to_string(outcome.version) + ": " + adm.error);
@@ -2953,24 +2886,17 @@ Runtime::act_on_compile(CompileOutcome outcome,
         compile_submit_wall_.erase(compile_submit_wall_.begin(),
                                    std::next(submitted));
     }
-    // Cache attribution rides in its own info-class event: cache_hit is
-    // a wall-clock artifact (who compiled first), so it must stay out of
-    // the compared compile.done payload.
-    journal_.record("compile.cache",
-                    telemetry::JsonWriter()
-                        .num("version", outcome.version)
-                        .boolean("hit", r.cache_hit)
-                        .build());
-    journal_.record("compile.done",
-                    telemetry::JsonWriter()
-                        .num("version", outcome.version)
-                        .boolean("ok", outcome.result.ok)
-                        .num("seed", r.seed)
-                        .str("digest", report_digest(r))
-                        .num("les", r.area.les)
-                        .num("cells", r.cells)
-                        .boolean("timing_met", r.timing.met)
-                        .build());
+    emit(EventKind::CompileCache, JsonWriter()
+                                      .num("version", outcome.version)
+                                      .boolean("hit", r.cache_hit));
+    emit(EventKind::CompileDone, JsonWriter()
+                                     .num("version", outcome.version)
+                                     .boolean("ok", outcome.result.ok)
+                                     .num("seed", r.seed)
+                                     .str("digest", report_digest(r))
+                                     .num("les", r.area.les)
+                                     .num("cells", r.cells)
+                                     .boolean("timing_met", r.timing.met));
 
     // Critical-path decomposition: the timeline anchors (submit ->
     // service done -> polled -> here) and the report's flow phases
@@ -3035,19 +2961,16 @@ Runtime::act_on_compile(CompileOutcome outcome,
     } else {
         // Timing or fit failure: report and stay in software (the UT
         // study's "ran in simulation but did not pass timing closure").
-        interrupt_queue_.push_back("cascade: hardware compilation "
-                                   "rejected: " + error + "\n");
-        m_.compiles_rejected->inc();
-        journal_.record("compile.rejected",
-                        telemetry::JsonWriter()
-                            .num("version", request_version)
-                            .num("iteration", iterations_)
-                            .str("error", error)
-                            .build());
+        enqueue_interrupt("cascade: hardware compilation rejected: " +
+                          error + "\n");
+        emit(EventKind::CompileRejected,
+             JsonWriter()
+                 .num("version", request_version)
+                 .num("iteration", iterations_)
+                 .str("error", error),
+             request_version);
         log_event(LogLevel::Warn, "compile",
                   "hardware compilation rejected: " + error);
-        telemetry::Tracer::global().instant("compile.rejected",
-                                            request_version);
     }
     // The request tracer closes a rejected request at the adoption
     // segment, an adopted one only after its first hardware tick.
@@ -3085,14 +3008,9 @@ Runtime::adopt_fabric(CompileOutcome outcome,
     // running on the JIT tier.
     const bool upgrading = user_location() == Location::Jit;
     if (upgrading) {
-        m_.jit_discarded->inc();
-        // Info-class: replay infers the same upgrade from the compared
-        // adopt event that follows.
-        journal_.record("jit.discard",
-                        telemetry::JsonWriter()
-                            .num("version", outcome.version)
-                            .str("reason", "fabric")
-                            .build());
+        emit(EventKind::JitDiscard, JsonWriter()
+                                        .num("version", outcome.version)
+                                        .str("reason", "fabric"));
     }
 
     Wiring wiring = std::move(outcome.wiring);
@@ -3123,7 +3041,6 @@ Runtime::adopt_fabric(CompileOutcome outcome,
     // The software-to-hardware (or software-to-JIT) transition, tagged
     // with the adopted version (the event SYNERGY-style schedulers key
     // off).
-    (is_jit ? m_.jit_adopted : m_.compiles_adopted)->inc();
     m_.transitions->inc();
     TransitionRecord rec;
     rec.version = outcome.version;
@@ -3133,35 +3050,26 @@ Runtime::adopt_fabric(CompileOutcome outcome,
     rec.clock_mhz = actual_clock_mhz;
     transitions_.push_back(rec);
     if (is_jit) {
-        // Compared: the kernel digest is deterministic (content-addressed
-        // codegen over the synthesized netlist), unlike build timing or
-        // cache residency, which stay in the info-class jit.cache event.
-        journal_.record("jit.adopt",
-                        telemetry::JsonWriter()
-                            .num("version", outcome.version)
-                            .num("iteration", iterations_)
-                            .str("digest", outcome.kernel_digest)
-                            .build());
+        emit(EventKind::JitAdopt, JsonWriter()
+                                      .num("version", outcome.version)
+                                      .num("iteration", iterations_)
+                                      .str("digest", outcome.kernel_digest));
     } else {
-        journal_.record("adopt",
-                        telemetry::JsonWriter()
-                            .num("version", outcome.version)
-                            .num("iteration", iterations_)
-                            .str("location",
-                                 location_name(user_location()))
-                            .dbl("clock_mhz", actual_clock_mhz)
-                            .build());
+        emit(EventKind::Adopt,
+             JsonWriter()
+                 .num("version", outcome.version)
+                 .num("iteration", iterations_)
+                 .str("location", location_name(user_location()))
+                 .dbl("clock_mhz", actual_clock_mhz));
     }
     if (fabric_ != nullptr && admission != nullptr) {
-        // Info-class slot record: where on the shared fabric this tenant
-        // landed (first-fit, so placement depends on neighbors).
-        journal_.record("hypervisor.admit",
-                        telemetry::JsonWriter()
-                            .num("version", outcome.version)
-                            .num("le_start", admission->le_start)
-                            .num("le_count", admission->le_count)
-                            .dbl("clock_mhz", actual_clock_mhz)
-                            .build());
+        // Where on the shared fabric this tenant landed.
+        emit(EventKind::HypervisorAdmit,
+             JsonWriter()
+                 .num("version", outcome.version)
+                 .num("le_start", admission->le_start)
+                 .num("le_count", admission->le_count)
+                 .dbl("clock_mhz", actual_clock_mhz));
     }
     log_event(LogLevel::Info, is_jit ? "jit" : "adopt",
               std::string("program v") +
@@ -3198,11 +3106,8 @@ Runtime::launch_jit(std::shared_ptr<const verilog::ElaboratedModule> em,
     // compile service. At most one build is in flight — a newer launch
     // overwrites the job and poll_jit() discards the orphaned result as
     // stale by version when its future eventually resolves.
-    m_.jit_launched->inc();
-    journal_.record("jit.launch", telemetry::JsonWriter()
-                                      .num("version", outcome.version)
-                                      .build());
-    telemetry::Tracer::global().instant("jit.launch", outcome.version);
+    emit(EventKind::JitLaunch,
+         JsonWriter().num("version", outcome.version), outcome.version);
     // The same wrapper metadata as the fabric compile; the kernel, and
     // the netlist it came from (the debugger's instrumented-twin rebuild
     // needs it, exactly like a fabric netlist), fill in on the worker.
@@ -3252,15 +3157,9 @@ Runtime::poll_jit()
     if (build.version != version_ ||
         user_location() != Location::Software || finished_) {
         // Stale (the program changed since launch) or the tenant is
-        // already somewhere faster than software. Info-class event:
-        // whether an orphaned build surfaces before the queue clears is
-        // a wall-clock race, exactly like compile.stale.
-        journal_.record("jit.discard",
-                        telemetry::JsonWriter()
-                            .num("version", build.version)
-                            .str("reason", "stale")
-                            .build());
-        m_.jit_discarded->inc();
+        // already somewhere faster than software.
+        emit(EventKind::JitDiscard,
+             JsonWriter().num("version", build.version).str("reason", "stale"));
         return;
     }
     if (auto forced =
@@ -3271,29 +3170,22 @@ Runtime::poll_jit()
     if (build.kernel == nullptr) {
         // Graceful degradation: no usable compiler (or codegen/compile
         // failure) leaves the tenant on the interpreter tier until the
-        // fabric compile lands. Compared payload carries no error text —
-        // it contains machine-dependent paths.
-        m_.jit_unavailable->inc();
-        journal_.record("jit.unavailable",
-                        telemetry::JsonWriter()
-                            .num("version", build.version)
-                            .num("iteration", iterations_)
-                            .build());
+        // fabric compile lands.
+        emit(EventKind::JitUnavailable,
+             JsonWriter()
+                 .num("version", build.version)
+                 .num("iteration", iterations_),
+             build.version);
         log_event(LogLevel::Warn, "jit",
                   "native tier unavailable for v" +
                       std::to_string(build.version) + ": " +
                       build.result.error);
-        telemetry::Tracer::global().instant("jit.unavailable",
-                                            build.version);
         return;
     }
-    // Cache attribution is info-class for the same reason compile.cache
-    // is: who built the kernel first is a wall-clock artifact.
-    journal_.record("jit.cache",
-                    telemetry::JsonWriter()
-                        .num("version", build.version)
-                        .boolean("hit", build.result.report.cache_hit)
-                        .build());
+    emit(EventKind::JitCache,
+         JsonWriter()
+             .num("version", build.version)
+             .boolean("hit", build.result.report.cache_hit));
     adopt_fabric(std::move(build), nullptr, device_.clock_mhz(), nullptr);
 }
 
@@ -3309,13 +3201,11 @@ Runtime::evict_to_software()
     // fabric engine, set_state() into fresh software engines), so the
     // program's architectural state — including $monitor, VCD and
     // profile continuity — carries across unchanged.
-    const uint64_t request =
-        journal_.record("hypervisor.evict",
-                        telemetry::JsonWriter()
-                            .num("iteration", iterations_)
-                            .num("version", version_)
-                            .build());
-    telemetry::Tracer::global().instant("hypervisor.evict", version_);
+    const uint64_t request = emit(EventKind::HypervisorEvict,
+                                  JsonWriter()
+                                      .num("iteration", iterations_)
+                                      .num("version", version_),
+                                  version_);
     telemetry::Tracer::global().instant("transition.hw_to_sw",
                                         version_);
     // The eviction is itself a traced request (id = the evict event's
@@ -3366,16 +3256,14 @@ Runtime::finish_request(uint64_t id, const char* kind, uint64_t version,
     if (!requests_.end(id, ok, end_us)) {
         return; // already closed (superseded) or never tracked
     }
-    // Info-class completion marker threading the request id into the
-    // journal. The payload is deliberately wall-clock-free (ids are
-    // journal seqs, durations stay in the tracker), so re-recorded
-    // replay journals remain byte-identical with tracing on.
-    journal_.record("request.done", telemetry::JsonWriter()
-                                        .num("id", id)
-                                        .str("kind", kind)
-                                        .num("version", version)
-                                        .boolean("ok", ok)
-                                        .build());
+    // The payload is deliberately wall-clock-free (ids are journal seqs,
+    // durations stay in the tracker), so re-recorded replay journals
+    // remain byte-identical with tracing on.
+    emit(EventKind::RequestDone, JsonWriter()
+                                     .num("id", id)
+                                     .str("kind", kind)
+                                     .num("version", version)
+                                     .boolean("ok", ok));
 }
 
 void
@@ -3420,10 +3308,8 @@ Runtime::run_open_loop()
         // reflects work done, even when a batch ends early on $finish.
         fabric_->note_ticks(tenant_, itrs);
     }
-    journal_.record("openloop.grant", telemetry::JsonWriter()
-                                          .num("batch", grant)
-                                          .num("itrs", itrs)
-                                          .build());
+    emit(EventKind::OpenLoopGrant,
+         JsonWriter().num("batch", grant).num("itrs", itrs));
     static const bool oloop_env =
         std::getenv("CASCADE_DEBUG_OLOOP") != nullptr;
     if (oloop_env || Logger::instance().enabled(LogLevel::Debug)) {
@@ -3820,7 +3706,7 @@ Runtime::sample_monitor()
         w.dbl("observed", o.observed);
         w.dbl("threshold", o.threshold);
         w.num("breaches", o.breaches);
-        journal_.record("slo.breach", w.build());
+        emit(EventKind::SloBreach, w);
     });
 }
 
@@ -4128,9 +4014,7 @@ Runtime::metrics_text() const
 void
 Runtime::set_profiling(bool on)
 {
-    flush_api_steps();
-    journal_.record("api.profiling",
-                    telemetry::JsonWriter().boolean("on", on).build());
+    emit(EventKind::ApiProfiling, JsonWriter().boolean("on", on));
     options_.profiling = on;
     for (Slot& slot : slots_) {
         if (auto* sw = dynamic_cast<SwEngine*>(slot.engine.get())) {

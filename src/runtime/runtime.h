@@ -9,6 +9,7 @@
 #ifndef CASCADE_RUNTIME_RUNTIME_H
 #define CASCADE_RUNTIME_RUNTIME_H
 
+#include <array>
 #include <atomic>
 #include <deque>
 #include <functional>
@@ -25,6 +26,7 @@
 #include "ir/subprogram.h"
 #include "runtime/debugger.h"
 #include "runtime/engine.h"
+#include "runtime/events.h"
 #include "sim/vcd.h"
 #include "telemetry/export.h"
 #include "telemetry/journal.h"
@@ -286,9 +288,8 @@ class Runtime : public EngineCallbacks {
     /// compile is pending) resumes on the next scheduler call.
     bool debug_continue();
     /// Live value of one signal at honest cost (interpreter map lookup
-    /// in software, one MMIO readback in hardware). Journaled as a
-    /// compared `debug.peek` event, so a replayed peek cross-checks the
-    /// recorded value.
+    /// in software, one MMIO readback in hardware). Journaled as
+    /// `debug.peek`, which replay compares.
     std::optional<BitVector> debug_peek(const std::string& signal,
                                         std::string* err = nullptr);
     bool debug_halted() const
@@ -459,15 +460,19 @@ class Runtime : public EngineCallbacks {
     /// @}
 
     /// @{ Flight recorder (README §Flight recorder & replay). The journal
-    /// is always on: every nondeterminism-bearing event (eval'ed text,
-    /// interrupt enqueue/flush, adoption decisions, compile launch/done
-    /// with placement seed, open-loop grants, output digests) lands in a
-    /// bounded in-memory ring that the crash black box dumps on a fatal
-    /// error. start_recording() additionally mirrors events to a JSONL
-    /// file (`cascade.events.v1`) that replay.h re-executes
-    /// deterministically.
+    /// is always on: every event (events.h lists them) lands in a bounded
+    /// in-memory ring that the crash black box dumps on a fatal error.
+    /// start_recording() additionally mirrors events to a JSONL file
+    /// (`cascade.events.v1`) that replay.h re-executes deterministically.
 
     telemetry::Journal& journal() { return journal_; }
+
+    /// Records one \p kind event and applies the rest of its events.h
+    /// row: journals pending api.step calls ahead of an input, bumps the
+    /// row's counter and fires its trace instant (argument \p trace_arg).
+    /// Returns the event's journal seq.
+    uint64_t emit(EventKind kind, const telemetry::JsonWriter& payload = {},
+                  uint64_t trace_arg = 0);
 
     /// Starts mirroring the journal to \p path. Must be called on a fresh
     /// session (before any user eval): the journal replays a whole
@@ -633,8 +638,9 @@ class Runtime : public EngineCallbacks {
     /// Public entry points call this: a tenant's Runtime is driven from
     /// its own thread, which may not be the one that constructed it.
     void bind_thread_tenant() const;
-    /// Journals coalesced api.step{n} for any pending public step() calls;
-    /// called before any other input-class event is recorded.
+    /// Journals coalesced api.step{n} for any pending public step() calls.
+    /// emit() calls it before every input-class event; an input whose
+    /// call may journal other events first calls it on entry.
     void flush_api_steps();
     /// Journals a `log` event and mirrors it through the process Logger.
     void log_event(LogLevel level, const char* component,
@@ -657,6 +663,9 @@ class Runtime : public EngineCallbacks {
     /// safe at any scheduler iteration per the Cascade ABI.
     void evict_to_software();
     void settle_evaluations();
+    /// Queues \p text for the next flush, keeping interrupt.enqueued,
+    /// interrupt.queue_depth and the interrupt-latency SLO clock in step.
+    void enqueue_interrupt(std::string text);
     void flush_interrupts();
     void wire_nets();
     void route_outputs();
@@ -724,9 +733,7 @@ class Runtime : public EngineCallbacks {
     /// first post-adoption tick (called from window()); also closes it
     /// at the adoption point if the tenant is evicted before ticking.
     void note_first_hw_tick();
-    /// Journals the info-class request.done event (deterministic payload
-    /// only — ids are journal seqs, so record/replay journals match) and
-    /// closes the request in the tracker.
+    /// Journals request.done and closes the request in the tracker.
     void finish_request(uint64_t id, const char* kind, uint64_t version,
                         bool ok, double end_us);
     void run_open_loop();
@@ -840,22 +847,12 @@ class Runtime : public EngineCallbacks {
         telemetry::Counter* net_events = nullptr;
         telemetry::Counter* interrupts = nullptr;
         telemetry::Counter* clock_toggles = nullptr;
-        telemetry::Counter* compiles_launched = nullptr;
-        telemetry::Counter* compiles_adopted = nullptr;
-        telemetry::Counter* compiles_rejected = nullptr;
-        telemetry::Counter* jit_launched = nullptr;
-        telemetry::Counter* jit_adopted = nullptr;
-        telemetry::Counter* jit_unavailable = nullptr;
-        telemetry::Counter* jit_discarded = nullptr;
         telemetry::Counter* transitions = nullptr;
         telemetry::Counter* open_loop_iterations = nullptr;
         telemetry::Counter* vcd_samples = nullptr;
         telemetry::Counter* vcd_bytes = nullptr;
-        telemetry::Counter* monitor_lines = nullptr;
         telemetry::Counter* monitor_suppressed = nullptr;
-        telemetry::Counter* debug_fires = nullptr;
         telemetry::Counter* debug_steps = nullptr;
-        telemetry::Counter* debug_peeks = nullptr;
         telemetry::Gauge* interrupt_depth = nullptr;
         telemetry::Gauge* fifo_backlog = nullptr;
         telemetry::Gauge* debug_points = nullptr;
@@ -880,6 +877,8 @@ class Runtime : public EngineCallbacks {
     /// Who takes the replay-pinned decisions (live unless replaying).
     std::unique_ptr<Oracle> oracle_;
     Metrics m_;
+    /// The counter each events.h row declares, indexed by EventKind.
+    std::array<telemetry::Counter*, kEventKinds> event_counters_{};
     /// True only during the ctor's implicit "Clock clk();" eval, which
     /// stays out of the user-facing repl.* metrics.
     bool bootstrapping_ = false;

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -29,6 +30,7 @@
 #include "fpga/synth.h"
 #include "jit/jit_cache.h"
 #include "jit/jit_kernel.h"
+#include "runtime/events.h"
 #include "runtime/replay.h"
 #include "runtime/runtime.h"
 #include "sim/interpreter.h"
@@ -636,9 +638,19 @@ TEST(JitRuntime, ReplayRoundTripPinsJitAdoption)
     const std::string path = temp_path("jit_replay.jsonl");
 
     std::string recorded;
+    // Growth over the recording of each counter an events.h row declares.
+    std::map<std::string, uint64_t> counted;
     {
         runtime::Runtime rt(jit_first());
         rt.on_output = [&recorded](const std::string& s) { recorded += s; };
+        const auto counter = [&rt](const char* name) {
+            return rt.telemetry().counter(name)->value();
+        };
+        for (const runtime::EventSpec& spec : runtime::kEvents) {
+            if (spec.counter != nullptr) {
+                counted[spec.type] -= counter(spec.counter);
+            }
+        }
         std::string err;
         ASSERT_TRUE(rt.start_recording(path, &err)) << err;
         ASSERT_TRUE(rt.eval(kLadderProgram, &err)) << err;
@@ -646,12 +658,28 @@ TEST(JitRuntime, ReplayRoundTripPinsJitAdoption)
         rt.run_for_ticks(400);
         rt.stop_recording();
         EXPECT_EQ(rt.user_location(), runtime::Location::Jit);
+        for (const runtime::EventSpec& spec : runtime::kEvents) {
+            if (spec.counter != nullptr) {
+                counted[spec.type] += counter(spec.counter);
+            }
+        }
     }
     ASSERT_FALSE(recorded.empty());
 
     runtime::ReplayLog log;
     std::string err;
     ASSERT_TRUE(runtime::load_journal(path, &log, &err)) << err;
+    // The event table is the whole vocabulary, and a row's counter
+    // moves exactly once per event of its kind.
+    std::map<std::string, uint64_t> journaled;
+    for (const auto& ev : log.events) {
+        EXPECT_NE(runtime::find_event(ev.type), nullptr)
+            << ev.type << " has no events.h row";
+        ++journaled[ev.type];
+    }
+    for (const auto& [type, n] : counted) {
+        EXPECT_EQ(n, journaled[type]) << type;
+    }
     bool saw_launch = false, saw_adopt = false;
     for (const auto& ev : log.events) {
         saw_launch |= ev.type == "jit.launch";

@@ -199,7 +199,18 @@ TEST(RuntimeExtra, DeviceOptionsGateHardwareAdoption)
     // LEs and would otherwise adopt (and open-loop free-run) while the
     // doomed compile is in flight.
     opts.enable_jit = false;
+    // Every queued interrupt line is counted: interrupt.enqueued must
+    // match the lines the journaled flushes drained, the rejection
+    // notice included.
+    uint64_t flushed = 0;
     Runtime rt(opts);
+    rt.journal().add_tap([&flushed](const telemetry::Journal::Event& ev) {
+        if (ev.type == "interrupt.flush") {
+            telemetry::JsonValue data;
+            ASSERT_TRUE(telemetry::parse_json(ev.data, &data));
+            flushed += data.get_u64("count");
+        }
+    });
     std::string output;
     rt.on_output = [&output](const std::string& s) { output += s; };
     std::string errors;
@@ -220,6 +231,9 @@ TEST(RuntimeExtra, DeviceOptionsGateHardwareAdoption)
     EXPECT_FALSE(rt.hardware_ready());
     EXPECT_NE(output.find("does not fit"), std::string::npos) << output;
     EXPECT_TRUE(rt.transitions().empty());
+    EXPECT_GT(flushed, 0u);
+    EXPECT_EQ(rt.telemetry().counter("interrupt.enqueued")->value(),
+              flushed);
 }
 
 TEST(RuntimeExtra, DisplayOrderingAcrossTransitionAndOpenLoop)
