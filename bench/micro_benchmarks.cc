@@ -1,8 +1,8 @@
 /// \file
 /// Google-benchmark micro suite for the substrate hot paths: BitVector
-/// arithmetic, interpreter scheduling, levelized bitstream evaluation, and
-/// the MMIO transaction path. These are the quantities the macro benches
-/// (Figs. 11/12) are built from.
+/// arithmetic, interpreter scheduling, levelized bitstream evaluation, the
+/// JIT kernel, and the wrapped design each hardware rung runs open loop.
+/// These are the quantities the macro benches (Figs. 11/12) are built from.
 
 #include <benchmark/benchmark.h>
 
@@ -10,8 +10,10 @@
 
 #include "fpga/bitstream.h"
 #include "fpga/synth.h"
+#include "ir/hw_wrapper.h"
 #include "jit/jit_cache.h"
 #include "jit/jit_kernel.h"
+#include "runtime/hw_engine.h"
 #include "runtime/runtime.h"
 #include "sim/interpreter.h"
 #include "telemetry/sync.h"
@@ -218,6 +220,74 @@ BM_ShaJitCycle(benchmark::State& state)
     }
 }
 BENCHMARK(BM_ShaJitCycle);
+
+/// The miner above inside the Fig. 10 MMIO wrapper, synthesized: the
+/// netlist the JIT and fabric rungs actually run.
+struct WrappedSha {
+    std::shared_ptr<const fpga::Netlist> netlist;
+    ir::WrapperMap map;
+};
+
+const WrappedSha&
+wrapped_sha()
+{
+    static const WrappedSha w = [] {
+        Diagnostics diags;
+        auto unit =
+            verilog::parse(workloads::proof_of_work_module(16), &diags);
+        verilog::Elaborator elab(&diags);
+        auto em = elab.elaborate(*unit.modules[0]);
+        WrappedSha out;
+        auto wrapper = ir::generate_hw_wrapper(*em, "clk", &out.map, &diags);
+        auto wrapped = elab.elaborate(*wrapper);
+        out.netlist = fpga::synthesize(*wrapped, &diags);
+        return out;
+    }();
+    return w;
+}
+
+/// Times HwEngine::open_loop over \p fabric in grants of 64 design clock
+/// ticks; the tick_s counter is wall time per tick (two fabric cycles).
+void
+run_wrapped_open_loop(benchmark::State& state,
+                      std::unique_ptr<fpga::FabricExec> fabric)
+{
+    const WrappedSha& w = wrapped_sha();
+    runtime::HwEngine eng(std::move(fabric), w.map, {"clk", "led_val"},
+                          {true, false}, nullptr, 50.0, 0.0);
+    uint64_t ticks = 0;
+    for (auto _ : state) {
+        ticks += eng.open_loop(64);
+    }
+    state.counters["tick_s"] = benchmark::Counter(
+        static_cast<double>(ticks),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void
+BM_WrappedShaBitstreamOpenLoopCycle(benchmark::State& state)
+{
+    run_wrapped_open_loop(
+        state, std::make_unique<fpga::Bitstream>(wrapped_sha().netlist));
+}
+BENCHMARK(BM_WrappedShaBitstreamOpenLoopCycle);
+
+void
+BM_WrappedShaJitOpenLoopCycle(benchmark::State& state)
+{
+    if (!jit::compiler_available()) {
+        state.SkipWithError("no system compiler; JIT tier unavailable");
+        return;
+    }
+    std::string error;
+    auto kern = jit::JitKernel::create(wrapped_sha().netlist, &error);
+    if (kern == nullptr) {
+        state.SkipWithError(("jit build failed: " + error).c_str());
+        return;
+    }
+    run_wrapped_open_loop(state, std::move(kern));
+}
+BENCHMARK(BM_WrappedShaJitOpenLoopCycle);
 
 /// Uncontended lock/unlock cost of the raw std::mutex — the baseline for
 /// BM_TelemetryMutexLockUnlock below.

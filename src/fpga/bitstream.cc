@@ -8,6 +8,7 @@ Bitstream::Bitstream(std::shared_ptr<const Netlist> netlist)
     : nl_(std::move(netlist))
 {
     CASCADE_CHECK(nl_ != nullptr);
+    domains_ = source_domains(*nl_);
     values_.resize(nl_->nodes.size());
     for (size_t i = 0; i < nl_->nodes.size(); ++i) {
         const Node& n = nl_->nodes[i];
@@ -78,7 +79,11 @@ void
 Bitstream::set_input(int index, const BitVector& value)
 {
     const PortDef& port = nl_->inputs[static_cast<size_t>(index)];
-    values_[port.node] = value.resized(port.width);
+    BitVector v = value.resized(port.width);
+    if (values_[port.node] != v) {
+        values_[port.node] = std::move(v);
+        dirty_ |= domains_.input[static_cast<size_t>(index)];
+    }
 }
 
 const BitVector&
@@ -103,10 +108,18 @@ Bitstream::eval_comb()
         return;
     }
     // Nodes are in topological order by construction: a single pass
-    // settles everything.
+    // settles everything. A node none of whose source domains changed
+    // still holds its settled value.
+    const uint64_t dirty = dirty_;
+    if (dirty == 0) {
+        return;
+    }
+    dirty_ = 0;
     const size_t n = nl_->nodes.size();
-    std::vector<BitVector> argv;
     for (size_t i = 0; i < n; ++i) {
+        if ((domains_.node[i] & dirty) == 0) {
+            continue;
+        }
         const Node& node = nl_->nodes[i];
         switch (node.op) {
           case Op::Const:
@@ -124,11 +137,11 @@ Bitstream::eval_comb()
             continue;
           }
           default: {
-            argv.clear();
+            argv_.clear();
             for (uint32_t a : node.args) {
-                argv.push_back(values_[a]);
+                argv_.push_back(values_[a]);
             }
-            values_[i] = eval_node(node, argv);
+            values_[i] = eval_node(node, argv_);
             continue;
           }
         }
@@ -140,9 +153,10 @@ Bitstream::eval_comb_profiled()
 {
     // Instrumented twin of eval_comb: same evaluation order and
     // semantics, plus per-node eval/toggle counting. Kept separate so
-    // the unprofiled path stays branch-free per node.
+    // the unprofiled path stays branch-free per node. It recomputes every
+    // node, gated or not, so counts do not depend on the gating.
+    dirty_ = 0;
     const size_t n = nl_->nodes.size();
-    std::vector<BitVector> argv;
     for (size_t i = 0; i < n; ++i) {
         const Node& node = nl_->nodes[i];
         BitVector next;
@@ -161,11 +175,11 @@ Bitstream::eval_comb_profiled()
             break;
           }
           default: {
-            argv.clear();
+            argv_.clear();
             for (uint32_t a : node.args) {
-                argv.push_back(values_[a]);
+                argv_.push_back(values_[a]);
             }
-            next = eval_node(node, argv);
+            next = eval_node(node, argv_);
             break;
           }
         }
@@ -215,9 +229,11 @@ Bitstream::step()
     ++cycles_;
     eval_comb();
     // Cascade derived clock domains: latch every register whose clock
-    // rose, re-settle, repeat until no clock rises (bounded).
+    // rose, re-settle, repeat until no clock rises (bounded). A commit
+    // marks its domain dirty only if it changed a value.
     for (int iter = 0; iter < 8; ++iter) {
-        std::vector<std::pair<uint32_t, BitVector>> latches;
+        latches_.clear();
+        mem_latches_.clear();
         for (size_t r = 0; r < nl_->regs.size(); ++r) {
             const RegDef& reg = nl_->regs[r];
             if (reg.clock == kNoClock) {
@@ -225,38 +241,36 @@ Bitstream::step()
             }
             const bool now = values_[reg.clock].bit(0);
             if (now && !prev_reg_clock_[r]) {
-                latches.emplace_back(static_cast<uint32_t>(r),
-                                     values_[reg.next]);
+                latches_.emplace_back(static_cast<uint32_t>(r),
+                                      values_[reg.next]);
                 ++reg_latch_count_[r];
             }
             prev_reg_clock_[r] = now;
         }
-        struct MemLatch {
-            uint32_t mem;
-            uint64_t addr;
-            BitVector data;
-        };
-        std::vector<MemLatch> mem_latches;
         for (size_t p = 0; p < nl_->write_ports.size(); ++p) {
             const MemWritePort& port = nl_->write_ports[p];
             const bool now = values_[port.clock].bit(0);
             if (now && !prev_port_clock_[p] &&
                 values_[port.enable].to_bool()) {
-                mem_latches.push_back({port.mem,
-                                       values_[port.addr].to_uint64(),
-                                       values_[port.data]});
+                mem_latches_.push_back({port.mem,
+                                        values_[port.addr].to_uint64(),
+                                        values_[port.data]});
             }
             prev_port_clock_[p] = now;
         }
-        if (latches.empty() && mem_latches.empty()) {
+        if (latches_.empty() && mem_latches_.empty()) {
             break;
         }
-        for (auto& [r, v] : latches) {
-            reg_state_[r] = std::move(v);
+        for (auto& [r, v] : latches_) {
+            if (reg_state_[r] != v) {
+                reg_state_[r] = std::move(v);
+                dirty_ |= domains_.reg[r];
+            }
         }
-        for (auto& ml : mem_latches) {
+        for (auto& ml : mem_latches_) {
             if (ml.addr < mem_state_[ml.mem].size()) {
                 mem_state_[ml.mem][ml.addr] = std::move(ml.data);
+                dirty_ |= domains_.mem[ml.mem];
             }
         }
         eval_comb();
@@ -339,6 +353,7 @@ Bitstream::set_reg(const std::string& name, const BitVector& value)
 {
     const uint32_t r = reg_index_.at(name);
     reg_state_[r] = value.resized(nl_->regs[r].width);
+    dirty_ = ~uint64_t{0};
 }
 
 const BitVector&
@@ -354,6 +369,7 @@ Bitstream::set_mem(const std::string& name, uint64_t idx,
     const uint32_t m = mem_index_.at(name);
     CASCADE_CHECK(idx < mem_state_[m].size());
     mem_state_[m][idx] = value.resized(nl_->mems[m].width);
+    dirty_ = ~uint64_t{0};
 }
 
 } // namespace cascade::fpga

@@ -4,6 +4,9 @@
 /// substrate — orders of magnitude faster than AST interpretation, with
 /// per-cycle semantics identical to real registered hardware (including
 /// derived/gated clock domains, which cascade within a device cycle).
+/// Settling is domain-gated (fpga/source_domains.h): a pass recomputes
+/// only the nodes whose input port, register clock domain or memory
+/// changed since the previous pass.
 
 #ifndef CASCADE_FPGA_BITSTREAM_H
 #define CASCADE_FPGA_BITSTREAM_H
@@ -19,6 +22,7 @@
 #include "common/bitvector.h"
 #include "fpga/fabric_exec.h"
 #include "fpga/netlist.h"
+#include "fpga/source_domains.h"
 
 namespace cascade::fpga {
 
@@ -37,7 +41,9 @@ class Bitstream : public FabricExec {
     const BitVector& output(int index) const override;
     /// @}
 
-    /// Settles all combinational logic for the current inputs/state.
+    /// Settles combinational logic for the current inputs/state,
+    /// recomputing only nodes whose source domain changed (the profiled
+    /// twin recomputes every node).
     void eval_comb() override;
 
     /// One device clock cycle: settle, latch every register whose clock
@@ -101,7 +107,16 @@ class Bitstream : public FabricExec {
     void eval_comb_profiled();
     void debug_step_check();
 
+    struct MemLatch {
+        uint32_t mem;
+        uint64_t addr;
+        BitVector data;
+    };
+
     std::shared_ptr<const Netlist> nl_;
+    SourceDomains domains_;
+    /// Domain bits changed since the last settle (all set until the first).
+    uint64_t dirty_ = ~uint64_t{0};
     std::vector<BitVector> values_;       ///< per node
     std::vector<BitVector> reg_state_;    ///< per register
     std::vector<std::vector<BitVector>> mem_state_;
@@ -112,6 +127,11 @@ class Bitstream : public FabricExec {
     std::unordered_map<std::string, uint32_t> reg_index_;
     std::unordered_map<std::string, uint32_t> mem_index_;
     uint64_t cycles_ = 0;
+    /// @{ Per-pass scratch, kept to reuse its capacity.
+    std::vector<BitVector> argv_;
+    std::vector<std::pair<uint32_t, BitVector>> latches_;
+    std::vector<MemLatch> mem_latches_;
+    /// @}
     bool profile_ = false;
     std::vector<uint64_t> eval_count_;   ///< per node (profiling only)
     std::vector<uint64_t> toggle_count_; ///< per node (profiling only)

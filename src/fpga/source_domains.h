@@ -1,0 +1,45 @@
+/// \file
+/// Source-domain analysis shared by the two netlist evaluators (the
+/// Bitstream interpreter and the generated JIT kernel). A node's value is
+/// a function of three kinds of source: input ports, register state and
+/// memory contents. Each source gets one bit of a 64-bit mask: every input
+/// port, every distinct register clock node (all registers latched by one
+/// clock change together) and every memory. A node's mask is the union of
+/// its sources' bits, so an evaluator that records which bits changed
+/// since the last settle (its "dirty" word) need only recompute the nodes
+/// whose mask meets it.
+
+#ifndef CASCADE_FPGA_SOURCE_DOMAINS_H
+#define CASCADE_FPGA_SOURCE_DOMAINS_H
+
+#include <cstdint>
+#include <vector>
+
+#include "fpga/netlist.h"
+
+namespace cascade::fpga {
+
+/// Bit 63: state written from outside the netlist. Evaluators set every
+/// bit on construction and on set_reg / set_mem; registers that never
+/// latch (kNoClock) and nodes with no varying source carry this bit, so
+/// they settle exactly then.
+inline constexpr uint64_t kExternalDomain = uint64_t{1} << 63;
+/// Bit 62: shared by every domain after the first 62 (a conservative
+/// merge: a change in any of them re-settles the nodes of all of them).
+inline constexpr uint64_t kSharedDomain = uint64_t{1} << 62;
+
+struct SourceDomains {
+    std::vector<uint64_t> node;  ///< per node: union of its sources' bits
+    std::vector<uint64_t> input; ///< per input port
+    std::vector<uint64_t> reg;   ///< per register: its clock's bit
+    std::vector<uint64_t> mem;   ///< per memory
+};
+
+/// Assigns bits in order: input ports, then register clock nodes in
+/// first-use order, then memories. Every argument's mask is a subset of
+/// its node's mask.
+SourceDomains source_domains(const Netlist& nl);
+
+} // namespace cascade::fpga
+
+#endif // CASCADE_FPGA_SOURCE_DOMAINS_H

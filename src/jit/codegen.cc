@@ -1,12 +1,15 @@
 #include "jit/codegen.h"
 
 #include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <cstdio>
+#include <map>
 #include <sstream>
 #include <vector>
 
 #include "common/check.h"
+#include "fpga/source_domains.h"
 
 namespace cascade::jit {
 
@@ -54,11 +57,9 @@ struct Layout {
     std::vector<uint32_t> rwords; ///< reg index -> words
     std::vector<uint32_t> moff;   ///< mem index -> base offset into State::m
     std::vector<uint32_t> ew;     ///< mem index -> words per element
-    std::vector<uint32_t> pdoff;  ///< write port -> offset into State::pmd
     uint32_t vtotal = 0;
     uint32_t rtotal = 0;
     uint32_t mtotal = 0;
-    uint32_t pdtotal = 0;
     uint32_t maxw = 1; ///< scratch bound for the wide-op helpers
 };
 
@@ -87,42 +88,7 @@ compute_layout(const Netlist& nl)
         L.mtotal += w * m.size;
         L.maxw = std::max(L.maxw, w);
     }
-    for (const fpga::MemWritePort& p : nl.write_ports) {
-        L.pdoff.push_back(L.pdtotal);
-        const uint32_t w = words_of(nl.nodes[p.data].width);
-        L.pdtotal += w;
-        L.maxw = std::max(L.maxw, w);
-    }
     return L;
-}
-
-/// Combinational level of each node: 0 for sources (Const/Input/RegQ),
-/// 1 + max(arg levels) otherwise. Any level order is a valid topological
-/// order of the DAG, so a level-ordered single pass settles exactly like
-/// Bitstream's index-ordered pass.
-std::vector<uint32_t>
-compute_levels(const Netlist& nl)
-{
-    std::vector<uint32_t> level(nl.nodes.size(), 0);
-    for (size_t i = 0; i < nl.nodes.size(); ++i) {
-        const Node& n = nl.nodes[i];
-        switch (n.op) {
-          case Op::Const:
-          case Op::Input:
-          case Op::RegQ:
-            level[i] = 0;
-            break;
-          default: {
-            uint32_t m = 0;
-            for (uint32_t a : n.args) {
-                m = std::max(m, level[a]);
-            }
-            level[i] = m + 1;
-            break;
-          }
-        }
-    }
-    return level;
 }
 
 /// The emitted helper library: exact mirrors of the BitVector operations
@@ -727,104 +693,105 @@ emit_table(std::ostream& os, const char* type, const char* name,
     os << "};\n";
 }
 
+/// Most nodes emitted into one generated function. The system compiler's
+/// optimizer time grows faster than linearly with function size, so the
+/// settle pass is split into functions of at most this many nodes to keep
+/// kernel builds fast.
+constexpr size_t kMaxFnNodes = 256;
+
+/// Registers latched by one clock node: they commit together, and the
+/// domain bit they share marks their RegQ nodes dirty.
+struct ClockDomain {
+    uint32_t clock = 0;
+    uint64_t bit = 0;
+    std::vector<uint32_t> regs;
+};
+
+std::vector<ClockDomain>
+clock_domains(const Netlist& nl, const fpga::SourceDomains& dom)
+{
+    std::vector<ClockDomain> out;
+    std::map<uint32_t, size_t> index;
+    for (uint32_t r = 0; r < nl.regs.size(); ++r) {
+        const uint32_t clock = nl.regs[r].clock;
+        if (clock == fpga::kNoClock) {
+            continue;
+        }
+        const auto [it, inserted] = index.emplace(clock, out.size());
+        if (inserted) {
+            out.push_back({clock, dom.reg[r], {}});
+        }
+        out[it->second].regs.push_back(r);
+    }
+    return out;
+}
+
 } // namespace
 
 std::string
 generate_source(const Netlist& nl)
 {
     const Layout L = compute_layout(nl);
-    const std::vector<uint32_t> level = compute_levels(nl);
-    const uint32_t max_level =
-        level.empty() ? 0 : *std::max_element(level.begin(), level.end());
+    const fpga::SourceDomains dom = fpga::source_domains(nl);
+    const std::vector<ClockDomain> clocks = clock_domains(nl, dom);
+
+    // Every evaluated node, grouped into blocks of equal source mask. The
+    // blocks run in (popcount, mask) order and each keeps node-index
+    // order. An argument's mask is a subset of its node's mask, so the
+    // argument sits either earlier in the same block or in a block with
+    // fewer bits: the order is topological, and one gated pass settles
+    // exactly like Bitstream::eval_comb's index-ordered pass.
+    std::vector<uint32_t> order;
+    for (uint32_t i = 0; i < nl.nodes.size(); ++i) {
+        if (nl.nodes[i].op != Op::Const && nl.nodes[i].op != Op::Input) {
+            order.push_back(i);
+        }
+    }
+    const auto block_key = [&dom](uint32_t i) {
+        return std::make_pair(std::popcount(dom.node[i]), dom.node[i]);
+    };
+    std::stable_sort(order.begin(), order.end(),
+                     [&](uint32_t a, uint32_t b) {
+                         return block_key(a) < block_key(b);
+                     });
+    size_t blocks = 0;
+    for (size_t k = 0; k < order.size(); ++k) {
+        blocks += k == 0 || dom.node[order[k]] != dom.node[order[k - 1]];
+    }
 
     std::ostringstream os;
     os << "// Generated by cascade jit::generate_source. One translation\n"
-          "// unit per netlist: levelized straight-line evaluation with\n"
+          "// unit per netlist: domain-gated straight-line evaluation with\n"
           "// Bitstream-identical semantics behind the cascade_jit_* ABI.\n"
           "// nodes=" << nl.nodes.size() << " regs=" << nl.regs.size()
-       << " mems=" << nl.mems.size() << " levels=" << (max_level + 1)
-       << "\n";
+       << " mems=" << nl.mems.size() << " blocks=" << blocks
+       << " clocks=" << clocks.size() << "\n";
     os << "#define JIT_MAXW " << L.maxw << "\n";
     os << kPreamble;
 
     // --- State -----------------------------------------------------------
-    const uint32_t rcount = std::max<size_t>(1, nl.regs.size());
-    const uint32_t pcount = std::max<size_t>(1, nl.write_ports.size());
     os << "\nstruct State {\n"
        << "    u64 v[" << std::max<uint32_t>(1, L.vtotal) << "];\n"
        << "    u64 r[" << std::max<uint32_t>(1, L.rtotal) << "];\n"
        << "    u64 m[" << std::max<uint32_t>(1, L.mtotal) << "];\n"
-       << "    u64 latch[" << rcount << "];\n"
-       << "    u64 pr[" << std::max<uint32_t>(1, L.rtotal) << "];\n"
-       << "    u64 pma[" << pcount << "];\n"
-       << "    u64 pmd[" << std::max<uint32_t>(1, L.pdtotal) << "];\n"
+       << "    u64 latch[" << std::max<size_t>(1, nl.regs.size()) << "];\n"
        << "    u64 cycles;\n"
-       << "    unsigned char prf[" << rcount << "];\n"
-       << "    unsigned char pmf[" << pcount << "];\n"
-       << "    unsigned char prc[" << rcount << "];\n"
-       << "    unsigned char ppc[" << pcount << "];\n"
+       << "    u64 dirty; // source-domain bits changed since the last eval\n"
+       << "    unsigned char pc[" << std::max<size_t>(1, clocks.size())
+       << "]; // previous level per clock domain\n"
+       << "    unsigned char ppc[" << std::max<size_t>(1, nl.write_ports.size())
+       << "]; // previous level per memory write port\n"
        << "};\n\n";
 
-    // --- Sequential-logic tables ----------------------------------------
-    std::vector<uint32_t> creg_idx, creg_clk, creg_next, creg_cw;
-    for (size_t r = 0; r < nl.regs.size(); ++r) {
-        if (nl.regs[r].clock == fpga::kNoClock) {
-            continue;
-        }
-        creg_idx.push_back(static_cast<uint32_t>(r));
-        creg_clk.push_back(L.voff[nl.regs[r].clock]);
-        creg_next.push_back(L.voff[nl.regs[r].next]);
-        creg_cw.push_back(std::min(
-            words_of(nl.nodes[nl.regs[r].next].width), L.rwords[r]));
-    }
-    emit_table(os, "u32", "g_creg_idx", creg_idx);
-    emit_table(os, "u32", "g_creg_clk", creg_clk);
-    emit_table(os, "u32", "g_creg_next", creg_next);
-    emit_table(os, "u32", "g_creg_cw", creg_cw);
-    emit_table(os, "u32", "g_reg_off", L.roff);
-    emit_table(os, "u32", "g_reg_w", L.rwords);
+    // --- ABI marshalling tables -----------------------------------------
     {
+        emit_table(os, "u32", "g_reg_off", L.roff);
+        emit_table(os, "u32", "g_reg_w", L.rwords);
         std::vector<uint64_t> rmask;
         for (const fpga::RegDef& r : nl.regs) {
             rmask.push_back(topmask(r.width));
         }
         emit_table(os, "u64", "g_reg_mask", rmask);
-    }
-    {
-        std::vector<uint32_t> wp_clk, wp_en, wp_enw, wp_addr, wp_data,
-            wp_dw, wp_moff, wp_ew, wp_copyw;
-        std::vector<uint64_t> wp_msize, wp_mmask;
-        for (size_t p = 0; p < nl.write_ports.size(); ++p) {
-            const fpga::MemWritePort& port = nl.write_ports[p];
-            wp_clk.push_back(L.voff[port.clock]);
-            wp_en.push_back(L.voff[port.enable]);
-            wp_enw.push_back(words_of(nl.nodes[port.enable].width));
-            wp_addr.push_back(L.voff[port.addr]);
-            wp_data.push_back(L.voff[port.data]);
-            wp_dw.push_back(words_of(nl.nodes[port.data].width));
-            wp_moff.push_back(L.moff[port.mem]);
-            wp_ew.push_back(L.ew[port.mem]);
-            wp_copyw.push_back(std::min(
-                words_of(nl.nodes[port.data].width), L.ew[port.mem]));
-            wp_msize.push_back(nl.mems[port.mem].size);
-            wp_mmask.push_back(topmask(nl.mems[port.mem].width));
-        }
-        emit_table(os, "u32", "g_wp_clk", wp_clk);
-        emit_table(os, "u32", "g_wp_en", wp_en);
-        emit_table(os, "u32", "g_wp_enw", wp_enw);
-        emit_table(os, "u32", "g_wp_addr", wp_addr);
-        emit_table(os, "u32", "g_wp_data", wp_data);
-        emit_table(os, "u32", "g_wp_dw", wp_dw);
-        emit_table(os, "u32", "g_wp_doff", L.pdoff);
-        emit_table(os, "u32", "g_wp_moff", wp_moff);
-        emit_table(os, "u32", "g_wp_ew", wp_ew);
-        emit_table(os, "u32", "g_wp_copyw", wp_copyw);
-        emit_table(os, "u64", "g_wp_msize", wp_msize);
-        emit_table(os, "u64", "g_wp_mmask", wp_mmask);
-    }
-
-    // --- ABI marshalling tables -----------------------------------------
-    {
         std::vector<uint32_t> in_off, in_w;
         std::vector<uint64_t> in_mask;
         for (const fpga::PortDef& p : nl.inputs) {
@@ -835,6 +802,7 @@ generate_source(const Netlist& nl)
         emit_table(os, "u32", "g_in_off", in_off);
         emit_table(os, "u32", "g_in_w", in_w);
         emit_table(os, "u64", "g_in_mask", in_mask);
+        emit_table(os, "u64", "g_in_bit", dom.input);
         std::vector<uint32_t> out_off, out_w;
         for (const fpga::PortDef& p : nl.outputs) {
             out_off.push_back(L.voff[p.node]);
@@ -856,105 +824,126 @@ generate_source(const Netlist& nl)
         emit_table(os, "u64", "g_mem_mask", mem_mask);
     }
 
-    // --- Combinational evaluation: one function per level ----------------
-    // Any level order is a topological order, so a single level-ordered
-    // pass settles combinational logic exactly like Bitstream::eval_comb's
-    // index-ordered pass. Oversized levels are chunked to keep individual
-    // functions compilable.
-    constexpr size_t kChunk = 1024;
-    std::vector<std::vector<uint32_t>> by_level(max_level + 1);
-    for (uint32_t i = 0; i < nl.nodes.size(); ++i) {
-        by_level[level[i]].push_back(i);
-    }
-    std::vector<std::string> fns;
-    for (uint32_t lv = 0; lv <= max_level; ++lv) {
-        const std::vector<uint32_t>& ids = by_level[lv];
-        for (size_t base = 0; base < ids.size() || (base == 0 && lv == 0);
-             base += kChunk) {
-            std::ostringstream body;
-            size_t emitted = 0;
-            for (size_t k = base; k < ids.size() && k < base + kChunk;
-                 ++k) {
-                const size_t before =
-                    static_cast<size_t>(body.tellp());
-                emit_node(body, nl, L, ids[k]);
-                if (static_cast<size_t>(body.tellp()) != before) {
-                    ++emitted;
-                }
+    // --- Combinational evaluation: gated blocks, bounded functions -------
+    // Each function runs the blocks whose mask meets the dirty bits eval()
+    // captured; eval() skips a function none of whose blocks is dirty.
+    std::vector<std::pair<std::string, uint64_t>> fns;
+    {
+        std::ostringstream body;
+        size_t in_fn = 0;
+        uint64_t fn_mask = 0;
+        uint64_t open = 0; // mask of the open block (0: none)
+        const auto close_fn = [&] {
+            if (in_fn == 0) {
+                return;
             }
-            if (emitted == 0 && !(base == 0 && lv == 0)) {
-                continue;
-            }
-            std::string name = "eval_l" + std::to_string(lv) +
-                               (base == 0 ? ""
-                                          : "_" + std::to_string(base));
-            fns.push_back(name);
-            os << "static void " << name << "(State* S) {\n"
+            const std::string name = "eval_" + std::to_string(fns.size());
+            os << "static void " << name << "(State* S, u64 d) {\n"
                << "    u64* const V = S->v;\n"
-               << "    (void)V;\n"
-               << body.str() << "}\n";
-            if (ids.empty()) {
-                break;
+               << body.str() << "    }\n}\n";
+            fns.emplace_back(name, fn_mask);
+            body.str("");
+            in_fn = 0;
+            fn_mask = 0;
+            open = 0;
+        };
+        for (uint32_t i : order) {
+            if (in_fn == kMaxFnNodes) {
+                close_fn();
             }
+            const uint64_t mask = dom.node[i];
+            if (mask != open) {
+                body << (open != 0 ? "    }\n" : "") << "    if (d & "
+                     << hex(mask) << ") {\n";
+                open = mask;
+                fn_mask |= mask;
+            }
+            emit_node(body, nl, L, i);
+            ++in_fn;
         }
+        close_fn();
     }
-    os << "static void eval(State* S) {\n";
-    for (const std::string& f : fns) {
-        os << "    " << f << "(S);\n";
+    os << "static void eval(State* S) {\n"
+       << "    const u64 d = S->dirty;\n"
+       << "    S->dirty = 0;\n"
+       << "    (void)d;\n";
+    for (const auto& [name, mask] : fns) {
+        os << "    if (d & " << hex(mask) << ") " << name << "(S, d);\n";
     }
     os << "}\n\n";
 
-    // --- step(): Bitstream::step's double-buffered latch cascade ---------
+    // --- step(): Bitstream::step's latch cascade -------------------------
+    // One straight-line section per clock domain and per memory write
+    // port. Commits write register and memory state, which the node values
+    // they read (clocks, next values, ports) do not alias until the next
+    // eval(), so no double buffer is needed. A commit marks its domain
+    // dirty only if it changed a value.
     os << "static void step(State* S) {\n"
+       << "    u64* const V = S->v;\n"
+       << "    (void)V;\n"
        << "    S->cycles += 1;\n"
        << "    eval(S);\n"
        << "    for (int iter = 0; iter < 8; ++iter) {\n"
-       << "        int any = 0;\n"
-       << "        for (u32 k = 0; k < " << creg_idx.size() << "u; ++k) {\n"
-       << "            const int now = (int)(S->v[g_creg_clk[k]] & 1);\n"
-       << "            const u32 r = g_creg_idx[k];\n"
-       << "            if (now && !S->prc[r]) {\n"
-       << "                wzero(&S->pr[g_reg_off[r]], g_reg_w[r]);\n"
-       << "                wcopy(&S->pr[g_reg_off[r]], "
-          "&S->v[g_creg_next[k]], g_creg_cw[k]);\n"
-       << "                S->prf[r] = 1;\n"
-       << "                S->latch[r] += 1;\n"
-       << "                any = 1;\n"
-       << "            }\n"
-       << "            S->prc[r] = (unsigned char)now;\n"
-       << "        }\n"
-       << "        for (u32 p = 0; p < " << nl.write_ports.size()
-       << "u; ++p) {\n"
-       << "            const int now = (int)(S->v[g_wp_clk[p]] & 1);\n"
-       << "            if (now && !S->ppc[p] && wbool(&S->v[g_wp_en[p]], "
-          "g_wp_enw[p])) {\n"
-       << "                S->pma[p] = S->v[g_wp_addr[p]];\n"
-       << "                wcopy(&S->pmd[g_wp_doff[p]], "
-          "&S->v[g_wp_data[p]], g_wp_dw[p]);\n"
-       << "                S->pmf[p] = 1;\n"
-       << "                any = 1;\n"
-       << "            }\n"
-       << "            S->ppc[p] = (unsigned char)now;\n"
-       << "        }\n"
-       << "        if (!any) break;\n"
-       << "        for (u32 r = 0; r < " << nl.regs.size() << "u; ++r) {\n"
-       << "            if (S->prf[r]) {\n"
-       << "                wcopy(&S->r[g_reg_off[r]], &S->pr[g_reg_off[r]], "
-          "g_reg_w[r]);\n"
-       << "                S->prf[r] = 0;\n"
-       << "            }\n"
-       << "        }\n"
-       << "        for (u32 p = 0; p < " << nl.write_ports.size()
-       << "u; ++p) {\n"
-       << "            if (!S->pmf[p]) continue;\n"
-       << "            S->pmf[p] = 0;\n"
-       << "            if (S->pma[p] >= g_wp_msize[p]) continue;\n"
-       << "            u64* e = &S->m[g_wp_moff[p] + S->pma[p] * "
-          "g_wp_ew[p]];\n"
-       << "            wzero(e, g_wp_ew[p]);\n"
-       << "            wcopy(e, &S->pmd[g_wp_doff[p]], g_wp_copyw[p]);\n"
-       << "            e[g_wp_ew[p] - 1] &= g_wp_mmask[p];\n"
-       << "        }\n"
+       << "        int any = 0;\n";
+    for (size_t k = 0; k < clocks.size(); ++k) {
+        const ClockDomain& cd = clocks[k];
+        os << "        {\n"
+           << "            const unsigned char now = (unsigned char)(V["
+           << L.voff[cd.clock] << "] & 1);\n"
+           << "            if (now && !S->pc[" << k << "]) {\n"
+           << "                u64 ch = 0;\n";
+        for (uint32_t r : cd.regs) {
+            const uint32_t next = nl.regs[r].next;
+            const uint32_t cw =
+                std::min(words_of(nl.nodes[next].width), L.rwords[r]);
+            for (uint32_t w = 0; w < L.rwords[r]; ++w) {
+                const std::string q =
+                    "S->r[" + std::to_string(L.roff[r] + w) + "]";
+                const std::string x =
+                    w < cw ? "V[" + std::to_string(L.voff[next] + w) + "]"
+                           : std::string("0");
+                os << "                ch |= " << q << " ^ " << x << "; "
+                   << q << " = " << x << ";\n";
+            }
+            os << "                S->latch[" << r << "] += 1;\n";
+        }
+        os << "                if (ch) S->dirty |= " << hex(cd.bit) << ";\n"
+           << "                any = 1;\n"
+           << "            }\n"
+           << "            S->pc[" << k << "] = now;\n"
+           << "        }\n";
+    }
+    for (size_t p = 0; p < nl.write_ports.size(); ++p) {
+        const fpga::MemWritePort& port = nl.write_ports[p];
+        const uint32_t ew = L.ew[port.mem];
+        const uint32_t copyw =
+            std::min(words_of(nl.nodes[port.data].width), ew);
+        os << "        {\n"
+           << "            const unsigned char now = (unsigned char)(V["
+           << L.voff[port.clock] << "] & 1);\n"
+           << "            if (now && !S->ppc[" << p << "] && wbool(&V["
+           << L.voff[port.enable] << "], "
+           << words_of(nl.nodes[port.enable].width) << ")) {\n"
+           << "                const u64 a_ = V[" << L.voff[port.addr]
+           << "];\n"
+           << "                if (a_ < " << nl.mems[port.mem].size
+           << "ull) {\n"
+           << "                    u64* e = &S->m[" << L.moff[port.mem]
+           << " + a_ * " << ew << "];\n"
+           << "                    wzero(e, " << ew << ");\n"
+           << "                    wcopy(e, &V[" << L.voff[port.data]
+           << "], " << copyw << ");\n"
+           << "                    e[" << (ew - 1) << "] &= "
+           << hex(topmask(nl.mems[port.mem].width)) << ";\n"
+           << "                    S->dirty |= " << hex(dom.mem[port.mem])
+           << ";\n"
+           << "                }\n"
+           << "                any = 1;\n"
+           << "            }\n"
+           << "            S->ppc[" << p << "] = now;\n"
+           << "        }\n";
+    }
+    os << "        if (!any) break;\n"
        << "        eval(S);\n"
        << "    }\n"
        << "}\n\n";
@@ -998,19 +987,22 @@ generate_source(const Netlist& nl)
             }
         }
     }
-    os << "    eval(S);\n"
-       << "    for (u32 k = 0; k < " << creg_idx.size() << "u; ++k) {\n"
-       << "        S->prc[g_creg_idx[k]] = "
-          "(unsigned char)(S->v[g_creg_clk[k]] & 1);\n"
-       << "    }\n"
-       << "    for (u32 p = 0; p < " << nl.write_ports.size()
-       << "u; ++p) {\n"
-       << "        S->ppc[p] = (unsigned char)(S->v[g_wp_clk[p]] & 1);\n"
-       << "    }\n"
-       << "}\n\n"
+    os << "    S->dirty = ~0ull;\n"
+       << "    eval(S);\n";
+    for (size_t k = 0; k < clocks.size(); ++k) {
+        os << "    S->pc[" << k << "] = (unsigned char)(S->v["
+           << L.voff[clocks[k].clock] << "] & 1);\n";
+    }
+    for (size_t p = 0; p < nl.write_ports.size(); ++p) {
+        os << "    S->ppc[" << p << "] = (unsigned char)(S->v["
+           << L.voff[nl.write_ports[p].clock] << "] & 1);\n";
+    }
+    os << "}\n\n"
        << "} // namespace\n\n";
 
     // --- extern "C" ABI --------------------------------------------------
+    // set_input marks its port's domain only on a real change; set_reg and
+    // set_mem mark every domain.
     os << "extern \"C\" {\n"
        << "unsigned cascade_jit_abi_version() { return 1; }\n"
        << "void* cascade_jit_new() { State* S = new State(); init(S); "
@@ -1024,8 +1016,13 @@ generate_source(const Netlist& nl)
        << "    State* S = (State*)p;\n"
        << "    const u32 off = g_in_off[i];\n"
        << "    const u32 nw = g_in_w[i];\n"
-       << "    for (u32 k = 0; k < nw; ++k) S->v[off + k] = w[k];\n"
-       << "    S->v[off + nw - 1] &= g_in_mask[i];\n"
+       << "    u64 ch = 0;\n"
+       << "    for (u32 k = 0; k < nw; ++k) {\n"
+       << "        const u64 x = k + 1 == nw ? w[k] & g_in_mask[i] : w[k];\n"
+       << "        ch |= S->v[off + k] ^ x;\n"
+       << "        S->v[off + k] = x;\n"
+       << "    }\n"
+       << "    if (ch) S->dirty |= g_in_bit[i];\n"
        << "}\n"
        << "void cascade_jit_get_output(void* p, u32 i, u64* w) {\n"
        << "    State* S = (State*)p;\n"
@@ -1042,6 +1039,7 @@ generate_source(const Netlist& nl)
        << "    for (u32 k = 0; k < g_reg_w[r]; ++k) "
           "S->r[g_reg_off[r] + k] = w[k];\n"
        << "    S->r[g_reg_off[r] + g_reg_w[r] - 1] &= g_reg_mask[r];\n"
+       << "    S->dirty = ~0ull;\n"
        << "}\n"
        << "void cascade_jit_get_mem(void* p, u32 m, u64 idx, u64* w) {\n"
        << "    State* S = (State*)p;\n"
@@ -1057,6 +1055,7 @@ generate_source(const Netlist& nl)
        << "    for (u32 k = 0; k < g_mem_ew[m]; ++k) S->m[off + k] = "
           "w[k];\n"
        << "    S->m[off + g_mem_ew[m] - 1] &= g_mem_mask[m];\n"
+       << "    S->dirty = ~0ull;\n"
        << "}\n"
        << "u64 cascade_jit_latch_count(void* p, u32 r) { return "
           "((State*)p)->latch[r]; }\n"

@@ -1,10 +1,12 @@
 /// \file
 /// Netlist → C++ lowering for the native JIT tier. generate_source emits a
 /// self-contained translation unit (no cascade headers) that implements the
-/// levelized netlist with the exact semantics of fpga::Bitstream — one
-/// straight-line function per combinational level, word-level ops on the
-/// ≤64-bit fast path, double-buffered sequential state in step() — behind a
-/// flat extern "C" ABI (see kJitAbiVersion in jit_cache.h). The emitted
+/// netlist with the exact semantics of fpga::Bitstream — straight-line
+/// blocks of nodes grouped by source domain (fpga/source_domains.h), each
+/// run only when a source it reads changed, word-level ops on the ≤64-bit
+/// fast path, and one straight-line latch section per clock domain in
+/// step() — behind a flat extern "C" ABI (see kJitAbiVersion in
+/// jit_cache.h). The emitted
 /// source deliberately mirrors Bitstream::eval_comb / Bitstream::step and
 /// the BitVector op definitions bit for bit, so the differential suite can
 /// require byte-identical outputs across all three tiers.

@@ -4,8 +4,8 @@
 /// scheme as the bitstream cache key in service::CompileService), invokes
 /// the system compiler into a shared object, and dlopens the result. Warm
 /// sessions — including a re-launch after a hypervisor eviction, since the
-/// digest depends only on the generated source — skip codegen and compile
-/// entirely and pay one dlopen.
+/// digest depends only on the generated source, the compiler and its flags
+/// — skip the compile entirely and pay one dlopen.
 ///
 /// Loaded modules are retained for the life of the process (dlclose while
 /// generated code may still be referenced is never safe), keyed by digest
@@ -59,9 +59,10 @@ std::string cache_dir();
 std::string source_path_for(const std::string& digest);
 
 /// Compiles (or cache-loads) \p source_body and returns the resident
-/// module. The digest of the body is returned via \p digest_out and the
+/// module. The digest of the body, the compiler find_compiler() names and
+/// the compile flags is returned via \p digest_out and the
 /// `cascade_jit_digest` symbol is appended before compiling, so kernels
-/// self-identify. \p cache_hit reports whether codegen+compile was skipped
+/// self-identify. \p cache_hit reports whether the compile was skipped
 /// (either an in-process resident module or an on-disk .so). On failure
 /// returns nullptr with \p error set.
 const JitModule* build_module(const std::string& source_body,

@@ -920,6 +920,11 @@ Runtime::relocate(std::vector<Slot> incoming, std::optional<Wiring> resident)
     if (to != user_location()) {
         attribute_hw_ticks(&profile_acc_, posedges_seen() - hw_adopt_ticks_);
         hw_adopt_ticks_ = posedges_seen();
+        // The adaptive open-loop batch fits the retiring tier's speed (a
+        // batch sized for the kernel runs for tens of seconds on the
+        // bitstream evaluator): the new tier learns its own from the
+        // initial size.
+        open_loop_batch_ = 0;
     }
     if (!resident.has_value()) {
         hw_clock_ports_.clear();

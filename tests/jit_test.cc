@@ -11,6 +11,7 @@
 /// (the same condition under which the runtime journals jit.unavailable).
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -277,6 +278,223 @@ TEST(JitKernel, StateInjectionRoundTrips)
 }
 
 // ---------------------------------------------------------------------------
+// Domain gating: both evaluators settle only the nodes whose source domain
+// changed. Each test drives them in lockstep with an ungated reference, a
+// Bitstream with profiling on (its profiled pass settles every node), and
+// calls every state-writing entry point between steps, so a write that
+// fails to mark its domain dirty leaves a stale node the reference exposes.
+// ---------------------------------------------------------------------------
+
+class GatedLockstep {
+  public:
+    explicit GatedLockstep(std::shared_ptr<const fpga::Netlist> nl)
+        : nl_(nl), ref_(nl), gated_(nl), kern_(make_kernel(nl))
+    {
+        ref_.set_profiling(true);
+    }
+
+    bool ready() const { return kern_ != nullptr; }
+
+    template <typename Fn>
+    void each(Fn fn)
+    {
+        for (fpga::FabricExec* e :
+             {static_cast<fpga::FabricExec*>(&ref_),
+              static_cast<fpga::FabricExec*>(&gated_),
+              static_cast<fpga::FabricExec*>(kern_.get())}) {
+            fn(*e);
+        }
+    }
+    void set_input(const std::string& name, const BitVector& v)
+    {
+        each([&](fpga::FabricExec& e) { e.set_input(name, v); });
+    }
+    void eval() { each([](fpga::FabricExec& e) { e.eval_comb(); }); }
+    void step() { each([](fpga::FabricExec& e) { e.step(); }); }
+    /// One clock period on input "clk": rise, then fall.
+    void clock()
+    {
+        set_input("clk", BitVector(1, 1));
+        step();
+        set_input("clk", BitVector(1, 0));
+        step();
+    }
+
+    /// Every output, register, latch count and memory word of both gated
+    /// evaluators equals the reference's.
+    void check(const std::string& when)
+    {
+        for (const fpga::FabricExec* e :
+             {static_cast<const fpga::FabricExec*>(&gated_),
+              static_cast<const fpga::FabricExec*>(kern_.get())}) {
+            const char* who = e == &gated_ ? "bitstream" : "kernel";
+            for (const auto& out : nl_->outputs) {
+                ASSERT_EQ(ref_.output(out.name), e->output(out.name))
+                    << who << " output " << out.name << " after " << when;
+            }
+            for (const auto& reg : nl_->regs) {
+                ASSERT_EQ(ref_.reg_value(reg.name), e->reg_value(reg.name))
+                    << who << " reg " << reg.name << " after " << when;
+                ASSERT_EQ(ref_.latch_count(reg.name),
+                          e->latch_count(reg.name))
+                    << who << " latches of " << reg.name << " after "
+                    << when;
+            }
+            for (const auto& mem : nl_->mems) {
+                for (uint64_t i = 0; i < mem.size; ++i) {
+                    ASSERT_EQ(ref_.mem_value(mem.name, i),
+                              e->mem_value(mem.name, i))
+                        << who << " " << mem.name << "[" << i << "] after "
+                        << when;
+                }
+            }
+        }
+    }
+
+  private:
+    std::shared_ptr<const fpga::Netlist> nl_;
+    fpga::Bitstream ref_;
+    fpga::Bitstream gated_;
+    std::unique_ptr<jit::JitKernel> kern_;
+};
+
+/// clk drives cnt and tick; tick (a derived clock) drives slow and the
+/// memory's write port; hold is a kNoClock register. The memory is read
+/// at an input address and at cnt's low bits (the clk domain).
+std::shared_ptr<const fpga::Netlist>
+gating_netlist()
+{
+    auto nl = std::make_shared<fpga::Netlist>();
+    fpga::NetlistBuilder b(nl.get());
+    const uint32_t clk = b.input("clk", 1);
+    const uint32_t en = b.input("en", 1);
+    const uint32_t a = b.input("a", 8);
+    const uint32_t ra = b.input("ra", 4);
+    const uint32_t wa = b.input("wa", 4);
+    const uint32_t we = b.input("we", 1);
+
+    const uint32_t cnt = b.reg("cnt", 8, BitVector(8, 1));
+    b.set_reg_next(0,
+                   b.mux(en, b.make(fpga::Op::Add, 8,
+                                    {cnt, b.constant(8, 1)}),
+                         cnt),
+                   clk);
+    const uint32_t tick = b.reg("tick", 1, BitVector(1, 0));
+    b.set_reg_next(1, b.make(fpga::Op::Not, 1, {tick}), clk);
+    const uint32_t slow = b.reg("slow", 8, BitVector(8, 0));
+    b.set_reg_next(2, b.make(fpga::Op::Add, 8, {slow, a}), tick);
+    const uint32_t hold = b.reg("hold", 8, BitVector(8, 3));
+
+    const uint32_t mem = b.memory("mem", 8, 16);
+    b.mem_write(mem, wa, b.make(fpga::Op::Xor, 8, {slow, a}), we, tick);
+
+    b.output("cnt_o", cnt);
+    b.output("slow_o", slow);
+    b.output("hold_o", hold);
+    b.output("hold_plus", b.make(fpga::Op::Add, 8, {hold, cnt}));
+    b.output("rd_in", b.mem_read(mem, ra, 8));
+    b.output("rd_cnt", b.mem_read(mem, b.slice(cnt, 0, 4), 8));
+    b.output("mix", b.make(fpga::Op::Xor, 8, {cnt, a}));
+    return nl;
+}
+
+TEST(JitGating, StateWritesBetweenStepsMatchUngatedReference)
+{
+    REQUIRE_JIT();
+    GatedLockstep g(gating_netlist());
+    ASSERT_TRUE(g.ready());
+    g.check("construction");
+    std::mt19937_64 rng(29);
+    for (int c = 0; c < 80; ++c) {
+        const std::string at = "cycle " + std::to_string(c) + ": ";
+        const BitVector ra(4, rng());
+        const BitVector a(8, rng());
+        g.set_input("en", BitVector(1, rng() % 4 != 0));
+        g.set_input("a", a);
+        g.set_input("ra", ra);
+        // Half the writes land on the address read through an input, so
+        // a write is the only change that address's read sees.
+        g.set_input("wa", rng() % 2 ? ra : BitVector(4, rng()));
+        g.set_input("we", BitVector(1, rng() % 3 != 0));
+        g.eval();
+        ASSERT_NO_FATAL_FAILURE(g.check(at + "inputs"));
+        g.clock();
+        ASSERT_NO_FATAL_FAILURE(g.check(at + "clock"));
+
+        // State writes with every input left as it is.
+        const BitVector cnt(8, rng());
+        g.each([&](fpga::FabricExec& e) { e.set_reg("cnt", cnt); });
+        g.eval();
+        ASSERT_NO_FATAL_FAILURE(g.check(at + "set_reg cnt"));
+        const BitVector hold(8, rng());
+        g.each([&](fpga::FabricExec& e) { e.set_reg("hold", hold); });
+        g.eval();
+        ASSERT_NO_FATAL_FAILURE(g.check(at + "set_reg of a kNoClock reg"));
+        const uint64_t read_at = c % 2 ? ra.to_uint64() : cnt.to_uint64() % 16;
+        const BitVector word(8, rng());
+        g.each([&](fpga::FabricExec& e) { e.set_mem("mem", read_at, word); });
+        g.eval();
+        ASSERT_NO_FATAL_FAILURE(g.check(at + "set_mem"));
+
+        // Rewriting an input with its current value, also through high
+        // bits the port width drops, changes nothing.
+        g.set_input("a", a);
+        g.set_input("a", BitVector(16, 0xab00 | a.to_uint64()));
+        g.eval();
+        ASSERT_NO_FATAL_FAILURE(g.check(at + "same-value set_input"));
+        g.clock();
+        ASSERT_NO_FATAL_FAILURE(g.check(at + "clock after state writes"));
+    }
+}
+
+TEST(JitGating, MoreThan62ClockDomainsShareABit)
+{
+    REQUIRE_JIT();
+    // 70 registers, each latched by its own bit of input c: the domains
+    // past the 62nd share bit 62.
+    constexpr uint32_t kRegs = 70;
+    auto nl = std::make_shared<fpga::Netlist>();
+    fpga::NetlistBuilder b(nl.get());
+    const uint32_t c = b.input("c", kRegs);
+    const uint32_t d = b.input("d", 8);
+    uint32_t all = b.constant(8, 0);
+    for (uint32_t i = 0; i < kRegs; ++i) {
+        char name[8];
+        std::snprintf(name, sizeof name, "r%u", i);
+        const uint32_t q = b.reg(name, 8, BitVector(8, i));
+        b.set_reg_next(i,
+                       b.make(fpga::Op::Add, 8,
+                              {q, b.make(fpga::Op::Xor, 8,
+                                         {d, b.constant(8, i + 1)})}),
+                       b.slice(c, i, 1));
+        b.output(std::string(name) + "_o", q);
+        all = b.make(fpga::Op::Xor, 8, {all, q});
+    }
+    b.output("all", all);
+    GatedLockstep g(nl);
+    ASSERT_TRUE(g.ready());
+    g.check("construction");
+    std::mt19937_64 rng(31);
+    for (int cycle = 0; cycle < 60; ++cycle) {
+        BitVector cv(kRegs, 0);
+        cv.set_word(0, rng());
+        cv.set_word(1, rng() & 0x3f);
+        g.set_input("d", BitVector(8, rng()));
+        g.set_input("c", cv);
+        g.step();
+        ASSERT_NO_FATAL_FAILURE(g.check("cycle " + std::to_string(cycle)));
+        char victim[8];
+        std::snprintf(victim, sizeof victim, "r%d", 60 + cycle % 10);
+        const BitVector v(8, rng());
+        g.each([&](fpga::FabricExec& e) { e.set_reg(victim, v); });
+        g.eval();
+        ASSERT_NO_FATAL_FAILURE(
+            g.check(std::string("set_reg ") + victim + " in cycle " +
+                    std::to_string(cycle)));
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Randomized three-way differential: simulator vs Bitstream vs JitKernel.
 // ---------------------------------------------------------------------------
 
@@ -436,6 +654,47 @@ TEST(JitCache, SecondBuildIsWarm)
     EXPECT_TRUE(std::ifstream(jit::source_path_for(d1)).good());
 }
 
+TEST(JitCache, CompilerIsPartOfTheKey)
+{
+    REQUIRE_JIT();
+    // The same source built by another compiler must not reuse the warm
+    // object: a wrapper script is a distinct compiler path that produces
+    // a working kernel, so only the cache key tells the two apart.
+    auto nl = synth("module C4(input wire clk, output wire [7:0] q);\n"
+                    "  reg [7:0] n = 5;\n"
+                    "  always @(posedge clk) n <= n + 7;\n"
+                    "  assign q = n;\n"
+                    "endmodule\n");
+    ASSERT_NE(nl, nullptr);
+    std::string err, d1, d2, d3;
+    bool hit = false;
+    auto k1 = jit::JitKernel::create(nl, &err, &d1, &hit);
+    ASSERT_NE(k1, nullptr) << err;
+
+    const std::string wrapper =
+        (std::filesystem::temp_directory_path() /
+         ("cascade_jit_test_cxx" + std::to_string(::getpid())))
+            .string();
+    {
+        std::ofstream f(wrapper);
+        f << "#!/bin/sh\nexec '" << jit::find_compiler() << "' \"$@\"\n";
+    }
+    std::filesystem::permissions(wrapper,
+                                 std::filesystem::perms::owner_all);
+    ::setenv("CASCADE_JIT_CXX", wrapper.c_str(), 1);
+    auto k2 = jit::JitKernel::create(nl, &err, &d2, &hit);
+    ::unsetenv("CASCADE_JIT_CXX");
+    std::filesystem::remove(wrapper);
+    ASSERT_NE(k2, nullptr) << err;
+    EXPECT_NE(d1, d2);
+    EXPECT_FALSE(hit) << "the other compiler's build reused a warm object";
+
+    auto k3 = jit::JitKernel::create(nl, &err, &d3, &hit);
+    ASSERT_NE(k3, nullptr) << err;
+    EXPECT_EQ(d1, d3);
+    EXPECT_TRUE(hit);
+}
+
 TEST(JitCache, BogusCompilerDisablesTier)
 {
     auto nl = synth("module C3(input wire clk, output wire [0:0] q);\n"
@@ -584,6 +843,42 @@ TEST(JitRuntime, LadderClimbsSwToJitToFabricByteIdentically)
     EXPECT_EQ(out, ref_out)
         << "ladder run diverged from interpreter (jit adopted at tick "
         << jit_arrival_ticks << ", total " << total_ticks << ")";
+}
+
+TEST(JitRuntime, EachTierLearnsItsOwnOpenLoopBatch)
+{
+    REQUIRE_JIT();
+    // The adaptive batch doubles while grants finish fast. A batch grown
+    // on the kernel would run many times longer on the bitstream
+    // evaluator, so the fabric starts again from the initial size.
+    runtime::Runtime::Options opts = jit_first();
+    opts.open_loop_iterations = 256;
+    runtime::Runtime rt(opts);
+    std::vector<uint64_t> grants;
+    rt.journal().add_tap([&grants](const telemetry::Journal::Event& ev) {
+        if (ev.type == "openloop.grant") {
+            telemetry::JsonValue data;
+            ASSERT_TRUE(telemetry::parse_json(ev.data, &data));
+            grants.push_back(data.get_u64("batch"));
+        }
+    });
+    std::string err;
+    // The Led merges into the user engine, which lets it free-run.
+    ASSERT_TRUE(rt.eval("Led#(8) led(); reg [31:0] n = 0;\n"
+                        "always @(posedge clk.val) n <= n + 1;\n"
+                        "assign led.val = n[7:0];\n",
+                        &err))
+        << err;
+    ASSERT_TRUE(step_until_jit(&rt));
+    rt.run(16);
+    ASSERT_FALSE(grants.empty());
+    EXPECT_GT(grants.back(), opts.open_loop_iterations);
+
+    grants.clear();
+    ASSERT_TRUE(rt.wait_for_hardware(120.0));
+    rt.run(4);
+    ASSERT_FALSE(grants.empty());
+    EXPECT_EQ(grants.front(), opts.open_loop_iterations);
 }
 
 TEST(JitRuntime, MonitorAndVcdContinuityAcrossJitAdoption)
