@@ -1,7 +1,7 @@
 /// \file
 /// Table 6 (request tracing, beyond the paper): end-to-end edit ->
 /// hardware latency measured by the causal request tracker, for three
-/// request classes:
+/// request classes, and edit -> JIT-rung latency for a fourth:
 ///
 ///   - cold: a fresh runtime per iteration, each compile a distinct
 ///     placement seed, so every request takes the full synthesize /
@@ -10,13 +10,21 @@
 ///     pinned seed, so every compile after the first is a
 ///     content-addressed bitstream cache hit;
 ///   - shared: a 4-tenant fleet on one fabric through the hypervisor,
-///     each tenant's first compile admitted onto a device slice.
+///     each tenant's first compile admitted onto a device slice;
+///   - jit_cold: the cold native-kernel build of the Fig. 10-wrapped
+///     SHA-256 miner, timed from eval() until the program runs on the JIT
+///     rung, with fabric admission rejected (a 10-LE device). Every
+///     sample is a distinct salted design built into a fresh
+///     CASCADE_JIT_CACHE_DIR, so neither the on-disk cache nor the
+///     in-process module registry answers it. Skipped without a usable
+///     system compiler.
 ///
-/// Each sample is a finished "compile" request from the runtime's own
-/// tracker -- the submit-to-first-hardware-tick wall time the REPL's
-/// `:why` decomposes -- so the bench measures exactly what the
-/// observability surface reports, and asserts the tracker's invariant
-/// (segments sum to end-to-end latency within 1%) on every sample.
+/// Each sample of the first three classes is a finished "compile" request
+/// from the runtime's own tracker -- the submit-to-first-hardware-tick
+/// wall time the REPL's `:why` decomposes -- so the bench measures
+/// exactly what the observability surface reports, and asserts the
+/// tracker's invariant (segments sum to end-to-end latency within 1%) on
+/// every sample.
 ///
 /// Output: BENCH_table6_request_latency.json with p50/p99 per class and
 /// the mean cold-path segment breakdown (queue, cache, synth, techmap,
@@ -27,18 +35,25 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "hypervisor/fabric_manager.h"
+#include "jit/jit_cache.h"
 #include "runtime/runtime.h"
 #include "service/compile_service.h"
 #include "telemetry/request_trace.h"
+#include "workloads/workloads.h"
 
 using cascade::hypervisor::FabricManager;
+using cascade::runtime::Location;
 using cascade::runtime::Runtime;
 using cascade::service::CompileService;
 using cascade::telemetry::RequestRecord;
@@ -48,6 +63,7 @@ namespace {
 constexpr int kColdRuns = 8;
 constexpr int kWarmRuns = 16;
 constexpr int kSharedTenants = 4;
+constexpr int kJitColdRuns = 8;
 
 Runtime::Options
 bench_options(uint64_t seed)
@@ -113,6 +129,58 @@ check_partition(const RequestRecord& r, const char* what)
                      r.segment_sum_us(), total);
         std::exit(1);
     }
+}
+
+/// One jit_cold sample: seconds from eval() of the salted miner until it
+/// runs on the JIT rung. Exits the process on a timeout, a failed build,
+/// or a build the cache answered.
+double
+measure_jit_cold(int salt, const std::string& cache)
+{
+    std::filesystem::create_directories(cache);
+    ::setenv("CASCADE_JIT_CACHE_DIR", cache.c_str(), 1);
+    Runtime::Options opts = bench_options(300 + salt);
+    opts.device_les = 10; // admission rejects the fabric: the JIT rung
+    double seconds = 0;
+    {
+        Runtime rt(opts);
+        rt.on_output = [](const std::string&) {};
+        // The salt register changes the netlist, hence the kernel digest.
+        const std::string src =
+            cascade::workloads::proof_of_work_source(8) +
+            "reg [31:0] salt = 0;\n"
+            "always @(posedge clk.val) salt <= salt + " +
+            std::to_string(1001 + salt) + ";\n";
+        std::string errors;
+        const auto t0 = std::chrono::steady_clock::now();
+        if (!rt.eval(src, &errors)) {
+            std::fprintf(stderr, "jit_cold: eval failed: %s\n",
+                         errors.c_str());
+            std::exit(1);
+        }
+        while (rt.user_location() != Location::Jit) {
+            if (rt.telemetry().counter("jit.unavailable")->value() != 0 ||
+                std::chrono::steady_clock::now() - t0 >
+                    std::chrono::seconds(120)) {
+                std::fprintf(stderr, "jit_cold: never reached the JIT\n");
+                std::exit(1);
+            }
+            rt.run(1);
+        }
+        seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+    }
+    bool built = false;
+    for (const auto& e : std::filesystem::directory_iterator(cache)) {
+        built |= e.path().extension() == ".so";
+    }
+    if (!built) {
+        std::fprintf(stderr, "jit_cold: sample %d was not a cold build\n",
+                     salt);
+        std::exit(1);
+    }
+    return seconds;
 }
 
 double
@@ -213,6 +281,26 @@ main()
         }
     }
 
+    // -- Jit cold: a salted miner per sample, each in a fresh cache. -----
+    std::vector<double> jit_cold_s;
+    if (cascade::jit::compiler_available()) {
+        const char* old = std::getenv("CASCADE_JIT_CACHE_DIR");
+        const std::string restore = old != nullptr ? old : "";
+        const std::filesystem::path root =
+            std::filesystem::temp_directory_path() /
+            ("cascade_table6_jit" + std::to_string(::getpid()));
+        for (int i = 0; i < kJitColdRuns; ++i) {
+            jit_cold_s.push_back(
+                measure_jit_cold(i, (root / std::to_string(i)).string()));
+        }
+        std::filesystem::remove_all(root);
+        if (old != nullptr) {
+            ::setenv("CASCADE_JIT_CACHE_DIR", restore.c_str(), 1);
+        } else {
+            ::unsetenv("CASCADE_JIT_CACHE_DIR");
+        }
+    }
+
     std::printf("cold   p50 %.4fs  p99 %.4fs  (%d runs)\n",
                 percentile(cold_s, 0.5), percentile(cold_s, 0.99),
                 kColdRuns);
@@ -222,6 +310,13 @@ main()
     std::printf("shared p50 %.4fs  p99 %.4fs  (%d tenants)\n",
                 percentile(shared_s, 0.5), percentile(shared_s, 0.99),
                 kSharedTenants);
+
+    if (!jit_cold_s.empty()) {
+        std::printf("jit    p50 %.4fs  p99 %.4fs  (%d runs, cold kernel "
+                    "builds)\n",
+                    percentile(jit_cold_s, 0.5), percentile(jit_cold_s, 0.99),
+                    kJitColdRuns);
+    }
 
     std::string segments_json;
     for (const auto& [name, us] : cold_segment_us) {
@@ -242,6 +337,7 @@ main()
         << class_json("cold", cold_s) << ','
         << class_json("warm", warm_s) << ','
         << class_json("shared", shared_s)
+        << (jit_cold_s.empty() ? "" : "," + class_json("jit_cold", jit_cold_s))
         << ",\"cold_segments_mean\":{" << segments_json << "}}\n";
     std::fprintf(stderr,
                  "# results -> BENCH_table6_request_latency.json\n");

@@ -363,6 +363,8 @@ inline u64 sashr(u64 a, u32 w, u64 m, u64 amt) {
     if (sign) r |= m & ~(m >> amt);
     return r;
 }
+
+} // namespace
 )JIT";
 
 /// True when node \p i and all of its argument values fit in one word, so
@@ -728,8 +730,8 @@ clock_domains(const Netlist& nl, const fpga::SourceDomains& dom)
 
 } // namespace
 
-std::string
-generate_source(const Netlist& nl)
+std::vector<std::string>
+generate_units(const Netlist& nl)
 {
     const Layout L = compute_layout(nl);
     const fpga::SourceDomains dom = fpga::source_domains(nl);
@@ -759,29 +761,45 @@ generate_source(const Netlist& nl)
         blocks += k == 0 || dom.node[order[k]] != dom.node[order[k - 1]];
     }
 
-    std::ostringstream os;
-    os << "// Generated by cascade jit::generate_source. One translation\n"
-          "// unit per netlist: domain-gated straight-line evaluation with\n"
-          "// Bitstream-identical semantics behind the cascade_jit_* ABI.\n"
-          "// nodes=" << nl.nodes.size() << " regs=" << nl.regs.size()
-       << " mems=" << nl.mems.size() << " blocks=" << blocks
-       << " clocks=" << clocks.size() << "\n";
-    os << "#define JIT_MAXW " << L.maxw << "\n";
-    os << kPreamble;
+    // --- Shared prefix: helpers, State, the cross-unit functions ----------
+    // Every unit starts with it. The functions one unit calls in another
+    // are extern "C" with hidden visibility: they link inside the shared
+    // object, and only the cascade_jit_* ABI is exported from it.
+    std::ostringstream pre;
+    pre << "// Generated by cascade jit::generate_units: one translation\n"
+           "// unit of a kernel (the ABI unit, step(), or one eval_N), all\n"
+           "// linked into one shared object. Domain-gated straight-line\n"
+           "// evaluation with Bitstream-identical semantics behind the\n"
+           "// cascade_jit_* ABI.\n"
+           "// nodes=" << nl.nodes.size() << " regs=" << nl.regs.size()
+        << " mems=" << nl.mems.size() << " blocks=" << blocks
+        << " clocks=" << clocks.size() << "\n";
+    pre << "#define JIT_MAXW " << L.maxw << "\n";
+    pre << kPreamble;
+    pre << "\nstruct State {\n"
+        << "    u64 v[" << std::max<uint32_t>(1, L.vtotal) << "];\n"
+        << "    u64 r[" << std::max<uint32_t>(1, L.rtotal) << "];\n"
+        << "    u64 m[" << std::max<uint32_t>(1, L.mtotal) << "];\n"
+        << "    u64 latch[" << std::max<size_t>(1, nl.regs.size()) << "];\n"
+        << "    u64 cycles;\n"
+        << "    u64 dirty; // source-domain bits changed since the last "
+           "eval\n"
+        << "    unsigned char pc[" << std::max<size_t>(1, clocks.size())
+        << "]; // previous level per clock domain\n"
+        << "    unsigned char ppc["
+        << std::max<size_t>(1, nl.write_ports.size())
+        << "]; // previous level per memory write port\n"
+        << "};\n\n"
+        << "#define JIT_INTERNAL extern \"C\" "
+           "__attribute__((visibility(\"hidden\")))\n"
+        << "JIT_INTERNAL void eval(State* S);\n"
+        << "JIT_INTERNAL void step(State* S);\n\n";
+    const std::string prefix = pre.str();
 
-    // --- State -----------------------------------------------------------
-    os << "\nstruct State {\n"
-       << "    u64 v[" << std::max<uint32_t>(1, L.vtotal) << "];\n"
-       << "    u64 r[" << std::max<uint32_t>(1, L.rtotal) << "];\n"
-       << "    u64 m[" << std::max<uint32_t>(1, L.mtotal) << "];\n"
-       << "    u64 latch[" << std::max<size_t>(1, nl.regs.size()) << "];\n"
-       << "    u64 cycles;\n"
-       << "    u64 dirty; // source-domain bits changed since the last eval\n"
-       << "    unsigned char pc[" << std::max<size_t>(1, clocks.size())
-       << "]; // previous level per clock domain\n"
-       << "    unsigned char ppc[" << std::max<size_t>(1, nl.write_ports.size())
-       << "]; // previous level per memory write port\n"
-       << "};\n\n";
+    // units[0] is the ABI unit and units[1] holds step(); the eval_N
+    // units follow in function order.
+    std::vector<std::string> units(2);
+    std::ostringstream os; // the ABI unit
 
     // --- ABI marshalling tables -----------------------------------------
     {
@@ -827,6 +845,7 @@ generate_source(const Netlist& nl)
     // --- Combinational evaluation: gated blocks, bounded functions -------
     // Each function runs the blocks whose mask meets the dirty bits eval()
     // captured; eval() skips a function none of whose blocks is dirty.
+    // Each function is its own unit.
     std::vector<std::pair<std::string, uint64_t>> fns;
     {
         std::ostringstream body;
@@ -838,9 +857,10 @@ generate_source(const Netlist& nl)
                 return;
             }
             const std::string name = "eval_" + std::to_string(fns.size());
-            os << "static void " << name << "(State* S, u64 d) {\n"
-               << "    u64* const V = S->v;\n"
-               << body.str() << "    }\n}\n";
+            units.push_back(prefix + "JIT_INTERNAL void " + name +
+                            "(State* S, u64 d) {\n"
+                            "    u64* const V = S->v;\n" +
+                            body.str() + "    }\n}\n");
             fns.emplace_back(name, fn_mask);
             body.str("");
             in_fn = 0;
@@ -863,7 +883,10 @@ generate_source(const Netlist& nl)
         }
         close_fn();
     }
-    os << "static void eval(State* S) {\n"
+    for (const auto& [name, mask] : fns) {
+        os << "JIT_INTERNAL void " << name << "(State* S, u64 d);\n";
+    }
+    os << "JIT_INTERNAL void eval(State* S) {\n"
        << "    const u64 d = S->dirty;\n"
        << "    S->dirty = 0;\n"
        << "    (void)d;\n";
@@ -878,7 +901,8 @@ generate_source(const Netlist& nl)
     // they read (clocks, next values, ports) do not alias until the next
     // eval(), so no double buffer is needed. A commit marks its domain
     // dirty only if it changed a value.
-    os << "static void step(State* S) {\n"
+    std::ostringstream st; // the step() unit
+    st << "JIT_INTERNAL void step(State* S) {\n"
        << "    u64* const V = S->v;\n"
        << "    (void)V;\n"
        << "    S->cycles += 1;\n"
@@ -887,7 +911,7 @@ generate_source(const Netlist& nl)
        << "        int any = 0;\n";
     for (size_t k = 0; k < clocks.size(); ++k) {
         const ClockDomain& cd = clocks[k];
-        os << "        {\n"
+        st << "        {\n"
            << "            const unsigned char now = (unsigned char)(V["
            << L.voff[cd.clock] << "] & 1);\n"
            << "            if (now && !S->pc[" << k << "]) {\n"
@@ -902,12 +926,12 @@ generate_source(const Netlist& nl)
                 const std::string x =
                     w < cw ? "V[" + std::to_string(L.voff[next] + w) + "]"
                            : std::string("0");
-                os << "                ch |= " << q << " ^ " << x << "; "
+                st << "                ch |= " << q << " ^ " << x << "; "
                    << q << " = " << x << ";\n";
             }
-            os << "                S->latch[" << r << "] += 1;\n";
+            st << "                S->latch[" << r << "] += 1;\n";
         }
-        os << "                if (ch) S->dirty |= " << hex(cd.bit) << ";\n"
+        st << "                if (ch) S->dirty |= " << hex(cd.bit) << ";\n"
            << "                any = 1;\n"
            << "            }\n"
            << "            S->pc[" << k << "] = now;\n"
@@ -918,7 +942,7 @@ generate_source(const Netlist& nl)
         const uint32_t ew = L.ew[port.mem];
         const uint32_t copyw =
             std::min(words_of(nl.nodes[port.data].width), ew);
-        os << "        {\n"
+        st << "        {\n"
            << "            const unsigned char now = (unsigned char)(V["
            << L.voff[port.clock] << "] & 1);\n"
            << "            if (now && !S->ppc[" << p << "] && wbool(&V["
@@ -943,7 +967,7 @@ generate_source(const Netlist& nl)
            << "            S->ppc[" << p << "] = now;\n"
            << "        }\n";
     }
-    os << "        if (!any) break;\n"
+    st << "        if (!any) break;\n"
        << "        eval(S);\n"
        << "    }\n"
        << "}\n\n";
@@ -997,8 +1021,7 @@ generate_source(const Netlist& nl)
         os << "    S->ppc[" << p << "] = (unsigned char)(S->v["
            << L.voff[nl.write_ports[p].clock] << "] & 1);\n";
     }
-    os << "}\n\n"
-       << "} // namespace\n\n";
+    os << "}\n\n";
 
     // --- extern "C" ABI --------------------------------------------------
     // set_input marks its port's domain only on a real change; set_reg and
@@ -1061,7 +1084,19 @@ generate_source(const Netlist& nl)
           "((State*)p)->latch[r]; }\n"
        << "} // extern \"C\"\n";
 
-    return os.str();
+    units[0] = prefix + os.str();
+    units[1] = prefix + st.str();
+    return units;
+}
+
+std::string
+generate_source(const Netlist& nl)
+{
+    std::string text;
+    for (const std::string& unit : generate_units(nl)) {
+        text += unit;
+    }
+    return text;
 }
 
 } // namespace cascade::jit

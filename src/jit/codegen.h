@@ -1,28 +1,43 @@
 /// \file
-/// Netlist → C++ lowering for the native JIT tier. generate_source emits a
-/// self-contained translation unit (no cascade headers) that implements the
-/// netlist with the exact semantics of fpga::Bitstream — straight-line
-/// blocks of nodes grouped by source domain (fpga/source_domains.h), each
-/// run only when a source it reads changed, word-level ops on the ≤64-bit
-/// fast path, and one straight-line latch section per clock domain in
-/// step() — behind a flat extern "C" ABI (see kJitAbiVersion in
-/// jit_cache.h). The emitted
+/// Netlist → C++ lowering for the native JIT tier. generate_units emits a
+/// kernel as several self-contained translation units (no cascade
+/// headers) that the builder compiles concurrently and links into one
+/// shared object (jit_cache.h). The kernel implements the netlist with
+/// the exact semantics of fpga::Bitstream — straight-line blocks of nodes
+/// grouped by source domain (fpga/source_domains.h), each run only when a
+/// source it reads changed, word-level ops on the ≤64-bit fast path, and
+/// one straight-line latch section per clock domain in step() — behind a
+/// flat extern "C" ABI (see kJitAbiVersion in jit_cache.h). The emitted
 /// source deliberately mirrors Bitstream::eval_comb / Bitstream::step and
 /// the BitVector op definitions bit for bit, so the differential suite can
 /// require byte-identical outputs across all three tiers.
+///
+/// The split is a fixed rule of the netlist, never of the host, so a
+/// kernel's digest does not depend on the core count: one unit per eval_N
+/// function (at most 256 nodes each), one for step(), and one for the
+/// tables, the eval() dispatcher, init() and the ABI. Each unit repeats
+/// the helper preamble and the State definition; the functions one unit
+/// calls in another have hidden visibility, so the shared object exports
+/// only the cascade_jit_* ABI.
 
 #ifndef CASCADE_JIT_CODEGEN_H
 #define CASCADE_JIT_CODEGEN_H
 
 #include <string>
+#include <vector>
 
 #include "fpga/netlist.h"
 
 namespace cascade::jit {
 
-/// The generated translation unit, minus the digest symbol (the builder
-/// digests this text and appends `cascade_jit_digest` afterwards, so the
-/// kernel is content-addressed by its own source).
+/// The kernel's translation units: [0] is the ABI unit, [1] holds step(),
+/// and [2 + k] holds eval_k. The digest symbol is not in them (the
+/// builder digests the units and appends `cascade_jit_digest` to the ABI
+/// unit, so the kernel is content-addressed by its own source).
+std::vector<std::string> generate_units(const fpga::Netlist& nl);
+
+/// Every unit of generate_units, concatenated in order: the whole kernel
+/// text, for callers that time or inspect codegen on its own.
 std::string generate_source(const fpga::Netlist& nl);
 
 } // namespace cascade::jit

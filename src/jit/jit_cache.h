@@ -1,19 +1,29 @@
 /// \file
-/// In-process native-code cache for the JIT tier: writes the generated
-/// translation unit to an on-disk, content-addressed cache (same FNV digest
-/// scheme as the bitstream cache key in service::CompileService), invokes
-/// the system compiler into a shared object, and dlopens the result. Warm
-/// sessions — including a re-launch after a hypervisor eviction, since the
-/// digest depends only on the generated source, the compiler and its flags
-/// — skip the compile entirely and pay one dlopen.
+/// In-process native-code cache for the JIT tier: writes a kernel's
+/// generated translation units (codegen.h) to an on-disk,
+/// content-addressed cache (same FNV digest scheme as the bitstream cache
+/// key in service::CompileService), compiles the units concurrently with
+/// the system compiler, links the objects into one shared object, and
+/// dlopens the result. Warm sessions — including a re-launch after a
+/// hypervisor eviction, since the digest depends only on the generated
+/// units, the compiler and its flags — skip the build entirely and pay one
+/// dlopen.
+///
+/// The compiler runs without a shell (posix_spawn, stderr appended to
+/// `<digest>.log`). A process-wide cap of hardware_concurrency() compiler
+/// jobs covers every in-flight build, so concurrent tenants do not
+/// oversubscribe the host. Objects and temporaries are deleted whether
+/// the build succeeds or fails; the units stay as `<digest>.cc` (the ABI
+/// unit) and `<digest>.<k>.cc`.
 ///
 /// Loaded modules are retained for the life of the process (dlclose while
 /// generated code may still be referenced is never safe), keyed by digest
 /// so re-adoption of the same design reuses the resident mapping.
 ///
 /// Environment knobs:
-///  - CASCADE_JIT_CXX: compiler to use (a nonexistent path disables the
-///    tier — the graceful-degradation hook CI exercises).
+///  - CASCADE_JIT_CXX: compiler to use, a name looked up on $PATH or a
+///    path (a value that names no executable disables the tier — the
+///    graceful-degradation hook CI exercises).
 ///  - CASCADE_JIT_CACHE_DIR: cache directory (default under $TMPDIR).
 
 #ifndef CASCADE_JIT_JIT_CACHE_H
@@ -21,6 +31,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace cascade::jit {
 
@@ -44,8 +55,10 @@ struct JitModule {
     uint64_t (*latch_count)(void*, uint32_t) = nullptr;
 };
 
-/// The compiler the builder would invoke ("" when none is usable — the
-/// JIT tier is then unavailable and the runtime journals jit.unavailable).
+/// The path of the compiler the builder would invoke: CASCADE_JIT_CXX if
+/// set, else the first of c++, g++, clang++ on $PATH. "" when none is
+/// usable — the JIT tier is then unavailable and the runtime journals
+/// jit.unavailable.
 std::string find_compiler();
 
 /// True iff a system compiler is usable right now.
@@ -54,18 +67,21 @@ bool compiler_available();
 /// The resolved on-disk cache directory (created on demand).
 std::string cache_dir();
 
-/// Where the generated source for \p digest is persisted (the CI artifact
-/// path; written on every cold build, and backfilled on warm loads).
+/// Where the ABI unit of the kernel \p digest is persisted (the CI
+/// artifact path; written on every cold build, and backfilled on warm
+/// loads). Unit k >= 1 sits beside it as `<digest>.<k>.cc`.
 std::string source_path_for(const std::string& digest);
 
-/// Compiles (or cache-loads) \p source_body and returns the resident
-/// module. The digest of the body, the compiler find_compiler() names and
-/// the compile flags is returned via \p digest_out and the
-/// `cascade_jit_digest` symbol is appended before compiling, so kernels
-/// self-identify. \p cache_hit reports whether the compile was skipped
-/// (either an in-process resident module or an on-disk .so). On failure
-/// returns nullptr with \p error set.
-const JitModule* build_module(const std::string& source_body,
+/// Builds (or cache-loads) the kernel made of \p units (generate_units
+/// order: units[0] is the ABI unit) and returns the resident module. The
+/// digest of the compiler find_compiler() names, the compile and link
+/// flags and every unit in order is returned via \p digest_out, and the
+/// `cascade_jit_digest` symbol is appended to the ABI unit before
+/// compiling, so kernels self-identify. \p cache_hit reports whether the
+/// build was skipped (either an in-process resident module or an on-disk
+/// .so). On failure returns nullptr with \p error set; a failed compile
+/// or link names the log that holds the compiler's stderr.
+const JitModule* build_module(const std::vector<std::string>& units,
                               std::string* digest_out, bool* cache_hit,
                               std::string* error);
 

@@ -23,9 +23,9 @@ JitKernel::create(std::shared_ptr<const fpga::Netlist> nl,
                   bool* cache_hit)
 {
     CASCADE_CHECK(nl != nullptr);
-    const std::string source = generate_source(*nl);
+    const std::vector<std::string> units = generate_units(*nl);
     std::string digest;
-    const JitModule* mod = build_module(source, &digest, cache_hit, error);
+    const JitModule* mod = build_module(units, &digest, cache_hit, error);
     if (digest_out != nullptr) {
         *digest_out = digest;
     }

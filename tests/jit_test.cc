@@ -18,17 +18,21 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <dlfcn.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "fpga/bitstream.h"
 #include "fpga/synth.h"
+#include "jit/codegen.h"
 #include "jit/jit_cache.h"
 #include "jit/jit_kernel.h"
 #include "runtime/events.h"
@@ -710,6 +714,182 @@ TEST(JitCache, BogusCompilerDisablesTier)
     EXPECT_EQ(k, nullptr);
     EXPECT_FALSE(err.empty());
     ::unsetenv("CASCADE_JIT_CXX");
+}
+
+/// Sets the environment variable \p name to \p value until destroyed,
+/// then restores its previous value.
+class ScopedEnv {
+  public:
+    ScopedEnv(const char* name, const std::string& value) : name_(name)
+    {
+        const char* old = std::getenv(name);
+        if (old != nullptr) {
+            old_ = old;
+        }
+        ::setenv(name, value.c_str(), 1);
+    }
+
+    ~ScopedEnv()
+    {
+        if (old_.has_value()) {
+            ::setenv(name_, old_->c_str(), 1);
+        } else {
+            ::unsetenv(name_);
+        }
+    }
+
+    ScopedEnv(const ScopedEnv&) = delete;
+    ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+  private:
+    const char* name_;
+    std::optional<std::string> old_;
+};
+
+/// A fresh, empty directory under the system temp directory.
+std::filesystem::path
+fresh_dir(const std::string& stem)
+{
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        (stem + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+/// A chain of \p n 16-bit registers, each folding in its predecessor:
+/// about three evaluated nodes per register, so a long chain spans
+/// several eval_N units. \p salt makes the constants, hence the kernel,
+/// distinct.
+std::string
+chain_module(const std::string& name, uint32_t salt, int n)
+{
+    std::ostringstream src;
+    src << "module " << name
+        << "(input wire clk, input wire [15:0] a, "
+           "output wire [15:0] q);\n";
+    for (int i = 0; i < n; ++i) {
+        src << "  reg [15:0] r" << i << " = 16'd"
+            << (salt * (i + 1)) % 65536 << ";\n";
+    }
+    src << "  always @(posedge clk) begin\n    r0 <= r0 + a;\n";
+    for (int i = 1; i < n; ++i) {
+        src << "    r" << i << " <= (r" << i << " ^ r" << (i - 1)
+            << ") + 16'd" << (salt + 7 * i) % 65536 << ";\n";
+    }
+    src << "  end\n  assign q = r" << (n - 1) << ";\nendmodule\n";
+    return src.str();
+}
+
+TEST(JitCache, FailingUnitFailsTheBuildAndLeavesNoObjects)
+{
+    REQUIRE_JIT();
+    // A compiler that fails on one non-ABI unit (unit 2, eval_0) fails
+    // the whole build: no kernel, an error that names the log, the
+    // unit's stderr in that log, and nothing in the cache but the units
+    // and the log. The next build with the real compiler succeeds cold.
+    auto nl = synth(chain_module("U", 3, 40));
+    ASSERT_NE(nl, nullptr);
+    const std::filesystem::path dir = fresh_dir("cascade_jit_fault");
+    ScopedEnv cache("CASCADE_JIT_CACHE_DIR", dir.string());
+    const std::filesystem::path wrapper =
+        dir.parent_path() /
+        ("cascade_jit_fail_cxx" + std::to_string(::getpid()));
+    {
+        std::ofstream f(wrapper);
+        f << "#!/bin/sh\n"
+             "for a in \"$@\"; do\n"
+             "  case \"$a\" in\n"
+             "    *.2.cc) echo \"injected failure in $a\" >&2; exit 3 ;;\n"
+             "  esac\n"
+             "done\n"
+             "exec '" << jit::find_compiler() << "' \"$@\"\n";
+    }
+    std::filesystem::permissions(wrapper,
+                                 std::filesystem::perms::owner_all);
+    std::string err, digest;
+    bool hit = true;
+    {
+        ScopedEnv cxx("CASCADE_JIT_CXX", wrapper.string());
+        EXPECT_EQ(jit::JitKernel::create(nl, &err, &digest, &hit), nullptr);
+    }
+    std::filesystem::remove(wrapper);
+    EXPECT_FALSE(hit);
+
+    const std::string log = (dir / (digest + ".log")).string();
+    EXPECT_NE(err.find(log), std::string::npos) << err;
+    std::ostringstream text;
+    text << std::ifstream(log).rdbuf();
+    EXPECT_NE(text.str().find("injected failure in " +
+                              (dir / (digest + ".2.cc")).string()),
+              std::string::npos)
+        << text.str();
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        const std::string ext = entry.path().extension().string();
+        EXPECT_TRUE((ext == ".cc" || ext == ".log") &&
+                    name.find(".tmp") == std::string::npos)
+            << "left behind: " << name;
+    }
+
+    std::string d2;
+    auto k = jit::JitKernel::create(nl, &err, &d2, &hit);
+    ASSERT_NE(k, nullptr) << err;
+    EXPECT_FALSE(hit);
+    fpga::Bitstream hw(nl);
+    lockstep(&hw, k.get(), {{"a", 16}}, 5, 20);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(JitCache, ConcurrentBuildsMatchBitstreamAndExportOnlyTheAbi)
+{
+    REQUIRE_JIT();
+    // Two threads build distinct multi-unit kernels at once, both cold,
+    // so their compiler jobs share the process-wide job slots. Each
+    // kernel matches the Bitstream, and its shared object exports the
+    // cascade_jit_* ABI but none of the functions its units share.
+    const std::filesystem::path dir = fresh_dir("cascade_jit_concurrent");
+    ScopedEnv cache("CASCADE_JIT_CACHE_DIR", dir.string());
+    const std::shared_ptr<const fpga::Netlist> nls[2] = {
+        synth(chain_module("P", 11, 120)), synth(chain_module("Q", 12, 120))};
+    ASSERT_NE(nls[0], nullptr);
+    ASSERT_NE(nls[1], nullptr);
+    // The ABI unit, step() and at least two eval_N units.
+    ASSERT_GE(jit::generate_units(*nls[0]).size(), 4u);
+
+    std::unique_ptr<jit::JitKernel> kernels[2];
+    std::string errs[2];
+    bool hits[2] = {true, true};
+    std::vector<std::thread> builders;
+    for (int i = 0; i < 2; ++i) {
+        builders.emplace_back([&, i] {
+            kernels[i] =
+                jit::JitKernel::create(nls[i], &errs[i], nullptr, &hits[i]);
+        });
+    }
+    for (std::thread& t : builders) {
+        t.join();
+    }
+    for (int i = 0; i < 2; ++i) {
+        SCOPED_TRACE("kernel " + std::to_string(i));
+        ASSERT_NE(kernels[i], nullptr) << errs[i];
+        EXPECT_FALSE(hits[i]);
+        fpga::Bitstream hw(nls[i]);
+        lockstep(&hw, kernels[i].get(), {{"a", 16}}, 31 + i, 40);
+
+        std::string digest, err;
+        bool hit = false;
+        const jit::JitModule* m = jit::build_module(
+            jit::generate_units(*nls[i]), &digest, &hit, &err);
+        ASSERT_NE(m, nullptr) << err;
+        EXPECT_TRUE(hit);
+        EXPECT_NE(::dlsym(m->handle, "cascade_jit_step"), nullptr);
+        for (const char* internal : {"eval_0", "eval_1"}) {
+            EXPECT_EQ(::dlsym(m->handle, internal), nullptr) << internal;
+        }
+    }
+    std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

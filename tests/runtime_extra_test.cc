@@ -5,12 +5,12 @@
 
 #include "runtime/runtime.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <filesystem>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -340,6 +340,48 @@ TEST(RuntimeExtra, EvalWithClockHighRunsNoExtraPosedge)
     }
 }
 
+/// The live oracle's answers, except that no finished build is acted on
+/// until *release is set: a test pins the scheduler iteration a build is
+/// adopted at, however long the build takes.
+class HoldAdoption : public Runtime::Oracle {
+  public:
+    explicit HoldAdoption(const bool* release) : release_(release) {}
+
+    bool
+    act_now(Build, uint64_t, uint64_t,
+            const std::function<bool(double)>& ready) override
+    {
+        return *release_ && ready(0);
+    }
+
+    std::optional<std::string>
+    forced_failure(Build, uint64_t) override
+    {
+        return std::nullopt;
+    }
+
+    bool
+    evict_now(uint64_t, bool) override
+    {
+        return false;
+    }
+
+    uint64_t
+    placement_seed(uint64_t, uint64_t derived) override
+    {
+        return derived;
+    }
+
+    uint64_t
+    open_loop_grant(uint64_t adaptive) override
+    {
+        return adaptive;
+    }
+
+  private:
+    const bool* release_;
+};
+
 TEST(RuntimeExtra, AdoptWithClockHighRunsNoLostPosedge)
 {
     // Adoption with the clock high: right after the posedge reached the
@@ -347,16 +389,8 @@ TEST(RuntimeExtra, AdoptWithClockHighRunsNoLostPosedge)
     // exactly once, in the engines that saw it: the adopted engine
     // neither drops it nor runs it again. Every adopting rung: the JIT
     // kernel (the 10-LE device rejects the fabric), the fabric, and
-    // native mode. A cold kernel cache, and a per-case constant, keep
-    // every build cold, so no cached kernel or bitstream is adopted
-    // before the clock is high.
-    const std::string cache =
-        (std::filesystem::temp_directory_path() /
-         ("cascade_adopt_edge_cache" + std::to_string(::getpid())))
-            .string();
-    std::filesystem::remove_all(cache);
-    ::setenv("CASCADE_JIT_CACHE_DIR", cache.c_str(), 1);
-    uint64_t salt = 0;
+    // native mode. The oracle holds every build until the clock is high,
+    // so the adoption happens in that state however fast the build is.
     for (const Location rung : {Location::Jit, Location::HardwareForwarded,
                                 Location::Native}) {
         for (const bool executed : {false, true}) {
@@ -374,16 +408,14 @@ TEST(RuntimeExtra, AdoptWithClockHighRunsNoLostPosedge)
                 opts.native_mode = true;
             }
             Runtime rt(opts);
+            bool release = false;
+            rt.set_oracle(std::make_unique<HoldAdoption>(&release));
             // The count shows on the Led: a native engine has no peek.
             const std::string src =
                 "Led#(8) led();\n"
                 "reg [31:0] cnt = 0;\n"
-                "reg [31:0] tag = 0;\n"
                 "assign led.val = cnt[7:0];\n"
-                "always @(posedge clk.val) begin\n"
-                "  cnt <= cnt + 1;\n"
-                "  tag <= tag + " + std::to_string(7001 + ++salt) + ";\n"
-                "end";
+                "always @(posedge clk.val) cnt <= cnt + 1;";
             std::string err;
             ASSERT_TRUE(rt.eval(src, &err)) << err;
             const auto cnt = [&] { return rt.led_state().to_uint64(); };
@@ -393,6 +425,9 @@ TEST(RuntimeExtra, AdoptWithClockHighRunsNoLostPosedge)
                        (cnt() == rt.posedges_seen()) == executed;
             }));
             ASSERT_EQ(rt.user_location(), Location::Software);
+            // From here on the runtime only waits: no scheduler iteration
+            // runs until the build is adopted.
+            release = true;
             const auto start = std::chrono::steady_clock::now();
             while (rt.user_location() == Location::Software) {
                 if (rt.wait_for_hardware(0.01)) {
@@ -416,8 +451,6 @@ TEST(RuntimeExtra, AdoptWithClockHighRunsNoLostPosedge)
             EXPECT_EQ(cnt(), rt.virtual_ticks());
         }
     }
-    ::unsetenv("CASCADE_JIT_CACHE_DIR");
-    std::filesystem::remove_all(cache);
 }
 
 TEST(RuntimeExtra, EvictingAForwardedFifoPopsNoPhantomByte)
