@@ -305,8 +305,7 @@ BENCHMARK(BM_StdMutexLockUnlock);
 
 /// Instrumented wrapper on its uncontended fast path (try_lock success:
 /// two relaxed counter bumps, an owner store, and two clock reads).
-/// Compare against BM_StdMutexLockUnlock for the wrapper overhead; with
-/// CASCADE_SYNC_TELEMETRY=0 the two must be indistinguishable.
+/// Compare against BM_StdMutexLockUnlock for the wrapper overhead.
 void
 BM_TelemetryMutexLockUnlock(benchmark::State& state)
 {

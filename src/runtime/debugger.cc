@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "telemetry/journal.h"
+
 namespace cascade::runtime {
 
 bool
@@ -109,8 +111,8 @@ Debugger::evaluate(const Lookup& lookup)
     std::lock_guard<std::mutex> lock(mu_);
     std::optional<Fire> fire;
     for (Point& p : points_) {
-        const BitVector* v = lookup(p.signal);
-        if (v == nullptr) {
+        const std::optional<BitVector> v = lookup(p.signal);
+        if (!v.has_value()) {
             continue;
         }
         bool fired = false;
@@ -141,8 +143,8 @@ Debugger::prime(const Lookup& lookup)
 {
     std::lock_guard<std::mutex> lock(mu_);
     for (Point& p : points_) {
-        const BitVector* v = lookup(p.signal);
-        if (v == nullptr) {
+        const std::optional<BitVector> v = lookup(p.signal);
+        if (!v.has_value()) {
             continue;
         }
         if (p.kind == Kind::Break) {
@@ -167,6 +169,63 @@ Debugger::note_fire(uint64_t id)
     ++it->hits;
     fires_.fetch_add(1, std::memory_order_relaxed);
     return *it;
+}
+
+std::string
+Debugger::table(bool halted, uint64_t tick, bool hw_armed) const
+{
+    const auto points = this->points();
+    std::string out = "debugger: ";
+    out += halted ? "HALTED at tick " + std::to_string(tick) : "running";
+    out += hw_armed ? " (triggers in fabric)" : "";
+    out += "\n";
+    if (points.empty()) {
+        out += "  no points armed (:break <sig> <op> <val>, "
+               ":watch <sig>)\n";
+        return out;
+    }
+    for (const auto& p : points) {
+        out += "  #" + std::to_string(p.id);
+        if (p.kind == Kind::Watch) {
+            out += " watch " + p.signal;
+        } else {
+            out += " break " + p.signal + " " + p.op + " " +
+                   p.value.to_dec_string();
+        }
+        out += " [hits " + std::to_string(p.hits) + "]\n";
+    }
+    return out;
+}
+
+std::string
+Debugger::json(bool halted, bool hw_armed) const
+{
+    const auto points = this->points();
+    telemetry::JsonWriter w;
+    w.str("schema", "cascade.debug.v1");
+    w.boolean("halted", halted);
+    w.boolean("hw_armed", hw_armed);
+    w.num("fires", total_fires());
+    w.num("points", points.size());
+    std::string items = "[";
+    for (const auto& p : points) {
+        telemetry::JsonWriter pw;
+        pw.num("id", p.id);
+        pw.str("kind", p.kind == Kind::Watch ? "watch" : "break");
+        pw.str("signal", p.signal);
+        if (p.kind == Kind::Break) {
+            pw.str("op", p.op);
+            pw.str("value", p.value.to_dec_string());
+        }
+        pw.num("hits", p.hits);
+        if (items.size() > 1) {
+            items += ",";
+        }
+        items += pw.build();
+    }
+    items += "]";
+    w.raw("table", items);
+    return w.build();
 }
 
 } // namespace cascade::runtime

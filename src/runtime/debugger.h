@@ -30,7 +30,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -67,9 +66,10 @@ class Debugger {
         BitVector value;
     };
 
-    /// Reads the current value of a named signal, or nullptr when the
+    /// Reads the current value of a named signal, or nullopt when the
     /// signal cannot be read this window (it is then skipped).
-    using Lookup = std::function<const BitVector*(const std::string&)>;
+    using Lookup =
+        std::function<std::optional<BitVector>(const std::string&)>;
 
     static bool valid_op(const std::string& op);
 
@@ -118,43 +118,20 @@ class Debugger {
         return fires_.load(std::memory_order_relaxed);
     }
 
+    /// @{ The point table formatted with the run state the runtime owns:
+    /// the REPL's :debug view, and the {"schema":"cascade.debug.v1"}
+    /// snapshot of GET /debug. Thread-safe (the table is snapshotted
+    /// under the lock).
+    std::string table(bool halted, uint64_t tick, bool hw_armed) const;
+    std::string json(bool halted, bool hw_armed) const;
+    /// @}
+
   private:
     mutable std::mutex mu_;
     std::vector<Point> points_;
     uint64_t next_id_ = 1;
     std::atomic<size_t> count_{0};
     std::atomic<uint64_t> fires_{0};
-};
-
-/// Bounded pre-trigger capture ring: the last `depth` per-cycle samples of
-/// a fixed signal set, pushed every timestep while armed and dumped as a
-/// VCD window when a trigger fires (ILA-style). Single-owner (the runtime
-/// scheduler or one Bitstream); not internally locked.
-struct CaptureRing {
-    struct Sample {
-        uint64_t time = 0;
-        std::vector<BitVector> values;
-    };
-
-    std::vector<std::string> names;
-    std::vector<uint32_t> widths;
-    std::deque<Sample> samples;
-    size_t depth = 64;
-
-    bool configured() const { return !names.empty(); }
-
-    void push(uint64_t time, std::vector<BitVector> values) {
-        samples.push_back(Sample{time, std::move(values)});
-        while (samples.size() > depth) {
-            samples.pop_front();
-        }
-    }
-
-    void reset() {
-        names.clear();
-        widths.clear();
-        samples.clear();
-    }
 };
 
 } // namespace cascade::runtime

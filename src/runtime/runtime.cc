@@ -154,30 +154,6 @@ merge_stdlib_state(const std::map<std::string, sim::StateSnapshot>& state,
 }
 /// @}
 
-/// FNV digest of a file's contents ("" on IO error) — VCD provenance.
-std::string
-file_digest_hex(const std::string& path)
-{
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-        return "";
-    }
-    uint64_t h = 14695981039346656037ull;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-        for (size_t i = 0; i < n; ++i) {
-            h ^= static_cast<unsigned char>(buf[i]);
-            h *= 1099511628211ull;
-        }
-    }
-    std::fclose(f);
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(h));
-    return hex;
-}
-
 } // namespace
 
 const char*
@@ -383,6 +359,21 @@ class NativeEngine : public Engine {
     bool there_are_updates() override { return false; }
     void update() override {}
     bool is_hardware() const override { return true; }
+
+    /// A register of the fabric's netlist; unknown names never reach the
+    /// fabric's lookup.
+    std::optional<BitVector>
+    peek(const std::string& name) override
+    {
+        const auto& regs = fabric_->netlist().regs;
+        if (std::none_of(regs.begin(), regs.end(),
+                         [&name](const fpga::RegDef& r) {
+                             return r.name == name;
+                         })) {
+            return std::nullopt;
+        }
+        return fabric_->reg_value(name);
+    }
 
     uint64_t
     open_loop(uint64_t max_iterations) override
@@ -1301,14 +1292,18 @@ Runtime::window()
     flush_interrupts();
     // End-of-timestep waveform sample, before any engine adoption below:
     // the last pre-handoff sample and the first post-handoff sample then
-    // bracket the transition with continuous values.
-    sample_vcd();
+    // bracket the transition with continuous values. The same sample
+    // feeds the pre-trigger ring while points evaluate in software
+    // (triggers in the fabric record into the fabric's own ring).
+    const bool debugging = !finished_ && debugger_.armed();
+    capture_.sample(debugging &&
+                    !hw_debug_armed_.load(std::memory_order_relaxed));
     // Debugger evaluation window: one relaxed atomic load while
     // disarmed. Runs before the eviction checkpoint because a hardware
     // fire evicts to software right here — and in replay the recorded
     // hypervisor.evict for that same iteration then finds the program
     // already in software and no-ops.
-    if (!finished_ && debugger_.armed()) {
+    if (debugging) {
         debug_eval_window();
     }
     // Eviction checkpoint: a tenant flagged by the hypervisor (or, in
@@ -1335,7 +1330,7 @@ Runtime::window()
     // likewise while halted at a fired point, or when debug conditions
     // are armed but not synthesized into the fabric (software-evaluated
     // conditions need every window).
-    if (!finished_ && options_.enable_open_loop && !vcd_capture_ &&
+    if (!finished_ && options_.enable_open_loop && !capture_.active() &&
         !debug_halted_.load(std::memory_order_relaxed) &&
         (!debugger_.armed() ||
          hw_debug_armed_.load(std::memory_order_relaxed))) {
@@ -1568,309 +1563,9 @@ Runtime::on_monitor(const std::string& key, const std::string& text)
     on_display(text);
 }
 
-void
-Runtime::on_dumpfile(const std::string& path)
-{
-    if (vcd_declared_) {
-        enqueue_interrupt("vcd: $dumpfile ignored, dump already started\n");
-        return;
-    }
-    vcd_requested_path_ = path;
-}
-
-void
-Runtime::on_dumpvars()
-{
-    vcd_probe_all_ = true;
-    vcd_capture_ = true;
-}
-
-void
-Runtime::on_dumpoff()
-{
-    // Applied at the next end-of-timestep sample point, matching the
-    // once-per-timestep granularity of the dump itself.
-    vcd_pending_off_ = true;
-    vcd_pending_on_ = false;
-}
-
-void
-Runtime::on_dumpon()
-{
-    vcd_pending_on_ = true;
-    vcd_pending_off_ = false;
-}
-
-// ---------------------------------------------------------------------------
-// Waveform capture
-// ---------------------------------------------------------------------------
-
-bool
-Runtime::vcd_open(const std::string& path, std::string* err)
-{
-    flush_api_steps();
-    if (vcd_declared_) {
-        if (err != nullptr) {
-            *err = "a dump is already in progress (signal set is frozen)";
-        }
-        return false;
-    }
-    if (!vcd_.open(path, err)) {
-        return false;
-    }
-    emit(EventKind::ApiVcd, JsonWriter().str("path", path));
-    vcd_requested_path_ = path;
-    vcd_bytes_seen_ = 0; // the writer's byte counter restarted at zero
-    vcd_capture_ = true;
-    return true;
-}
-
-void
-Runtime::close_vcd()
-{
-    if (vcd_.is_open()) {
-        emit(EventKind::ApiVcdClose);
-        const std::string path = vcd_requested_path_;
-        const uint64_t before = vcd_.bytes_written();
-        vcd_.close();
-        m_.vcd_bytes->inc(
-            static_cast<int64_t>(vcd_.bytes_written() - before));
-        vcd_bytes_seen_ = vcd_.bytes_written();
-        emit(EventKind::VcdDigest, JsonWriter()
-                                       .str("path", path)
-                                       .num("bytes", vcd_.bytes_written())
-                                       .str("digest", file_digest_hex(path)));
-    }
-    vcd_capture_ = false;
-    vcd_declared_ = false;
-    vcd_probe_all_ = false;
-    vcd_pending_off_ = false;
-    vcd_pending_on_ = false;
-    vcd_probes_.clear();
-    vcd_requested_path_.clear();
-}
-
-bool
-Runtime::signal_exists(const std::string& name) const
-{
-    if (net_index_.count(name) != 0) {
-        return true;
-    }
-    for (const Slot& slot : slots_) {
-        if (slot.sub.path == "root" && slot.engine != nullptr) {
-            const sim::StateSnapshot snap = slot.engine->get_state();
-            return snap.regs.count(name) != 0;
-        }
-    }
-    return false;
-}
-
-bool
-Runtime::add_probe(const std::string& name, std::string* err)
-{
-    if (vcd_declared_) {
-        if (err != nullptr) {
-            *err = "dump already started; probes are frozen (open a new "
-                   "file with :vcd first)";
-        }
-        return false;
-    }
-    if (!signal_exists(name)) {
-        if (err != nullptr) {
-            *err = "unknown signal '" + name + "'";
-        }
-        return false;
-    }
-    if (std::find(probe_names_.begin(), probe_names_.end(), name) ==
-        probe_names_.end()) {
-        probe_names_.push_back(name);
-    }
-    emit(EventKind::ApiProbe, JsonWriter().str("name", name));
-    return true;
-}
-
-bool
-Runtime::remove_probe(const std::string& name)
-{
-    const auto it =
-        std::find(probe_names_.begin(), probe_names_.end(), name);
-    if (it == probe_names_.end()) {
-        return false;
-    }
-    probe_names_.erase(it);
-    emit(EventKind::ApiUnprobe, JsonWriter().str("name", name));
-    return true;
-}
-
-void
-Runtime::declare_vcd_signals()
-{
-    // Freeze point: expand the probe set and declare it, sorted, so the
-    // header is deterministic for a given program regardless of engine.
-    std::vector<std::string> names = probe_names_;
-    if (vcd_probe_all_ || names.empty()) {
-        for (const Net& net : nets_) {
-            if (net.has_value) {
-                names.push_back(net.name);
-            }
-        }
-        // A subprogram's snapshot also lists port images of global nets
-        // (cross-module refs promoted to ports, `clk.val` -> `clk_val`).
-        // The hardware wrapper exposes those as readable slots while the
-        // interpreter does not; skip them so the expanded set — and with
-        // it the VCD header — is identical in both engines. The net
-        // itself is already in the list above.
-        std::set<std::string> port_images;
-        for (const Net& net : nets_) {
-            std::string flat = net.name;
-            if (flat.rfind("root.", 0) == 0) {
-                flat.erase(0, 5);
-            }
-            std::replace(flat.begin(), flat.end(), '.', '_');
-            port_images.insert(std::move(flat));
-        }
-        if (Slot* user = user_slot(); user != nullptr) {
-            for (const auto& [reg, value] : user->engine->get_state().regs) {
-                if (port_images.count(reg) == 0) {
-                    names.push_back(reg);
-                }
-            }
-        }
-    }
-    std::sort(names.begin(), names.end());
-    names.erase(std::unique(names.begin(), names.end()), names.end());
-
-    sim::StateSnapshot snap;
-    if (Slot* user = user_slot(); user != nullptr) {
-        snap = user->engine->get_state();
-    }
-    for (const std::string& name : names) {
-        Probe probe;
-        probe.name = name;
-        probe.net_index = find_net(name);
-        probe.is_net = probe.net_index >= 0;
-        uint32_t width = 1;
-        if (probe.is_net) {
-            const Net& net = nets_[static_cast<size_t>(probe.net_index)];
-            width = net.has_value ? net.value.width() : 1;
-        } else {
-            const auto it = snap.regs.find(name);
-            if (it == snap.regs.end()) {
-                continue; // vanished since add_probe (program re-eval)
-            }
-            width = it->second.width();
-        }
-        if (vcd_.declare(name, width) >= 0) {
-            vcd_probes_.push_back(std::move(probe));
-        }
-    }
-    vcd_declared_ = true;
-}
-
-std::vector<const BitVector*>
-Runtime::gather_vcd_values(std::vector<BitVector>* storage)
-{
-    // Snapshot register values first so pointers stay stable.
-    storage->clear();
-    storage->reserve(vcd_probes_.size());
-    sim::StateSnapshot snap;
-    bool have_snap = false;
-    std::vector<const BitVector*> values(vcd_probes_.size(), nullptr);
-    // Two passes: copy every sampled value into storage, then take
-    // addresses (reserve above prevents reallocation in between).
-    for (const Probe& probe : vcd_probes_) {
-        if (probe.is_net) {
-            const Net& net = nets_[static_cast<size_t>(probe.net_index)];
-            storage->push_back(net.has_value ? net.value : BitVector());
-        } else {
-            if (!have_snap) {
-                if (Slot* user = user_slot(); user != nullptr) {
-                    snap = user->engine->get_state();
-                }
-                have_snap = true;
-            }
-            const auto it = snap.regs.find(probe.name);
-            storage->push_back(it != snap.regs.end() ? it->second
-                                                     : BitVector());
-        }
-    }
-    for (size_t i = 0; i < vcd_probes_.size(); ++i) {
-        const Probe& probe = vcd_probes_[i];
-        const bool missing =
-            probe.is_net
-                ? !nets_[static_cast<size_t>(probe.net_index)].has_value
-                : (*storage)[i].width() == 0;
-        values[i] = missing ? nullptr : &(*storage)[i];
-    }
-    return values;
-}
-
-void
-Runtime::sample_vcd()
-{
-    if (!vcd_capture_) {
-        return;
-    }
-    if (!vcd_.is_open()) {
-        // $dumpvars without an explicit $dumpfile falls back to a default.
-        const std::string path = vcd_requested_path_.empty()
-                                     ? "cascade.vcd"
-                                     : vcd_requested_path_;
-        std::string err;
-        if (!vcd_.open(path, &err)) {
-            enqueue_interrupt("vcd: " + err + "\n");
-            vcd_capture_ = false;
-            return;
-        }
-        vcd_requested_path_ = path;
-    }
-    if (!vcd_declared_) {
-        declare_vcd_signals();
-    }
-    std::vector<BitVector> storage;
-    if (vcd_pending_off_) {
-        vcd_pending_off_ = false;
-        vcd_.dump_off(clock_toggles_);
-    }
-    if (vcd_pending_on_) {
-        vcd_pending_on_ = false;
-        vcd_.dump_on(clock_toggles_, gather_vcd_values(&storage));
-    }
-    if (vcd_.dumping()) {
-        vcd_.sample(clock_toggles_, gather_vcd_values(&storage));
-        m_.vcd_samples->inc();
-    }
-    vcd_.flush();
-    const uint64_t bytes = vcd_.bytes_written();
-    if (bytes > vcd_bytes_seen_) {
-        m_.vcd_bytes->inc(bytes - vcd_bytes_seen_);
-        vcd_bytes_seen_ = bytes;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Interactive debugger
 // ---------------------------------------------------------------------------
-
-const BitVector*
-Runtime::debug_read(const std::string& name,
-                    std::map<std::string, BitVector>* cache)
-{
-    const auto cached = cache->find(name);
-    if (cached != cache->end()) {
-        return &cached->second;
-    }
-    const int ni = find_net(name);
-    if (ni >= 0 && nets_[static_cast<size_t>(ni)].has_value) {
-        return &nets_[static_cast<size_t>(ni)].value;
-    }
-    if (Slot* user = user_slot(); user != nullptr && user->engine) {
-        if (auto v = user->engine->peek(name)) {
-            return &cache->emplace(name, std::move(*v)).first->second;
-        }
-    }
-    return nullptr;
-}
 
 uint64_t
 Runtime::debug_break(const std::string& signal, const std::string& op,
@@ -1891,11 +1586,7 @@ Runtime::debug_break(const std::string& signal, const std::string& op,
         }
         return 0;
     }
-    std::map<std::string, BitVector> cache;
-    if (debug_read(signal, &cache) == nullptr) {
-        if (err != nullptr) {
-            *err = "unknown signal '" + signal + "'";
-        }
+    if (!capture_.read(signal, err).has_value()) {
         return 0;
     }
     const uint64_t seq = emit(EventKind::ApiDebugBreak,
@@ -1903,7 +1594,32 @@ Runtime::debug_break(const std::string& signal, const std::string& op,
                                   .str("signal", signal)
                                   .str("op", op)
                                   .str("value", value));
-    const uint64_t id = debugger_.add_break(signal, op, *parsed);
+    const uint64_t id =
+        arm_point(seq, debugger_.add_break(signal, op, *parsed));
+    log_event(LogLevel::Info, "debug",
+              "breakpoint #" + std::to_string(id) + " armed: " + signal +
+                  " " + op + " " + value);
+    return id;
+}
+
+uint64_t
+Runtime::debug_watch(const std::string& signal, std::string* err)
+{
+    bind_thread_tenant();
+    if (!capture_.read(signal, err).has_value()) {
+        return 0;
+    }
+    const uint64_t seq = emit(EventKind::ApiDebugWatch,
+                              JsonWriter().str("signal", signal));
+    const uint64_t id = arm_point(seq, debugger_.add_watch(signal));
+    log_event(LogLevel::Info, "debug",
+              "watchpoint #" + std::to_string(id) + " armed on " + signal);
+    return id;
+}
+
+uint64_t
+Runtime::arm_point(uint64_t seq, uint64_t id)
+{
     debug_arm_seq_[id] = seq;
     m_.debug_points->set(static_cast<int64_t>(debugger_.size()));
     // Flow arrow from the arming eval to the eventual fire.
@@ -1917,40 +1633,6 @@ Runtime::debug_break(const std::string& signal, const std::string& op,
                                  "open loop suspended)");
         }
     }
-    log_event(LogLevel::Info, "debug",
-              "breakpoint #" + std::to_string(id) + " armed: " + signal +
-                  " " + op + " " + value);
-    return id;
-}
-
-uint64_t
-Runtime::debug_watch(const std::string& signal, std::string* err)
-{
-    bind_thread_tenant();
-    std::map<std::string, BitVector> cache;
-    if (debug_read(signal, &cache) == nullptr) {
-        if (err != nullptr) {
-            *err = "unknown signal '" + signal + "'";
-        }
-        return 0;
-    }
-    const uint64_t seq = emit(EventKind::ApiDebugWatch,
-                              JsonWriter().str("signal", signal));
-    const uint64_t id = debugger_.add_watch(signal);
-    debug_arm_seq_[id] = seq;
-    m_.debug_points->set(static_cast<int64_t>(debugger_.size()));
-    telemetry::Tracer::global().flow("debug.arm", 's', seq);
-    if (hw_engine_ != nullptr) {
-        std::string derr;
-        if (!rearm_hardware_debug(&derr)) {
-            log_event(LogLevel::Warn, "debug",
-                      "hardware trigger instrumentation unavailable: " +
-                          derr + " (condition evaluates in software; "
-                                 "open loop suspended)");
-        }
-    }
-    log_event(LogLevel::Info, "debug",
-              "watchpoint #" + std::to_string(id) + " armed on " + signal);
     return id;
 }
 
@@ -2045,36 +1727,25 @@ Runtime::debug_peek(const std::string& signal, std::string* err)
 {
     bind_thread_tenant();
     emit(EventKind::ApiDebugPeek, JsonWriter().str("signal", signal));
-    std::map<std::string, BitVector> cache;
-    const BitVector* v = debug_read(signal, &cache);
-    if (v == nullptr) {
-        if (err != nullptr) {
-            *err = "unknown signal '" + signal + "'";
-        }
-        return std::nullopt;
+    std::optional<BitVector> v = capture_.read(signal, err);
+    if (v.has_value()) {
+        emit(EventKind::DebugPeek,
+             JsonWriter()
+                 .str("signal", signal)
+                 .str("value", "0x" + v->to_hex_string())
+                 .num("width", v->width())
+                 .num("tick", virtual_ticks()));
     }
-    emit(EventKind::DebugPeek, JsonWriter()
-                                   .str("signal", signal)
-                                   .str("value", "0x" + v->to_hex_string())
-                                   .num("width", v->width())
-                                   .num("tick", virtual_ticks()));
-    return *v;
+    return v;
 }
 
 void
 Runtime::debug_eval_window()
 {
-    std::map<std::string, BitVector> cache;
-    const bool hw_armed = hw_debug_armed_.load(std::memory_order_relaxed);
-    if (!hw_armed) {
-        // Pre-trigger ring: mirror the probed signals each window. While
-        // the triggers live in the fabric its own capture ring records
-        // instead (these windows never see open-loop cycles anyway).
-        sample_debug_ring(&cache);
-    }
     std::optional<Debugger::Fire> fire;
     bool hw_fire = false;
-    if (hw_armed && hw_engine_ != nullptr) {
+    if (hw_debug_armed_.load(std::memory_order_relaxed) &&
+        hw_engine_ != nullptr) {
         const uint64_t id = hw_engine_->debug_fired();
         if (id != 0) {
             const auto point = debugger_.note_fire(id);
@@ -2083,7 +1754,7 @@ Runtime::debug_eval_window()
                 f.id = id;
                 f.kind = point->kind;
                 f.signal = point->signal;
-                if (auto v = hw_engine_->peek(point->signal)) {
+                if (auto v = capture_.read(point->signal)) {
                     f.value = std::move(*v);
                 }
                 fire = std::move(f);
@@ -2091,10 +1762,9 @@ Runtime::debug_eval_window()
             }
         }
     } else {
-        fire = debugger_.evaluate(
-            [this, &cache](const std::string& name) {
-                return debug_read(name, &cache);
-            });
+        fire = debugger_.evaluate([this](const std::string& name) {
+            return capture_.sampled(name);
+        });
     }
     if (fire.has_value()) {
         handle_debug_fire(*fire, hw_fire);
@@ -2140,7 +1810,9 @@ Runtime::handle_debug_fire(const Debugger::Fire& fire, bool hw_fire)
     }
     // Dump the pre-trigger window before any eviction tears the fabric
     // (and its capture ring) down.
-    dump_debug_window(hw_fire);
+    const bool hw_ring = hw_fire && hw_engine_ != nullptr &&
+                         !hw_engine_->debug_ring().empty();
+    capture_.dump_window(debug_window_path_, hw_ring ? hw_engine_ : nullptr);
     debug_halt_start_us_ = tracer.now_us();
     debug_halted_.store(true, std::memory_order_relaxed);
     m_.debug_halted->set(1);
@@ -2159,122 +1831,10 @@ Runtime::handle_debug_fire(const Debugger::Fire& fire, bool hw_fire)
         // The fabric already reported this edge; re-baseline the
         // software evaluator so the same condition does not fire again
         // on the next window.
-        std::map<std::string, BitVector> cache;
-        debugger_.prime([this, &cache](const std::string& name) {
-            return debug_read(name, &cache);
-        });
+        debugger_.prime(
+            [this](const std::string& name) { return capture_.read(name); });
     }
     flush_interrupts();
-}
-
-void
-Runtime::sample_debug_ring(std::map<std::string, BitVector>* cache)
-{
-    // Signal set: the frozen VCD probes when a dump is active (same
-    // order, so the dumped window's identifier codes byte-match the main
-    // file's), else explicit probes, else the armed signals themselves.
-    std::vector<std::string> names;
-    if (vcd_declared_) {
-        names.reserve(vcd_probes_.size());
-        for (const Probe& p : vcd_probes_) {
-            names.push_back(p.name);
-        }
-    } else if (!probe_names_.empty()) {
-        names = probe_names_;
-        std::sort(names.begin(), names.end());
-        names.erase(std::unique(names.begin(), names.end()), names.end());
-    } else {
-        for (const auto& p : debugger_.points()) {
-            names.push_back(p.signal);
-        }
-        std::sort(names.begin(), names.end());
-        names.erase(std::unique(names.begin(), names.end()), names.end());
-    }
-    if (names != debug_ring_.names) {
-        debug_ring_.reset();
-        debug_ring_.names = std::move(names);
-    }
-    CaptureRing::Sample sample;
-    sample.time = clock_toggles_;
-    if (vcd_declared_) {
-        // Identical gather as sample_vcd() in this same window, so the
-        // ring's values (and the change records they render to) equal
-        // the main dump's.
-        std::vector<BitVector> storage;
-        gather_vcd_values(&storage);
-        sample.values = std::move(storage);
-    } else {
-        sample.values.reserve(debug_ring_.names.size());
-        for (const std::string& name : debug_ring_.names) {
-            const BitVector* v = debug_read(name, cache);
-            sample.values.push_back(v != nullptr ? *v : BitVector());
-        }
-    }
-    debug_ring_.push(sample.time, std::move(sample.values));
-}
-
-void
-Runtime::dump_debug_window(bool hw_fire)
-{
-    sim::VcdWriter window;
-    std::string err;
-    if (!window.open(debug_window_path_, &err)) {
-        log_event(LogLevel::Warn, "debug",
-                  "pre-trigger window dump failed: " + err);
-        return;
-    }
-    size_t samples = 0;
-    const bool use_hw_ring = hw_fire && hw_engine_ != nullptr &&
-                             !hw_engine_->debug_ring().empty();
-    if (use_hw_ring) {
-        // The fabric's capture ring: probed outputs of the instrumented
-        // twin, timestamped in fabric cycles.
-        const auto& probes = hw_engine_->debug_probes();
-        for (const auto& p : probes) {
-            window.declare(p.name, p.width);
-        }
-        for (const auto& s : hw_engine_->debug_ring()) {
-            std::vector<const BitVector*> values;
-            values.reserve(s.values.size());
-            for (const BitVector& v : s.values) {
-                values.push_back(&v);
-            }
-            window.sample(s.cycle, values);
-            ++samples;
-        }
-    } else {
-        // The runtime's mirror ring (virtual-clock timestamps).
-        for (size_t i = 0; i < debug_ring_.names.size(); ++i) {
-            uint32_t width = 1;
-            for (const auto& s : debug_ring_.samples) {
-                if (i < s.values.size() && s.values[i].width() != 0) {
-                    width = s.values[i].width();
-                    break;
-                }
-            }
-            window.declare(debug_ring_.names[i], width);
-        }
-        for (const auto& s : debug_ring_.samples) {
-            std::vector<const BitVector*> values;
-            values.reserve(s.values.size());
-            for (const BitVector& v : s.values) {
-                values.push_back(v.width() != 0 ? &v : nullptr);
-            }
-            window.sample(s.time, values);
-            ++samples;
-        }
-    }
-    window.flush();
-    window.close();
-    emit(EventKind::DebugWindow,
-         JsonWriter()
-             .str("path", debug_window_path_)
-             .num("samples", samples)
-             .str("source", use_hw_ring ? "hw" : "sw")
-             .str("digest", file_digest_hex(debug_window_path_)));
-    enqueue_interrupt("debug: pre-trigger window (" +
-                      std::to_string(samples) + " samples) -> " +
-                      debug_window_path_ + "\n");
 }
 
 bool
@@ -2299,15 +1859,7 @@ Runtime::rearm_hardware_debug(std::string* err)
         spec.value = p.value;
         specs.push_back(std::move(spec));
     }
-    // Ring probes: the explicit probe set if any, else the armed signals.
-    std::vector<std::string> probes = probe_names_;
-    if (probes.empty()) {
-        for (const auto& p : points) {
-            probes.push_back(p.signal);
-        }
-    }
-    std::sort(probes.begin(), probes.end());
-    probes.erase(std::unique(probes.begin(), probes.end()), probes.end());
+    const std::vector<std::string> probes = capture_.probe_set(false);
 
     std::unique_ptr<fpga::FabricExec> fabric;
     double mmio_latency_s = options_.mmio_latency_s;
@@ -2339,7 +1891,7 @@ Runtime::rearm_hardware_debug(std::string* err)
             p.width = inst.probe_widths[i];
             ring_probes.push_back(std::move(p));
         }
-        fabric->arm_debug(triggers, ring_probes, debug_ring_.depth);
+        fabric->arm_debug(triggers, ring_probes, Capture::kRingDepth);
     } else {
         // Last point deleted: the resident tier's plain engine again. On
         // the JIT rung that is the kernel (an in-process cache hit) at
@@ -2372,75 +1924,6 @@ Runtime::rearm_hardware_debug(std::string* err)
                         " capture-ring probe(s)"
                   : "fabric debug instrumentation removed");
     return true;
-}
-
-std::string
-Runtime::debug_table() const
-{
-    const auto points = debugger_.points();
-    std::string out;
-    out += "debugger: ";
-    out += debug_halted_.load(std::memory_order_relaxed)
-               ? "HALTED at tick " + std::to_string(virtual_ticks())
-               : "running";
-    out += hw_debug_armed_.load(std::memory_order_relaxed)
-               ? " (triggers in fabric)"
-               : "";
-    out += "\n";
-    if (points.empty()) {
-        out += "  no points armed (:break <sig> <op> <val>, "
-               ":watch <sig>)\n";
-        return out;
-    }
-    for (const auto& p : points) {
-        out += "  #" + std::to_string(p.id);
-        if (p.kind == Debugger::Kind::Watch) {
-            out += " watch " + p.signal;
-        } else {
-            out += " break " + p.signal + " " + p.op + " " +
-                   p.value.to_dec_string();
-        }
-        out += " [hits " + std::to_string(p.hits) + "]\n";
-    }
-    return out;
-}
-
-std::string
-Runtime::debug_json() const
-{
-    // Thread-safe: the monitor server calls this off-thread (the point
-    // table is snapshotted under the debugger's lock, the rest is
-    // atomics).
-    const auto points = debugger_.points();
-    telemetry::JsonWriter w;
-    w.str("schema", "cascade.debug.v1");
-    w.boolean("halted", debug_halted_.load(std::memory_order_relaxed));
-    w.boolean("hw_armed",
-              hw_debug_armed_.load(std::memory_order_relaxed));
-    w.num("fires", debugger_.total_fires());
-    w.num("points", points.size());
-    std::string items = "[";
-    bool first = true;
-    for (const auto& p : points) {
-        telemetry::JsonWriter pw;
-        pw.num("id", p.id);
-        pw.str("kind", p.kind == Debugger::Kind::Watch ? "watch"
-                                                       : "break");
-        pw.str("signal", p.signal);
-        if (p.kind == Debugger::Kind::Break) {
-            pw.str("op", p.op);
-            pw.str("value", p.value.to_dec_string());
-        }
-        pw.num("hits", p.hits);
-        if (!first) {
-            items += ",";
-        }
-        first = false;
-        items += pw.build();
-    }
-    items += "]";
-    w.raw("table", items);
-    return w.build();
 }
 
 // ---------------------------------------------------------------------------
@@ -2688,19 +2171,15 @@ Runtime::launch_compile()
 
     Diagnostics ediags;
     Elaborator elab(&ediags);
+    auto raw = elab.elaborate(*user->source, user->params);
+    if (raw == nullptr) {
+        return;
+    }
     std::shared_ptr<const ElaboratedModule> em;
     if (options_.native_mode) {
-        auto raw = elab.elaborate(*user->source, user->params);
-        if (raw == nullptr) {
-            return;
-        }
         em = std::shared_ptr<const ElaboratedModule>(std::move(raw));
         wiring.map.clock_input = clock_port;
     } else {
-        auto raw = elab.elaborate(*user->source, user->params);
-        if (raw == nullptr) {
-            return;
-        }
         auto wrapper = ir::generate_hw_wrapper(*raw, clock_port,
                                                &wiring.map, &diags);
         if (wrapper == nullptr) {
@@ -3315,9 +2794,7 @@ Runtime::run_open_loop()
     }
     emit(EventKind::OpenLoopGrant,
          JsonWriter().num("batch", grant).num("itrs", itrs));
-    static const bool oloop_env =
-        std::getenv("CASCADE_DEBUG_OLOOP") != nullptr;
-    if (oloop_env || Logger::instance().enabled(LogLevel::Debug)) {
+    if (Logger::instance().enabled(LogLevel::Debug)) {
         char buf[96];
         std::snprintf(buf, sizeof buf, "itrs=%llu batch=%llu wall=%.3f",
                       static_cast<unsigned long long>(itrs),
@@ -4032,13 +3509,13 @@ Runtime::set_profiling(bool on)
 }
 
 void
-Runtime::absorb_slot_profile(const Slot& slot, const std::string& clock_net)
+Runtime::merge_slot_profile(const Slot& slot, ProfileAccum* acc)
 {
     const auto* sw = dynamic_cast<const SwEngine*>(slot.engine.get());
     if (sw == nullptr) {
         return;
     }
-    auto& per_instance = profile_acc_[slot.instance];
+    auto& per_instance = (*acc)[slot.instance];
     for (const sim::ProcessProfile& p : sw->profile()) {
         ProcAccum& a = per_instance[p.key];
         if (a.label.empty()) {
@@ -4049,6 +3526,12 @@ Runtime::absorb_slot_profile(const Slot& slot, const std::string& clock_net)
         a.executions += p.executions;
         a.eval_ns += p.eval_ns;
     }
+}
+
+void
+Runtime::absorb_slot_profile(const Slot& slot, const std::string& clock_net)
+{
+    merge_slot_profile(slot, &profile_acc_);
     for (const auto& b : slot.sub.bindings) {
         if (!clock_net.empty() && b.global_net == clock_net) {
             hw_clock_ports_[slot.instance] = b.port;
@@ -4057,9 +3540,7 @@ Runtime::absorb_slot_profile(const Slot& slot, const std::string& clock_net)
 }
 
 void
-Runtime::attribute_hw_ticks(
-    std::map<std::string, std::map<std::string, ProcAccum>>* acc,
-    uint64_t ticks) const
+Runtime::attribute_hw_ticks(ProfileAccum* acc, uint64_t ticks) const
 {
     if (ticks == 0 || hw_clock_ports_.empty()) {
         return;
@@ -4101,21 +3582,7 @@ Runtime::profile() const
     // printed item) — so counts splice across engine transitions.
     auto acc = profile_acc_;
     for (const Slot& slot : slots_) {
-        const auto* sw = dynamic_cast<const SwEngine*>(slot.engine.get());
-        if (sw == nullptr) {
-            continue;
-        }
-        auto& per_instance = acc[slot.instance];
-        for (const sim::ProcessProfile& p : sw->profile()) {
-            ProcAccum& a = per_instance[p.key];
-            if (a.label.empty()) {
-                a.label = p.label;
-                a.kind = p.kind;
-                a.triggers = p.triggers;
-            }
-            a.executions += p.executions;
-            a.eval_ns += p.eval_ns;
-        }
+        merge_slot_profile(slot, &acc);
     }
     attribute_hw_ticks(&acc, posedges_seen() - hw_adopt_ticks_);
 

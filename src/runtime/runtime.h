@@ -24,10 +24,10 @@
 #include "fpga/compile.h"
 #include "ir/hw_wrapper.h"
 #include "ir/subprogram.h"
+#include "runtime/capture.h"
 #include "runtime/debugger.h"
 #include "runtime/engine.h"
 #include "runtime/events.h"
-#include "sim/vcd.h"
 #include "telemetry/export.h"
 #include "telemetry/journal.h"
 #include "telemetry/request_trace.h"
@@ -222,30 +222,39 @@ class Runtime : public EngineCallbacks {
     /// @}
 
     /// @{ Waveform capture (IEEE-1364 VCD). The dump is runtime-owned and
-    /// engine-agnostic: probe values are sampled at end of timestep from
-    /// global nets and the user subprogram's state snapshot, so the same
-    /// .vcd is produced whether the subprogram runs in software or on the
-    /// fabric — and a mid-run engine adoption splices into the open dump.
-    /// While a dump is active, open-loop scheduling is suspended (free
-    /// running would skip samples).
+    /// engine-agnostic (capture.h): probe values are sampled at end of
+    /// timestep from global nets and the user engine's peek, so the same
+    /// .vcd is produced whichever engine runs the subprogram — and a
+    /// mid-run engine adoption splices into the open dump. While a dump
+    /// is active, open-loop scheduling is suspended (free running would
+    /// skip samples).
 
     /// Opens (truncates) the dump file and starts capture at the next end
     /// of timestep. Fails (false + *err) on IO error.
-    bool vcd_open(const std::string& path, std::string* err = nullptr);
+    bool vcd_open(const std::string& path, std::string* err = nullptr)
+    {
+        return capture_.open(path, err);
+    }
     /// Flushes and closes the current dump (no-op without one); capture
     /// stops and a new vcd_open() may start a fresh file.
-    void close_vcd();
+    void close_vcd() { capture_.close(); }
     /// Capture requested and the file is (or will be) open.
-    bool vcd_active() const { return vcd_capture_; }
-    const std::string& vcd_path() const { return vcd_requested_path_; }
+    bool vcd_active() const { return capture_.active(); }
+    const std::string& vcd_path() const { return capture_.path(); }
     /// Adds a probe on a global net or a user-subprogram register. Errors
     /// on unknown signal, or once the first sample froze the signal set.
     /// With no explicit probes (or after $dumpvars) every net and register
     /// is dumped.
-    bool add_probe(const std::string& name, std::string* err = nullptr);
+    bool add_probe(const std::string& name, std::string* err = nullptr)
+    {
+        return capture_.add_probe(name, err);
+    }
     /// Removes an explicit probe by name (before the set freezes).
-    bool remove_probe(const std::string& name);
-    std::vector<std::string> probes() const { return probe_names_; }
+    bool remove_probe(const std::string& name)
+    {
+        return capture_.remove_probe(name);
+    }
+    std::vector<std::string> probes() const { return capture_.probes(); }
 
     /// Blocks (bounded by \p timeout_s wall seconds) until the in-flight
     /// background compile is adopted, polling without advancing virtual
@@ -312,9 +321,16 @@ class Runtime : public EngineCallbacks {
         return debug_window_path_;
     }
     /// Human-readable point table (the REPL's :debug view).
-    std::string debug_table() const;
+    std::string debug_table() const
+    {
+        return debugger_.table(debug_halted(), virtual_ticks(),
+                               hw_debug_armed());
+    }
     /// {"schema":"cascade.debug.v1"} snapshot (GET /debug). Thread-safe.
-    std::string debug_json() const;
+    std::string debug_json() const
+    {
+        return debugger_.json(debug_halted(), hw_debug_armed());
+    }
     /// @}
 
     /// @{ Telemetry (see README.md §Observability).
@@ -537,12 +553,19 @@ class Runtime : public EngineCallbacks {
     /// in an engine, so the once-per-change guarantee survives a sw -> hw
     /// engine handoff.
     void on_monitor(const std::string& key, const std::string& text) override;
-    void on_dumpfile(const std::string& path) override;
-    void on_dumpvars() override;
-    void on_dumpoff() override;
-    void on_dumpon() override;
+    void on_dumpfile(const std::string& path) override
+    {
+        capture_.on_dumpfile(path);
+    }
+    void on_dumpvars() override { capture_.on_dumpvars(); }
+    void on_dumpoff() override { capture_.on_dumpoff(); }
+    void on_dumpon() override { capture_.on_dumpon(); }
 
   private:
+    /// Reads nets and the user engine, and reports through emit, the
+    /// interrupt queue and the vcd.* counters.
+    friend class Capture;
+
     /// The delegate both public constructors funnel into (null service =
     /// construct a private one; null fabric = exclusive mode).
     Runtime(Options options, service::CompileService* service,
@@ -758,6 +781,13 @@ class Runtime : public EngineCallbacks {
         uint64_t eval_ns = 0;     ///< interpreter wall attribution
         uint64_t hw_triggers = 0; ///< fabric attribution (closed windows)
     };
+    /// instance -> canonical process key -> accumulator.
+    using ProfileAccum =
+        std::map<std::string, std::map<std::string, ProcAccum>>;
+
+    /// Adds a slot's interpreter counters into \p acc (no-op for a
+    /// compiled engine). Shared by profile() and absorb_slot_profile().
+    static void merge_slot_profile(const Slot& slot, ProfileAccum* acc);
 
     /// Folds a retiring slot's interpreter counters into profile_acc_
     /// and, when its processes move onto a compiled engine wired to
@@ -769,16 +799,7 @@ class Runtime : public EngineCallbacks {
     /// Shared by profile() and relocate(): adds \p ticks of fabric
     /// execution to every accumulated process driven purely by the
     /// adopted clock.
-    void attribute_hw_ticks(
-        std::map<std::string, std::map<std::string, ProcAccum>>* acc,
-        uint64_t ticks) const;
-
-    /// One declared VCD probe, resolved at declare time.
-    struct Probe {
-        std::string name;
-        bool is_net = false;
-        int net_index = -1; ///< nets_ index when is_net
-    };
+    void attribute_hw_ticks(ProfileAccum* acc, uint64_t ticks) const;
 
     /// Time-series + SLO sampling hook (called from window()): every
     /// timeseries_interval_s wall seconds it records ticks/s, queue
@@ -789,37 +810,21 @@ class Runtime : public EngineCallbacks {
     /// The `tenant` label value in shared mode ("" in exclusive mode).
     std::string monitor_tenant_label() const;
 
-    /// End-of-timestep sampling hook (called from window()).
-    void sample_vcd();
-    /// Freezes the probe set: expands probe-all / explicit names into
-    /// resolved probes and declares them with the writer, sorted by name.
-    void declare_vcd_signals();
-    /// Gathers current probe values (index-aligned with declared probes);
-    /// \p storage owns snapshot copies the pointers refer into.
-    std::vector<const BitVector*> gather_vcd_values(
-        std::vector<BitVector>* storage);
-    /// True if \p name resolves to a net or user register right now.
-    bool signal_exists(const std::string& name) const;
-
     /// @{ Debugger internals (see the public block above).
     /// Armed-condition evaluation hook, called once per inter-timestep
-    /// window when debugger_.armed(): samples the pre-trigger ring,
+    /// window when debugger_.armed(), after the pre-trigger ring sample:
     /// evaluates software conditions (or drains the fabric's trigger
     /// state while hw_debug_armed_), and dispatches fires.
     void debug_eval_window();
+    /// The arming tail debug_break and debug_watch share: records point
+    /// \p id's arming event \p seq (a trace flow to its fire), updates
+    /// the point gauge, and re-instruments a hardware engine.
+    uint64_t arm_point(uint64_t seq, uint64_t id);
     /// One fired point: journals `debug.fire`, posts the operator line,
     /// dumps the pre-trigger window, halts the virtual clock, and — on a
     /// hardware-origin fire — evicts to software so stepping is
     /// cycle-accurate in the interpreter.
     void handle_debug_fire(const Debugger::Fire& fire, bool hw_fire);
-    /// Writes the pre-trigger capture ring (fabric ring on a hardware
-    /// fire, the runtime's mirror ring otherwise) to debug_window_path_.
-    void dump_debug_window(bool hw_fire);
-    /// Pushes one sample of the probed signal set into debug_ring_.
-    /// Mirrors the frozen VCD probe set when a dump is active (same
-    /// signal order, so a dumped window byte-matches the main file's
-    /// tail), else explicit probes, else the armed signals.
-    void sample_debug_ring(std::map<std::string, BitVector>* cache);
     /// Swaps the resident hardware engine for an instrumented twin
     /// (trigger comparator cells + capture ring) — or back to the plain
     /// tier when the last point is deleted — rebuilt from resident_ and
@@ -827,11 +832,6 @@ class Runtime : public EngineCallbacks {
     /// instrumentation is unavailable (condition evaluation then falls
     /// back to per-window software reads with open loop suspended).
     bool rearm_hardware_debug(std::string* err);
-    /// Name lookup for condition evaluation / :peek: global nets first,
-    /// then the user engine's peek ABI (\p cache owns engine readbacks
-    /// so repeated lookups in one window cost one MMIO read).
-    const BitVector* debug_read(const std::string& name,
-                                std::map<std::string, BitVector>* cache);
     /// @}
 
     /// Cached handles into telemetry_ so hot-path recording is a single
@@ -907,17 +907,8 @@ class Runtime : public EngineCallbacks {
     /// $monitor on-change suppression: key -> last printed text.
     std::map<std::string, std::string> monitor_last_;
 
-    // Waveform capture state.
-    sim::VcdWriter vcd_;
-    std::string vcd_requested_path_; ///< from $dumpfile or :vcd
-    bool vcd_capture_ = false;       ///< $dumpvars executed or :vcd issued
-    bool vcd_declared_ = false;      ///< signal set frozen (header written)
-    bool vcd_probe_all_ = false;     ///< $dumpvars: dump everything
-    bool vcd_pending_off_ = false;   ///< $dumpoff seen mid-step
-    bool vcd_pending_on_ = false;    ///< $dumpon seen mid-step
-    std::vector<std::string> probe_names_; ///< explicit :probe names
-    std::vector<Probe> vcd_probes_;        ///< resolved at declare time
-    uint64_t vcd_bytes_seen_ = 0; ///< last writer byte count mirrored
+    /// Probes, the VCD dump and the pre-trigger ring.
+    Capture capture_{*this};
 
     // Peripheral state. The peripheral nets keep their names when the
     // stdlib merges into an adopted engine, so these lists, resolved at
@@ -929,8 +920,8 @@ class Runtime : public EngineCallbacks {
     std::vector<std::string> leds_;
     std::vector<FifoBinding> fifos_;
 
-    // Profiler state: instance -> canonical process key -> accumulator.
-    std::map<std::string, std::map<std::string, ProcAccum>> profile_acc_;
+    // Profiler state: retired engines' banked counters.
+    ProfileAccum profile_acc_;
     /// Per retired-into-hardware instance: the local port name the
     /// adopted clock entered through (trigger descriptions use local
     /// names). Filled at adoption, cleared by a rebuild.
@@ -954,8 +945,6 @@ class Runtime : public EngineCallbacks {
     /// The resident hardware engine carries synthesized trigger cells
     /// (conditions fire in the fabric; the runtime only drains state).
     std::atomic<bool> hw_debug_armed_{false};
-    /// Software-side pre-trigger capture ring (hardware keeps its own).
-    CaptureRing debug_ring_;
     std::string debug_window_path_ = "cascade-debug-window.vcd";
     /// Point id -> journal seq of its arming event (flow arrows from
     /// arming eval to fire on the trace timeline).

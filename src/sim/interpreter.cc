@@ -1298,7 +1298,9 @@ const BitVector*
 ModuleInterpreter::find(const std::string& name) const
 {
     const auto it = em_->net_index.find(name);
-    return it == em_->net_index.end() ? nullptr : &values_[it->second];
+    return it == em_->net_index.end() || em_->nets[it->second].array_size > 0
+               ? nullptr
+               : &values_[it->second];
 }
 
 void

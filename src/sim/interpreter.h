@@ -119,8 +119,8 @@ class ModuleInterpreter {
     /// @{ Value access by net name (ports, regs, wires alike).
     const BitVector& get(const std::string& name) const;
     const BitVector& get(uint32_t net_id) const;
-    /// Like get(), but returns nullptr for unknown names (debugger
-    /// `:peek`/condition evaluation probes speculatively).
+    /// Like get(), but returns nullptr for unknown names and memories
+    /// (debugger `:peek`/condition evaluation probes speculatively).
     const BitVector* find(const std::string& name) const;
     /// Drives an input port (or any net) from outside; triggers edge
     /// detection and marks dependents for re-evaluation.

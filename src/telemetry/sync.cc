@@ -273,8 +273,6 @@ SyncRegistry::reset()
     tenant_wait_.clear();
 }
 
-#if CASCADE_SYNC_TELEMETRY
-
 Mutex::Mutex(const char* site_name)
     : site_(SyncRegistry::global().site(site_name, "mutex"))
 {
@@ -373,7 +371,5 @@ CondVar::note_wait(uint64_t waited_ns)
                                               waited_ns);
     }
 }
-
-#endif // CASCADE_SYNC_TELEMETRY
 
 } // namespace cascade::telemetry

@@ -19,9 +19,6 @@
 ///    public entry points; untenanted threads (compile workers, tests)
 ///    report tenant 0 and are excluded from tenant-wait rankings so a
 ///    worker parked on its work CV does not masquerade as contention.
-///  - Compile-time switch: building with -DCASCADE_SYNC_TELEMETRY=0
-///    turns both wrappers into fully inline forwarders around the
-///    std types — a codegen-neutral no-op.
 
 #ifndef CASCADE_TELEMETRY_SYNC_H
 #define CASCADE_TELEMETRY_SYNC_H
@@ -36,10 +33,6 @@
 #include <vector>
 
 #include "telemetry/telemetry.h"
-
-#ifndef CASCADE_SYNC_TELEMETRY
-#define CASCADE_SYNC_TELEMETRY 1
-#endif
 
 namespace cascade::telemetry {
 
@@ -153,8 +146,6 @@ class SyncRegistry {
     std::map<uint64_t, uint64_t> tenant_wait_;
 };
 
-#if CASCADE_SYNC_TELEMETRY
-
 /// Instrumented std::mutex: BasicLockable/Lockable, so it works with
 /// std::lock_guard / std::unique_lock / std::scoped_lock unchanged.
 class Mutex {
@@ -247,78 +238,6 @@ class CondVar {
     std::condition_variable_any cv_;
     SyncSite* const site_;
 };
-
-#else // !CASCADE_SYNC_TELEMETRY
-
-/// No-op variants: inline forwarders the optimizer collapses to the
-/// std types. The site-name argument is swallowed at compile time.
-class Mutex {
-  public:
-    explicit Mutex(const char*) {}
-
-    Mutex(const Mutex&) = delete;
-    Mutex& operator=(const Mutex&) = delete;
-
-    void lock() { m_.lock(); }
-    bool try_lock() { return m_.try_lock(); }
-    void unlock() { m_.unlock(); }
-
-    SyncSite* site() const { return nullptr; }
-    uint64_t owner_tenant() const { return 0; }
-
-  private:
-    std::mutex m_;
-};
-
-class CondVar {
-  public:
-    explicit CondVar(const char*) {}
-
-    CondVar(const CondVar&) = delete;
-    CondVar& operator=(const CondVar&) = delete;
-
-    void notify_one() { cv_.notify_one(); }
-    void notify_all() { cv_.notify_all(); }
-
-    template <typename Lock>
-    void
-    wait(Lock& lock)
-    {
-        cv_.wait(lock);
-    }
-
-    template <typename Lock, typename Pred>
-    void
-    wait(Lock& lock, Pred pred)
-    {
-        cv_.wait(lock, std::move(pred));
-    }
-
-    template <typename Lock, typename Rep, typename Period, typename Pred>
-    bool
-    wait_for(Lock& lock, const std::chrono::duration<Rep, Period>& dur,
-             Pred pred)
-    {
-        return cv_.wait_for(lock, dur, std::move(pred));
-    }
-
-    template <typename Lock, typename Clock, typename Duration,
-              typename Pred>
-    bool
-    wait_until(Lock& lock,
-               const std::chrono::time_point<Clock, Duration>& deadline,
-               Pred pred)
-    {
-        return cv_.wait_until(lock, deadline, std::move(pred));
-    }
-
-    SyncSite* site() const { return nullptr; }
-
-  private:
-    std::condition_variable_any cv_;
-};
-
-#endif // CASCADE_SYNC_TELEMETRY
 
 } // namespace cascade::telemetry
 

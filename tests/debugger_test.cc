@@ -282,6 +282,46 @@ TEST(Debugger, HardwareTriggerEvictsStepsAndReadmits)
     std::filesystem::remove(win_path);
 }
 
+TEST(Debugger, NativeResidentSignalsReadLikeProbes)
+{
+    // Native mode runs the design uninstrumented on the fabric: points
+    // evaluate in software through the engine's peek, which must know
+    // the same registers add_probe accepts.
+    Runtime::Options opts = hw_fast();
+    opts.native_mode = true;
+    opts.enable_open_loop = false; // deterministic tick accounting
+    const std::string win_path = temp_path("native_window.vcd");
+    Runtime rt(opts);
+    rt.on_output = [](const std::string&) {};
+    rt.set_debug_window_path(win_path);
+    std::string err;
+    ASSERT_TRUE(rt.eval(kCounter16, &err)) << err;
+    ASSERT_TRUE(rt.wait_for_hardware(30.0));
+    ASSERT_EQ(rt.user_location(), Location::Native);
+    rt.run_for_ticks(4);
+
+    ASSERT_TRUE(rt.add_probe("cnt", &err)) << err;
+    const auto c0 = rt.debug_peek("cnt", &err);
+    ASSERT_TRUE(c0.has_value()) << err;
+    EXPECT_EQ(c0->width(), 16u);
+    rt.run_for_ticks(3);
+    EXPECT_EQ(rt.debug_peek("cnt", &err)->to_uint64(), c0->to_uint64() + 3);
+    EXPECT_FALSE(rt.debug_peek("no_such_signal", &err).has_value());
+    EXPECT_EQ(rt.debug_watch("no_such_signal", &err), 0u);
+
+    const uint64_t watch = rt.debug_watch("cnt", &err);
+    ASSERT_NE(watch, 0u) << err;
+    EXPECT_TRUE(rt.debug_delete(watch));
+    const uint64_t target = c0->to_uint64() + 20;
+    ASSERT_NE(rt.debug_break("cnt", "==", std::to_string(target), &err),
+              0u)
+        << err;
+    ASSERT_TRUE(run_until_halted(&rt));
+    EXPECT_EQ(rt.debug_peek("cnt", &err)->to_uint64(), target);
+
+    std::filesystem::remove(win_path);
+}
+
 TEST(Debugger, DeletingLastPointOnJitRungRestoresTheKernel)
 {
     // On the JIT rung (the 10-LE device rejects the fabric) arming swaps

@@ -303,13 +303,11 @@ TEST(ReplMeta, StatsResetClearsSyncSitesTimeseriesAndSlo)
         }
         return uint64_t{0};
     };
-#if CASCADE_SYNC_TELEMETRY
     telemetry::Mutex mu("repl_test.reset_probe");
     {
         std::lock_guard<telemetry::Mutex> lock(mu);
     }
     ASSERT_GT(probe_acquisitions(), 0u);
-#endif
     h.runtime().timeseries().sample("probe", 0.0, 1.0);
     ASSERT_FALSE(h.runtime().timeseries().names().empty());
     h.runtime().slo_tracker().record_cold_compile(0.0, 1.0);

@@ -10,9 +10,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -188,6 +190,39 @@ TEST(Replay, TamperedJournalReportsFirstDivergingEvent)
         << report.summary();
 
     std::filesystem::remove(path);
+}
+
+TEST(Replay, VcdDigestReplaysAfterTheWallClockSecondChanges)
+{
+    // vcd.digest is a compared event, so it must depend only on the
+    // signal data, not on the dump's $date header line.
+    const std::string path = temp_path("vcd_session.jsonl");
+    const std::string vcd_path = temp_path("vcd_session.vcd");
+    {
+        Runtime::Options opts;
+        opts.enable_hardware = false;
+        Runtime rt(opts);
+        std::string err;
+        ASSERT_TRUE(rt.start_recording(path, &err)) << err;
+        ASSERT_TRUE(rt.eval("reg [7:0] n = 0;\n"
+                            "always @(posedge clk.val) n <= n + 1;\n"));
+        ASSERT_TRUE(rt.add_probe("n", &err)) << err;
+        ASSERT_TRUE(rt.vcd_open(vcd_path, &err)) << err;
+        rt.run_for_ticks(8);
+        rt.close_vcd();
+        rt.stop_recording();
+    }
+    // Replay rewrites the dump at the same path with a later $date.
+    const std::time_t recorded = std::time(nullptr);
+    while (std::time(nullptr) == recorded) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    const ReplayReport report = replay_journal(path);
+    EXPECT_TRUE(report.ok) << report.summary();
+    EXPECT_FALSE(report.diverged) << report.summary();
+
+    std::filesystem::remove(path);
+    std::filesystem::remove(vcd_path);
 }
 
 TEST(Replay, RecordingRequiresFreshSession)

@@ -410,7 +410,7 @@ TEST(RuntimeExtra, AdoptWithClockHighRunsNoLostPosedge)
             Runtime rt(opts);
             bool release = false;
             rt.set_oracle(std::make_unique<HoldAdoption>(&release));
-            // The count shows on the Led: a native engine has no peek.
+            // The count shows on the Led.
             const std::string src =
                 "Led#(8) led();\n"
                 "reg [31:0] cnt = 0;\n"

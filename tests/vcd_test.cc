@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "jit/jit_cache.h"
 #include "runtime/runtime.h"
 
 namespace cascade {
@@ -177,21 +178,52 @@ hw_fast()
     return opts;
 }
 
-/// Runs kCounterDesign for 3+3 virtual ticks with VCD capture of `cnt`,
-/// in one of three engine placements, and returns the date-stripped dump.
-enum class Placement { SoftwareOnly, HardwareFirst, AdoptMidRun };
+/// Where a capture runs: the interpreter throughout, adopted at virtual
+/// tick 0 (the fabric, native mode, or the JIT kernel on a device too
+/// small for the fabric), or adopted between the two capture halves.
+enum class Placement { SoftwareOnly, HardwareFirst, AdoptMidRun, Native, Jit };
 
+Runtime::Options
+placement_options(Placement placement)
+{
+    Runtime::Options opts =
+        placement == Placement::SoftwareOnly ? sw_only() : hw_fast();
+    opts.native_mode = placement == Placement::Native;
+    if (placement == Placement::Jit) {
+        opts.device_les = 10; // the fabric rejects the design
+    }
+    return opts;
+}
+
+/// Adopts the placement's engine without advancing virtual time.
+void
+adopt_at_tick_zero(Runtime* rt, Placement placement)
+{
+    if (placement == Placement::HardwareFirst ||
+        placement == Placement::Native) {
+        EXPECT_TRUE(rt->wait_for_hardware(30.0));
+    } else if (placement == Placement::Jit) {
+        const auto start = std::chrono::steady_clock::now();
+        while (rt->user_location() != runtime::Location::Jit &&
+               std::chrono::steady_clock::now() - start <
+                   std::chrono::seconds(60)) {
+            rt->wait_for_hardware(0.05);
+        }
+        EXPECT_EQ(rt->user_location(), runtime::Location::Jit);
+    }
+    EXPECT_EQ(rt->virtual_ticks(), 0u);
+}
+
+/// Runs kCounterDesign for 3+3 virtual ticks with VCD capture of `cnt`
+/// in one engine placement, and returns the date-stripped dump.
 std::string
 capture_counter(Placement placement, const std::string& path)
 {
-    Runtime rt(placement == Placement::SoftwareOnly ? sw_only() : hw_fast());
+    Runtime rt(placement_options(placement));
     rt.on_output = [](const std::string&) {};
     std::string errors;
     EXPECT_TRUE(rt.eval(kCounterDesign, &errors)) << errors;
-    if (placement == Placement::HardwareFirst) {
-        // Adopt the fabric at virtual tick 0, before any capture window.
-        EXPECT_TRUE(rt.wait_for_hardware(30.0));
-    }
+    adopt_at_tick_zero(&rt, placement);
     std::string err;
     EXPECT_TRUE(rt.add_probe("cnt", &err)) << err;
     EXPECT_TRUE(rt.vcd_open(path, &err)) << err;
@@ -225,6 +257,16 @@ TEST(RuntimeVcd, GoldenAcrossEnginePlacements)
     const std::string mixed =
         capture_counter(Placement::AdoptMidRun, temp_path("gold_mix.vcd"));
     EXPECT_EQ(sw, mixed) << "mid-run adoption dump diverged from software";
+
+    const std::string native =
+        capture_counter(Placement::Native, temp_path("gold_native.vcd"));
+    EXPECT_EQ(sw, native) << "native-mode dump diverged from software";
+
+    if (jit::compiler_available()) {
+        const std::string jit =
+            capture_counter(Placement::Jit, temp_path("gold_jit.vcd"));
+        EXPECT_EQ(sw, jit) << "JIT-kernel dump diverged from software";
+    }
 }
 
 /// The acceptance scenario verbatim: capture configured by the program
@@ -233,17 +275,22 @@ TEST(RuntimeVcd, GoldenAcrossEnginePlacements)
 std::string
 capture_dumpvars(Placement placement, const std::string& path)
 {
-    Runtime rt(placement == Placement::SoftwareOnly ? sw_only() : hw_fast());
+    Runtime rt(placement_options(placement));
     rt.on_output = [](const std::string&) {};
     std::string errors;
     // Initial blocks run at eval, in software, before any adoption: the
     // dump configuration is runtime-side state and survives the handoff.
-    EXPECT_TRUE(rt.eval("initial begin $dumpfile(\"" + path +
-                            "\"); $dumpvars; end\n" + kCounterDesign,
-                        &errors))
+    // Native mode compiles the design as written and so cannot carry
+    // system tasks; it opens the same whole-design dump (no explicit
+    // probes) through the API instead.
+    const bool native = placement == Placement::Native;
+    const std::string tasks =
+        "initial begin $dumpfile(\"" + path + "\"); $dumpvars; end\n";
+    EXPECT_TRUE(rt.eval((native ? "" : tasks) + kCounterDesign, &errors))
         << errors;
-    if (placement == Placement::HardwareFirst) {
-        EXPECT_TRUE(rt.wait_for_hardware(30.0));
+    adopt_at_tick_zero(&rt, placement);
+    if (native) {
+        EXPECT_TRUE(rt.vcd_open(path, &errors)) << errors;
     }
     rt.run_for_ticks(3);
     if (placement == Placement::AdoptMidRun) {
@@ -268,6 +315,16 @@ TEST(RuntimeVcd, GoldenDumpvarsAcrossEnginePlacements)
     const std::string mixed =
         capture_dumpvars(Placement::AdoptMidRun, temp_path("dv_mix.vcd"));
     EXPECT_EQ(sw, mixed) << "$dumpvars dump diverged across adoption";
+
+    const std::string native =
+        capture_dumpvars(Placement::Native, temp_path("dv_native.vcd"));
+    EXPECT_EQ(sw, native) << "$dumpvars dump diverged in native mode";
+
+    if (jit::compiler_available()) {
+        const std::string jit =
+            capture_dumpvars(Placement::Jit, temp_path("dv_jit.vcd"));
+        EXPECT_EQ(sw, jit) << "$dumpvars dump diverged on the JIT kernel";
+    }
 }
 
 TEST(RuntimeVcd, ProbeValidationAndFreeze)
@@ -279,6 +336,9 @@ TEST(RuntimeVcd, ProbeValidationAndFreeze)
     std::string err;
     EXPECT_FALSE(rt.add_probe("no_such_signal", &err));
     EXPECT_NE(err.find("unknown signal"), std::string::npos) << err;
+    // A memory has no single value to dump.
+    ASSERT_TRUE(rt.eval("reg [7:0] mem [0:3];", &errors)) << errors;
+    EXPECT_FALSE(rt.add_probe("mem", &err));
 
     ASSERT_TRUE(rt.add_probe("cnt", &err)) << err;
     EXPECT_EQ(rt.probes().size(), 1u);
