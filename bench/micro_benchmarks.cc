@@ -152,6 +152,35 @@ BM_JitCycle(benchmark::State& state)
 }
 BENCHMARK(BM_JitCycle);
 
+/// BM_JitCycle through the raw-word calls the hardware engine drives its
+/// AXI pins with: the clock's port index is resolved once and its level
+/// passed as a word, so no BitVector is built and no name looked up.
+void
+BM_JitCycleRaw(benchmark::State& state)
+{
+    if (!jit::compiler_available()) {
+        state.SkipWithError("no system compiler; JIT tier unavailable");
+        return;
+    }
+    Diagnostics diags;
+    auto nl = fpga::synthesize(*counter_module(), &diags);
+    std::shared_ptr<const fpga::Netlist> shared(std::move(nl));
+    std::string error;
+    auto kern = jit::JitKernel::create(shared, &error);
+    if (kern == nullptr) {
+        state.SkipWithError(("jit build failed: " + error).c_str());
+        return;
+    }
+    const int clk = kern->input_index("clk");
+    uint64_t level = 0;
+    for (auto _ : state) {
+        level ^= 1;
+        kern->set_input_word(clk, level);
+        kern->step();
+    }
+}
+BENCHMARK(BM_JitCycleRaw);
+
 /// Fabric-activity counters toggled by the benchmark arg; Arg(0) must
 /// match BM_BitstreamCycle (the instrumented eval is a separate twin, so
 /// the disabled path carries no per-cell bookkeeping).
@@ -221,28 +250,34 @@ BM_ShaJitCycle(benchmark::State& state)
 }
 BENCHMARK(BM_ShaJitCycle);
 
-/// The miner above inside the Fig. 10 MMIO wrapper, synthesized: the
-/// netlist the JIT and fabric rungs actually run.
-struct WrappedSha {
+/// A design inside the Fig. 10 MMIO wrapper, synthesized: the netlist the
+/// JIT and fabric rungs actually run.
+struct WrappedDesign {
     std::shared_ptr<const fpga::Netlist> netlist;
     ir::WrapperMap map;
 };
 
-const WrappedSha&
+/// Wraps module \p src (open-loop clock "clk") and synthesizes it.
+WrappedDesign
+wrap_design(const std::string& src)
+{
+    Diagnostics diags;
+    auto unit = verilog::parse(src, &diags);
+    verilog::Elaborator elab(&diags);
+    auto em = elab.elaborate(*unit.modules[0]);
+    WrappedDesign out;
+    auto wrapper = ir::generate_hw_wrapper(*em, "clk", &out.map, &diags);
+    auto wrapped = elab.elaborate(*wrapper);
+    out.netlist = fpga::synthesize(*wrapped, &diags);
+    return out;
+}
+
+/// The miner above, wrapped.
+const WrappedDesign&
 wrapped_sha()
 {
-    static const WrappedSha w = [] {
-        Diagnostics diags;
-        auto unit =
-            verilog::parse(workloads::proof_of_work_module(16), &diags);
-        verilog::Elaborator elab(&diags);
-        auto em = elab.elaborate(*unit.modules[0]);
-        WrappedSha out;
-        auto wrapper = ir::generate_hw_wrapper(*em, "clk", &out.map, &diags);
-        auto wrapped = elab.elaborate(*wrapper);
-        out.netlist = fpga::synthesize(*wrapped, &diags);
-        return out;
-    }();
+    static const WrappedDesign w =
+        wrap_design(workloads::proof_of_work_module(16));
     return w;
 }
 
@@ -252,7 +287,7 @@ void
 run_wrapped_open_loop(benchmark::State& state,
                       std::unique_ptr<fpga::FabricExec> fabric)
 {
-    const WrappedSha& w = wrapped_sha();
+    const WrappedDesign& w = wrapped_sha();
     runtime::HwEngine eng(std::move(fabric), w.map, {"clk", "led_val"},
                           {true, false}, nullptr, 50.0, 0.0);
     uint64_t ticks = 0;
@@ -288,6 +323,85 @@ BM_WrappedShaJitOpenLoopCycle(benchmark::State& state)
     run_wrapped_open_loop(state, std::move(kern));
 }
 BENCHMARK(BM_WrappedShaJitOpenLoopCycle);
+
+/// The regex matcher reading a 256-entry FIFO ring in its own state, in
+/// the Fig. 10 wrapper: the design the stream workload's kernel runs.
+const WrappedDesign&
+wrapped_regex()
+{
+    static const WrappedDesign w =
+        wrap_design(workloads::regex_fifo_module());
+    return w;
+}
+
+/// One host refill of the FIFO, as the runtime feeds it between grants
+/// (read head and tail, store 256 bytes, advance tail), plus the grant of
+/// 256 design ticks that drains it. Arg(1) stores the bytes in one span
+/// (HwEngine::write_mem); Arg(0) writes each byte over MMIO, as the feed
+/// did before the span write. byte_s is wall time per byte.
+void
+run_wrapped_refill(benchmark::State& state,
+                   std::unique_ptr<fpga::FabricExec> fabric)
+{
+    const WrappedDesign& w = wrapped_regex();
+    runtime::HwEngine eng(std::move(fabric), w.map, {"clk", "nhits"},
+                          {true, false}, nullptr, 50.0, 0.0);
+    const ir::VarSlot& mem = *eng.map().find("f__mem");
+    const ir::VarSlot& head = *eng.map().find("f__head");
+    const ir::VarSlot& tail = *eng.map().find("f__tail");
+    std::vector<uint64_t> bytes(256);
+    for (size_t i = 0; i < bytes.size(); ++i) {
+        bytes[i] = "GET /index.html HTTP/1.1 "[i % 25];
+    }
+    const bool span = state.range(0) != 0;
+    uint64_t fed = 0;
+    for (auto _ : state) {
+        const uint64_t h = eng.read_var(head).to_uint64();
+        const uint64_t t = eng.read_var(tail).to_uint64();
+        if (((t - h) & 511) != 0) {
+            state.SkipWithError("grant did not drain the refill");
+            break;
+        }
+        if (span) {
+            eng.write_mem(mem, t & 255, bytes.data(), bytes.size());
+        } else {
+            for (size_t i = 0; i < bytes.size(); ++i) {
+                eng.write_var(mem, BitVector(8, bytes[i]), (t + i) & 255);
+            }
+        }
+        eng.write_var(tail, BitVector(9, (t + bytes.size()) & 511));
+        eng.open_loop(2 * bytes.size());
+        fed += bytes.size();
+    }
+    state.counters["byte_s"] = benchmark::Counter(
+        static_cast<double>(fed),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void
+BM_WrappedRegexBitstreamRefillCycle(benchmark::State& state)
+{
+    run_wrapped_refill(
+        state, std::make_unique<fpga::Bitstream>(wrapped_regex().netlist));
+}
+BENCHMARK(BM_WrappedRegexBitstreamRefillCycle)->Arg(0)->Arg(1);
+
+void
+BM_WrappedRegexJitRefillCycle(benchmark::State& state)
+{
+    if (!jit::compiler_available()) {
+        state.SkipWithError("no system compiler; JIT tier unavailable");
+        return;
+    }
+    std::string error;
+    auto kern = jit::JitKernel::create(wrapped_regex().netlist, &error);
+    if (kern == nullptr) {
+        state.SkipWithError(("jit build failed: " + error).c_str());
+        return;
+    }
+    run_wrapped_refill(state, std::move(kern));
+}
+BENCHMARK(BM_WrappedRegexJitRefillCycle)->Arg(0)->Arg(1);
 
 /// Uncontended lock/unlock cost of the raw std::mutex — the baseline for
 /// BM_TelemetryMutexLockUnlock below.

@@ -86,6 +86,21 @@ Bitstream::set_input(int index, const BitVector& value)
     }
 }
 
+void
+Bitstream::set_input_word(int index, uint64_t value)
+{
+    const PortDef& port = nl_->inputs[static_cast<size_t>(index)];
+    CASCADE_CHECK(port.width <= 64);
+    if (port.width < 64) {
+        value &= (uint64_t{1} << port.width) - 1;
+    }
+    BitVector& cur = values_[port.node];
+    if (cur.word(0) != value) {
+        cur.set_word(0, value);
+        dirty_ |= domains_.input[static_cast<size_t>(index)];
+    }
+}
+
 const BitVector&
 Bitstream::output(const std::string& name) const
 {
@@ -369,7 +384,28 @@ Bitstream::set_mem(const std::string& name, uint64_t idx,
     const uint32_t m = mem_index_.at(name);
     CASCADE_CHECK(idx < mem_state_[m].size());
     mem_state_[m][idx] = value.resized(nl_->mems[m].width);
-    dirty_ = ~uint64_t{0};
+    dirty_ |= domains_.mem[m];
+}
+
+int
+Bitstream::mem_index(const std::string& name) const
+{
+    const auto it = mem_index_.find(name);
+    return it == mem_index_.end() ? -1 : static_cast<int>(it->second);
+}
+
+void
+Bitstream::write_mem(int mem, uint64_t first, const uint64_t* values,
+                     size_t count)
+{
+    const auto m = static_cast<size_t>(mem);
+    auto& contents = mem_state_[m];
+    CASCADE_CHECK(nl_->mems[m].width <= 64 && first <= contents.size() &&
+                  count <= contents.size() - first);
+    for (size_t k = 0; k < count; ++k) {
+        contents[first + k].set_word(0, values[k]);
+    }
+    dirty_ |= domains_.mem[m];
 }
 
 } // namespace cascade::fpga

@@ -41,6 +41,18 @@ class Bitstream : public FabricExec {
     const BitVector& output(int index) const override;
     /// @}
 
+    /// @{ Raw-word access by index (see FabricExec).
+    void set_input_word(int index, uint64_t value) override;
+    uint64_t output_word(int index) const override
+    {
+        return values_[nl_->outputs[static_cast<size_t>(index)].node].word(0);
+    }
+    int mem_index(const std::string& name) const override;
+    void write_mem(int mem, uint64_t first, const uint64_t* values,
+                   size_t count) override;
+    void charge_cycles(uint64_t n) override { cycles_ += n; }
+    /// @}
+
     /// Settles combinational logic for the current inputs/state,
     /// recomputing only nodes whose source domain changed (the profiled
     /// twin recomputes every node).

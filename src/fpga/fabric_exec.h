@@ -43,6 +43,27 @@ class FabricExec {
     virtual const BitVector& output(int index) const = 0;
     /// @}
 
+    /// @{ Raw-word access by index, for a caller that resolved its
+    /// indices once (the hardware engine's AXI pins, its FIFO storage):
+    /// no BitVector is built and no name is looked up. The port or memory
+    /// element must be at most 64 bits wide. set_input_word masks \p value
+    /// to the port width and, like set_input, marks the port's domain only
+    /// on a real change; output_word returns the settled value.
+    virtual void set_input_word(int index, uint64_t value) = 0;
+    virtual uint64_t output_word(int index) const = 0;
+    /// Index of memory \p name for write_mem, or -1.
+    virtual int mem_index(const std::string& name) const = 0;
+    /// Stores \p values[0..count) (each masked to the element width) at
+    /// elements first..first+count-1 of memory \p mem, and marks only
+    /// that memory's domain dirty.
+    virtual void write_mem(int mem, uint64_t first, const uint64_t* values,
+                           size_t count) = 0;
+    /// Adds \p n to cycles() without clocking the netlist: the device
+    /// cycles a host transfer that wrote state directly (write_mem) would
+    /// have spent on the bus.
+    virtual void charge_cycles(uint64_t n) = 0;
+    /// @}
+
     /// Settles all combinational logic for the current inputs/state.
     virtual void eval_comb() = 0;
 

@@ -20,9 +20,9 @@
 namespace cascade::fpga {
 
 /// Bit 63: state written from outside the netlist. Evaluators set every
-/// bit on construction and on set_reg / set_mem; registers that never
-/// latch (kNoClock) and nodes with no varying source carry this bit, so
-/// they settle exactly then.
+/// bit on construction and on set_reg (a memory write marks only that
+/// memory's bit); registers that never latch (kNoClock) and nodes with no
+/// varying source carry this bit, so they settle exactly then.
 inline constexpr uint64_t kExternalDomain = uint64_t{1} << 63;
 /// Bit 62: shared by every domain after the first 62 (a conservative
 /// merge: a change in any of them re-settles the nodes of all of them).

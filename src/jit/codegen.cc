@@ -840,6 +840,7 @@ generate_units(const Netlist& nl)
         emit_table(os, "u32", "g_mem_ew", mem_ew);
         emit_table(os, "u64", "g_mem_size", mem_size);
         emit_table(os, "u64", "g_mem_mask", mem_mask);
+        emit_table(os, "u64", "g_mem_bit", dom.mem);
     }
 
     // --- Combinational evaluation: gated blocks, bounded functions -------
@@ -1024,8 +1025,8 @@ generate_units(const Netlist& nl)
     os << "}\n\n";
 
     // --- extern "C" ABI --------------------------------------------------
-    // set_input marks its port's domain only on a real change; set_reg and
-    // set_mem mark every domain.
+    // set_input marks its port's domain only on a real change, set_mem its
+    // memory's domain; set_reg marks every domain.
     os << "extern \"C\" {\n"
        << "unsigned cascade_jit_abi_version() { return 1; }\n"
        << "void* cascade_jit_new() { State* S = new State(); init(S); "
@@ -1078,7 +1079,7 @@ generate_units(const Netlist& nl)
        << "    for (u32 k = 0; k < g_mem_ew[m]; ++k) S->m[off + k] = "
           "w[k];\n"
        << "    S->m[off + g_mem_ew[m] - 1] &= g_mem_mask[m];\n"
-       << "    S->dirty = ~0ull;\n"
+       << "    S->dirty |= g_mem_bit[m];\n"
        << "}\n"
        << "u64 cascade_jit_latch_count(void* p, u32 r) { return "
           "((State*)p)->latch[r]; }\n"

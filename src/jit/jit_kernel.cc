@@ -110,6 +110,21 @@ JitKernel::set_input(int index, const BitVector& value)
     mod_->set_input(state_, static_cast<uint32_t>(index), scratch_.data());
 }
 
+void
+JitKernel::set_input_word(int index, uint64_t value)
+{
+    CASCADE_CHECK(nl_->inputs[static_cast<size_t>(index)].width <= 64);
+    mod_->set_input(state_, static_cast<uint32_t>(index), &value);
+}
+
+uint64_t
+JitKernel::output_word(int index) const
+{
+    mod_->get_output(state_, static_cast<uint32_t>(index),
+                     scratch_.data());
+    return scratch_[0];
+}
+
 const BitVector&
 JitKernel::output(const std::string& name) const
 {
@@ -181,6 +196,26 @@ JitKernel::set_mem(const std::string& name, uint64_t idx,
         scratch_[k] = k < value.num_words() ? value.word(k) : 0;
     }
     mod_->set_mem(state_, m, idx, scratch_.data());
+}
+
+int
+JitKernel::mem_index(const std::string& name) const
+{
+    const auto it = mem_index_.find(name);
+    return it == mem_index_.end() ? -1 : static_cast<int>(it->second);
+}
+
+void
+JitKernel::write_mem(int mem, uint64_t first, const uint64_t* values,
+                     size_t count)
+{
+    const auto m = static_cast<uint32_t>(mem);
+    const fpga::MemDef& def = nl_->mems[m];
+    CASCADE_CHECK(def.width <= 64 && first <= def.size &&
+                  count <= def.size - first);
+    for (size_t k = 0; k < count; ++k) {
+        mod_->set_mem(state_, m, first + k, &values[k]);
+    }
 }
 
 uint64_t

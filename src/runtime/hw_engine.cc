@@ -44,7 +44,13 @@ HwEngine::HwEngine(std::unique_ptr<fpga::FabricExec> fabric,
     out_wait_ = fabric_->output_index("WAIT");
     CASCADE_CHECK(in_clk_ >= 0 && in_rw_ >= 0 && in_addr_ >= 0 &&
                   in_in_ >= 0 && out_out_ >= 0 && out_wait_ >= 0);
-    fabric_->set_input(in_rw_, BitVector(1, 0));
+    slot_mem_.reserve(map_.vars.size());
+    for (const ir::VarSlot& slot : map_.vars) {
+        slot_mem_.push_back(slot.writable && slot.elems > 0
+                                ? fabric_->mem_index(slot.name)
+                                : -1);
+    }
+    fabric_->set_input_word(in_rw_, 0);
     fabric_->eval_comb();
 }
 
@@ -52,24 +58,24 @@ uint32_t
 HwEngine::mmio_read(uint32_t addr)
 {
     ++transactions_;
-    fabric_->set_input(in_rw_, BitVector(1, 0));
-    fabric_->set_input(in_addr_, BitVector(32, addr));
+    fabric_->set_input_word(in_rw_, 0);
+    fabric_->set_input_word(in_addr_, addr);
     fabric_->eval_comb();
-    return static_cast<uint32_t>(fabric_->output(out_out_).to_uint64());
+    return static_cast<uint32_t>(fabric_->output_word(out_out_));
 }
 
 void
 HwEngine::mmio_write(uint32_t addr, uint32_t value)
 {
     ++transactions_;
-    fabric_->set_input(in_rw_, BitVector(1, 1));
-    fabric_->set_input(in_addr_, BitVector(32, addr));
-    fabric_->set_input(in_in_, BitVector(32, value));
-    fabric_->set_input(in_clk_, BitVector(1, 1));
+    fabric_->set_input_word(in_rw_, 1);
+    fabric_->set_input_word(in_addr_, addr);
+    fabric_->set_input_word(in_in_, value);
+    fabric_->set_input_word(in_clk_, 1);
     fabric_->step();
-    fabric_->set_input(in_clk_, BitVector(1, 0));
+    fabric_->set_input_word(in_clk_, 0);
     fabric_->step();
-    fabric_->set_input(in_rw_, BitVector(1, 0));
+    fabric_->set_input_word(in_rw_, 0);
     cycles_accum_ += 2;
 }
 
@@ -79,8 +85,12 @@ HwEngine::read_var(const ir::VarSlot& slot, uint64_t element)
     BitVector v(slot.width, 0);
     const uint32_t base =
         slot.base + static_cast<uint32_t>(element) * slot.words;
-    for (uint32_t j = 0; j < slot.words; ++j) {
-        v.set_slice(j * 32, BitVector(32, mmio_read(base + j)));
+    for (uint32_t j = 0; j < slot.words; j += 2) {
+        uint64_t w = mmio_read(base + j);
+        if (j + 1 < slot.words) {
+            w |= uint64_t{mmio_read(base + j + 1)} << 32;
+        }
+        v.set_word(j / 2, w);
     }
     return v;
 }
@@ -92,10 +102,31 @@ HwEngine::write_var(const ir::VarSlot& slot, const BitVector& value,
     const uint32_t base =
         slot.base + static_cast<uint32_t>(element) * slot.words;
     for (uint32_t j = 0; j < slot.words; ++j) {
-        mmio_write(base + j,
-                   static_cast<uint32_t>(
-                       value.slice(j * 32, 32).to_uint64()));
+        const uint64_t w = j / 2 < value.num_words() ? value.word(j / 2) : 0;
+        mmio_write(base + j, static_cast<uint32_t>(w >> (32 * (j % 2))));
     }
+}
+
+void
+HwEngine::write_mem(const ir::VarSlot& slot, uint64_t first,
+                    const uint64_t* values, size_t count)
+{
+    const auto s = static_cast<size_t>(&slot - map_.vars.data());
+    CASCADE_CHECK(s < map_.vars.size() && slot_mem_[s] >= 0 &&
+                  slot.width <= 64);
+    // A span written mid-grant would race the free-running design.
+    CASCADE_CHECK(fabric_->output_word(out_wait_) == 0);
+    if (fabric_->profiling() || fabric_->debug_armed()) {
+        for (size_t k = 0; k < count; ++k) {
+            write_var(slot, BitVector(slot.width, values[k]), first + k);
+        }
+        return;
+    }
+    fabric_->write_mem(slot_mem_[s], first, values, count);
+    const uint64_t words = count * slot.words;
+    transactions_ += words;
+    cycles_accum_ += 2 * words;
+    fabric_->charge_cycles(2 * words);
 }
 
 sim::StateSnapshot
@@ -295,14 +326,14 @@ HwEngine::open_loop(uint64_t max_iterations)
     const uint64_t cycle_limit = 2 * max_iterations + 64;
     uint64_t cycles = 0;
     bool debug_stop = false;
-    fabric_->set_input(in_rw_, BitVector(1, 0));
+    fabric_->set_input_word(in_rw_, 0);
     while (cycles < cycle_limit) {
-        fabric_->set_input(in_clk_, BitVector(1, 1));
+        fabric_->set_input_word(in_clk_, 1);
         fabric_->step();
-        fabric_->set_input(in_clk_, BitVector(1, 0));
+        fabric_->set_input_word(in_clk_, 0);
         fabric_->step();
         cycles += 2;
-        if (fabric_->output(out_wait_).is_zero()) {
+        if (fabric_->output_word(out_wait_) == 0) {
             break;
         }
         if (fabric_->debug_fired() != 0) {

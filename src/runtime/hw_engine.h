@@ -66,6 +66,16 @@ class HwEngine : public Engine {
     BitVector read_var(const ir::VarSlot& slot, uint64_t element = 0);
     void write_var(const ir::VarSlot& slot, const BitVector& value,
                    uint64_t element = 0);
+    /// Stores \p values[0..count) into elements first..first+count-1 of
+    /// the memory slot \p slot (one of map().vars, at most 64 bits per
+    /// element): the state `count` write_var calls leave, in one transfer
+    /// straight into the fabric's memory. The open-loop controller must be
+    /// idle. The transfer is charged like those writes: slot.words bus
+    /// transactions and two device cycles per word. A fabric with
+    /// profiling counters or an armed debugger capture ring observes every
+    /// device cycle, so it receives the words over the bus instead.
+    void write_mem(const ir::VarSlot& slot, uint64_t first,
+                   const uint64_t* values, size_t count);
     const ir::WrapperMap& map() const { return map_; }
     /// @}
 
@@ -113,13 +123,16 @@ class HwEngine : public Engine {
     std::unique_ptr<fpga::FabricExec> fabric_;
     ir::WrapperMap map_;
     std::vector<const ir::VarSlot*> port_slots_;
+    /// Per map_.vars entry: its fabric memory index for write_mem (-1 for
+    /// scalars and read-only slots).
+    std::vector<int> slot_mem_;
     std::vector<bool> port_is_input_;
     std::vector<BitVector> output_cache_;
     EngineCallbacks* callbacks_;
     double clock_period_s_;
     double mmio_latency_s_;
 
-    // Cached fabric input indices for the AXI pins.
+    // Cached fabric port indices for the AXI pins (driven as raw words).
     int in_clk_, in_rw_, in_addr_, in_in_;
     int out_out_, out_wait_;
 

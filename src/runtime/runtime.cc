@@ -985,6 +985,14 @@ Runtime::relocate(std::vector<Slot> incoming, std::optional<Wiring> resident)
     if (hw_engine_ != nullptr) {
         hw_engine_->set_profiling(options_.profiling);
     }
+    const auto hw_slot = [this](const std::string& name) {
+        return hw_engine_ != nullptr ? hw_engine_->map().find(name) : nullptr;
+    };
+    for (FifoBinding& f : fifos_) {
+        f.mem = hw_slot(f.prefix + "mem");
+        f.head = hw_slot(f.prefix + "head");
+        f.tail = hw_slot(f.prefix + "tail");
+    }
     // Net values survive the rewiring (pad levels, clock phase, ...); every
     // engine reading them already holds them.
     wire_nets();
@@ -2844,33 +2852,33 @@ Runtime::run_open_loop()
 void
 Runtime::feed_fifo_hw(const FifoBinding& f)
 {
-    if (fifo_queue_.empty() || hw_engine_ == nullptr) {
+    if (fifo_queue_.empty() || f.mem == nullptr || f.head == nullptr ||
+        f.tail == nullptr) {
         return;
     }
-    const ir::WrapperMap& map = hw_engine_->map();
-    const ir::VarSlot* mem = map.find(f.prefix + "mem");
-    const ir::VarSlot* head = map.find(f.prefix + "head");
-    const ir::VarSlot* tail = map.find(f.prefix + "tail");
-    if (mem == nullptr || head == nullptr || tail == nullptr) {
+    const uint64_t depth = f.mem->elems;
+    const uint64_t ptr_mask = (uint64_t{1} << f.head->width) - 1;
+    const uint64_t h = hw_engine_->read_var(*f.head).to_uint64();
+    const uint64_t t = hw_engine_->read_var(*f.tail).to_uint64();
+    const uint64_t used = (t - h) & ptr_mask;
+    const uint64_t n =
+        used < depth ? std::min<uint64_t>(fifo_queue_.size(), depth - used)
+                     : 0;
+    if (n == 0) {
         return;
     }
-    const uint64_t depth = mem->elems;
-    const uint64_t ptr_mask = (uint64_t{1} << head->width) - 1;
-    uint64_t h = hw_engine_->read_var(*head).to_uint64();
-    uint64_t t = hw_engine_->read_var(*tail).to_uint64();
-    bool wrote = false;
-    while (!fifo_queue_.empty() &&
-           ((t - h) & ptr_mask) < depth) {
-        hw_engine_->write_var(*mem, BitVector(8, fifo_queue_.front()),
-                              t & (depth - 1));
-        fifo_queue_.pop_front();
-        ++fifo_consumed_;
-        t = (t + 1) & ptr_mask;
-        wrote = true;
-    }
-    if (wrote) {
-        hw_engine_->write_var(*tail, BitVector(tail->width, t));
-    }
+    // One span from the tail slot, split where it wraps the ring.
+    const std::vector<uint64_t> bytes(fifo_queue_.begin(),
+                                      fifo_queue_.begin() + n);
+    const uint64_t first = t & (depth - 1);
+    const uint64_t run = std::min(n, depth - first);
+    hw_engine_->write_mem(*f.mem, first, bytes.data(), run);
+    hw_engine_->write_mem(*f.mem, 0, bytes.data() + run, n - run);
+    fifo_queue_.erase(fifo_queue_.begin(), fifo_queue_.begin() + n);
+    fifo_consumed_ += n;
+    m_.fifo_backlog->set(static_cast<int64_t>(fifo_queue_.size()));
+    hw_engine_->write_var(*f.tail,
+                          BitVector(f.tail->width, (t + n) & ptr_mask));
 }
 
 bool

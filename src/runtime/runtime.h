@@ -647,6 +647,12 @@ class Runtime : public EngineCallbacks {
         std::string push_net;
         std::string full_net;
         std::string prefix; ///< inline prefix for hardware state access
+        /// @{ The merged FIFO's slots in the adopted hardware engine's
+        /// map, resolved at each relocate (null when none is resident).
+        const ir::VarSlot* mem = nullptr;
+        const ir::VarSlot* head = nullptr;
+        const ir::VarSlot* tail = nullptr;
+        /// @}
     };
 
     bool rebuild_program(std::string* errors, const char* reason);

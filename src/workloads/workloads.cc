@@ -244,6 +244,25 @@ regex_stream_module()
 }
 
 std::string
+regex_fifo_module(bool with_display)
+{
+    std::string src = R"(module RegexFifo(input wire clk,
+                 output wire [31:0] nhits);
+reg [7:0] f__mem [0:255];
+reg [8:0] f__head = 0;
+reg [8:0] f__tail = 0;
+wire fempty;
+assign fempty = f__head == f__tail;
+always @(posedge clk)
+  if (!fempty) f__head <= f__head + 1;
+)";
+    src += regex_dfa_body("f__mem[f__head[7:0]]", "!fempty", "clk",
+                          with_display);
+    src += "assign nhits = hits;\nendmodule\n";
+    return src;
+}
+
+std::string
 needleman_wunsch_source(uint32_t n, int style)
 {
     const uint32_t dim = n + 1;

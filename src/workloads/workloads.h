@@ -29,6 +29,12 @@ std::string regex_stream_source(bool with_display = false);
 /// Standalone-module variant with the byte stream on a port.
 std::string regex_stream_module();
 
+/// Standalone-module variant that reads the bytes from a 256-entry FIFO
+/// ring held in its own state, the way hardware forwarding merges the
+/// stdlib FIFO into the design: the host fills `f__mem` and advances
+/// `f__tail`, the matcher pops at `f__head`.
+std::string regex_fifo_module(bool with_display = false);
+
 /// Needleman-Wunsch aligner for two \p n-character (2-bit encoded)
 /// sequences, one matrix cell per cycle, score via $display at the end.
 /// \p style varies the "student solution": 0 = straightforward,

@@ -32,14 +32,17 @@
 
 #include "fpga/bitstream.h"
 #include "fpga/synth.h"
+#include "ir/hw_wrapper.h"
 #include "jit/codegen.h"
 #include "jit/jit_cache.h"
 #include "jit/jit_kernel.h"
 #include "runtime/events.h"
+#include "runtime/hw_engine.h"
 #include "runtime/replay.h"
 #include "runtime/runtime.h"
 #include "sim/interpreter.h"
 #include "verilog/parser.h"
+#include "workloads/workloads.h"
 
 namespace cascade {
 namespace {
@@ -335,6 +338,10 @@ class GatedLockstep {
             for (const auto& out : nl_->outputs) {
                 ASSERT_EQ(ref_.output(out.name), e->output(out.name))
                     << who << " output " << out.name << " after " << when;
+                ASSERT_EQ(ref_.output(out.name).word(0),
+                          e->output_word(e->output_index(out.name)))
+                    << who << " raw output " << out.name << " after "
+                    << when;
             }
             for (const auto& reg : nl_->regs) {
                 ASSERT_EQ(ref_.reg_value(reg.name), e->reg_value(reg.name))
@@ -439,13 +446,31 @@ TEST(JitGating, StateWritesBetweenStepsMatchUngatedReference)
         g.each([&](fpga::FabricExec& e) { e.set_mem("mem", read_at, word); });
         g.eval();
         ASSERT_NO_FATAL_FAILURE(g.check(at + "set_mem"));
+        // A span ending at the address read through cnt or ra, with
+        // bits above the element width that the write drops.
+        const uint64_t span[3] = {rng(), rng(), rng()};
+        const uint64_t first = read_at >= 2 ? read_at - 2 : read_at;
+        g.each([&](fpga::FabricExec& e) {
+            e.write_mem(e.mem_index("mem"), first, span, 3);
+        });
+        g.eval();
+        ASSERT_NO_FATAL_FAILURE(g.check(at + "write_mem span"));
 
         // Rewriting an input with its current value, also through high
         // bits the port width drops, changes nothing.
         g.set_input("a", a);
         g.set_input("a", BitVector(16, 0xab00 | a.to_uint64()));
+        g.each([&](fpga::FabricExec& e) {
+            e.set_input_word(e.input_index("a"), 0xab00 | a.to_uint64());
+        });
         g.eval();
         ASSERT_NO_FATAL_FAILURE(g.check(at + "same-value set_input"));
+        // A raw-word input write that changes the value.
+        g.each([&](fpga::FabricExec& e) {
+            e.set_input_word(e.input_index("ra"), ~ra.to_uint64());
+        });
+        g.eval();
+        ASSERT_NO_FATAL_FAILURE(g.check(at + "set_input_word ra"));
         g.clock();
         ASSERT_NO_FATAL_FAILURE(g.check(at + "clock after state writes"));
     }
@@ -495,6 +520,120 @@ TEST(JitGating, MoreThan62ClockDomainsShareABit)
         ASSERT_NO_FATAL_FAILURE(
             g.check(std::string("set_reg ") + victim + " in cycle " +
                     std::to_string(cycle)));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Bulk FIFO refill: HwEngine::write_mem stores a span straight into the
+// fabric's memory. On both evaluators it must leave what the per-word MMIO
+// writes it replaces leave, and be charged the same.
+// ---------------------------------------------------------------------------
+
+/// Collects an engine's task output.
+class TaskText : public runtime::EngineCallbacks {
+  public:
+    void on_display(const std::string& text) override { text_ += text; }
+    void on_write(const std::string& text) override { text_ += text; }
+    void on_finish() override { text_ += "$finish\n"; }
+    uint64_t virtual_time() const override { return 0; }
+    const std::string& text() const { return text_; }
+
+  private:
+    std::string text_;
+};
+
+TEST(JitHwEngine, SpanRefillMatchesPerWordWrites)
+{
+    REQUIRE_JIT();
+    Diagnostics diags;
+    SourceUnit unit = parse(workloads::regex_fifo_module(true), &diags);
+    ASSERT_FALSE(diags.has_errors()) << diags.str();
+    Elaborator elab(&diags);
+    auto em = elab.elaborate(*unit.modules[0]);
+    ASSERT_NE(em, nullptr) << diags.str();
+    ir::WrapperMap map;
+    auto wrapper = ir::generate_hw_wrapper(*em, "clk", &map, &diags);
+    ASSERT_NE(wrapper, nullptr) << diags.str();
+    auto wrapped = elab.elaborate(*wrapper);
+    ASSERT_NE(wrapped, nullptr) << diags.str();
+    std::shared_ptr<const fpga::Netlist> nl =
+        fpga::synthesize(*wrapped, &diags);
+    ASSERT_NE(nl, nullptr) << diags.str();
+    const ir::VarSlot* mem = map.find("f__mem");
+    const ir::VarSlot* head = map.find("f__head");
+    const ir::VarSlot* tail = map.find("f__tail");
+    ASSERT_TRUE(mem != nullptr && head != nullptr && tail != nullptr);
+
+    // 20 bytes, two matches, from ring slot 250: the refill wraps the
+    // ring index after 6 bytes.
+    const std::string text = "GET /ab GET /cde xyz";
+    const std::vector<uint64_t> bytes(text.begin(), text.end());
+    constexpr uint64_t kFirst = 250;
+    const uint64_t run = 256 - kFirst;
+
+    // The profiled bitstream counts every node evaluation, so its span
+    // must cost the same evaluations as the per-word writes.
+    enum class Fabric { Bitstream, Kernel, ProfiledBitstream };
+    for (const Fabric kind :
+         {Fabric::Bitstream, Fabric::Kernel, Fabric::ProfiledBitstream}) {
+        SCOPED_TRACE(static_cast<int>(kind));
+        const auto engine = [&](TaskText* out) {
+            std::unique_ptr<fpga::FabricExec> fabric;
+            if (kind == Fabric::Kernel) {
+                fabric = make_kernel(nl);
+            } else {
+                fabric = std::make_unique<fpga::Bitstream>(nl);
+            }
+            auto eng = std::make_unique<runtime::HwEngine>(
+                std::move(fabric), map,
+                std::vector<std::string>{"clk", "nhits"},
+                std::vector<bool>{true, false}, out, 50.0, 1e-6);
+            eng->set_profiling(kind == Fabric::ProfiledBitstream);
+            return eng;
+        };
+        TaskText word_out, span_out;
+        auto per_word = engine(&word_out);
+        auto span = engine(&span_out);
+        for (runtime::HwEngine* e : {per_word.get(), span.get()}) {
+            e->write_var(*head, BitVector(head->width, kFirst));
+            e->write_var(*tail, BitVector(tail->width, kFirst));
+        }
+        for (size_t k = 0; k < bytes.size(); ++k) {
+            per_word->write_var(*mem, BitVector(8, bytes[k]),
+                                (kFirst + k) % 256);
+        }
+        // write_mem takes the engine's own slot.
+        const ir::VarSlot& span_mem = *span->map().find("f__mem");
+        span->write_mem(span_mem, kFirst, bytes.data(), run);
+        span->write_mem(span_mem, 0, bytes.data() + run, bytes.size() - run);
+        span->write_mem(span_mem, 0, bytes.data(), 0);
+        for (runtime::HwEngine* e : {per_word.get(), span.get()}) {
+            e->write_var(*tail, BitVector(tail->width, kFirst + bytes.size()));
+        }
+        // A grant long enough to drain the refill; a match's $display
+        // ends it early, so grant again until it runs out.
+        for (int grant = 0; grant < 8; ++grant) {
+            ASSERT_EQ(per_word->open_loop(64), span->open_loop(64))
+                << "grant " << grant;
+        }
+        EXPECT_EQ(per_word->mmio_transactions(), span->mmio_transactions());
+        EXPECT_EQ(per_word->fabric_cycles(), span->fabric_cycles());
+        EXPECT_EQ(per_word->take_modeled_seconds(),
+                  span->take_modeled_seconds());
+        EXPECT_EQ(word_out.text(), span_out.text());
+        EXPECT_NE(span_out.text().find("match 2"), std::string::npos)
+            << span_out.text();
+        EXPECT_EQ(per_word->get_state(), span->get_state());
+        const auto word_activity = per_word->fabric_activity();
+        const auto span_activity = span->fabric_activity();
+        ASSERT_EQ(word_activity.size(), span_activity.size());
+        for (const auto& [source, act] : word_activity) {
+            EXPECT_EQ(act.evals, span_activity.at(source).evals) << source;
+            EXPECT_EQ(act.toggles, span_activity.at(source).toggles)
+                << source;
+        }
+        EXPECT_EQ(span->peek("f__head")->to_uint64(),
+                  (kFirst + bytes.size()) % 512);
     }
 }
 
@@ -1179,6 +1318,40 @@ TEST(JitRuntime, ReplayRoundTripPinsJitAdoption)
     EXPECT_GE(rt2.telemetry().counter("jit.adopted")->value(), 1u);
 
     std::filesystem::remove(path);
+}
+
+TEST(JitRuntime, FifoBacklogGaugeFollowsTheKernelFeed)
+{
+    REQUIRE_JIT();
+    // The fabric fits nothing, so the matcher parks on the kernel with the
+    // FIFO merged in: the runtime refills it between open-loop grants.
+    runtime::Runtime::Options opts;
+    opts.enable_hardware = true;
+    opts.device_les = 10;
+    opts.open_loop_target_wall_s = 0.02;
+    runtime::Runtime rt(opts);
+    std::string err;
+    ASSERT_TRUE(rt.eval(workloads::regex_stream_source(), &err)) << err;
+    ASSERT_TRUE(step_until_jit(&rt));
+
+    // 600 bytes, more than two FIFO depths, with two matches per line.
+    std::vector<uint8_t> bytes;
+    for (int line = 0; line < 40; ++line) {
+        const std::string text = "GET /a GET /bc ";
+        bytes.insert(bytes.end(), text.begin(), text.end());
+    }
+    rt.fifo_push(bytes);
+    const telemetry::Gauge* backlog = rt.telemetry().gauge("fifo.backlog");
+    EXPECT_EQ(backlog->value(), static_cast<int64_t>(bytes.size()));
+    for (int i = 0; i < 10000 && rt.fifo_backlog() > 0; ++i) {
+        rt.step();
+    }
+    ASSERT_EQ(rt.user_location(), runtime::Location::Jit);
+    EXPECT_EQ(rt.fifo_backlog(), 0u);
+    EXPECT_EQ(backlog->value(), static_cast<int64_t>(rt.fifo_backlog()));
+    rt.run_for_ticks(2 * 256);
+    EXPECT_EQ(rt.fifo_bytes_consumed(), bytes.size());
+    EXPECT_EQ(rt.led_state().to_uint64(), 80u);
 }
 
 TEST(JitRuntime, NoCompilerDegradesGracefullyAndJournals)
