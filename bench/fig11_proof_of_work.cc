@@ -110,7 +110,7 @@ run_series(const char* name, Runtime::Options options, double duration_s,
         result->final_hz = last_hz;
         result->virtual_ticks = rt.virtual_ticks();
         result->adopted = rt.hardware_ready();
-        result->profile_json = rt.profile_json();
+        result->profile_json = rt.profiler().profile_json();
     }
     if (stats_sidecar != nullptr) {
         std::ofstream sidecar(stats_sidecar);

@@ -88,12 +88,12 @@ main(int argc, char** argv)
     Runtime rt(options);
     if (monitor_port >= 0) {
         std::string err;
-        if (!rt.start_monitor(static_cast<uint16_t>(monitor_port),
+        if (!rt.monitor().start(static_cast<uint16_t>(monitor_port),
                               &err)) {
             std::cerr << "cannot start monitor: " << err << "\n";
             return 1;
         }
-        std::cerr << "monitoring on 127.0.0.1:" << rt.monitor_port()
+        std::cerr << "monitoring on 127.0.0.1:" << rt.monitor().port()
                   << " (/metrics /healthz /slo /timeseries /requests "
                      "/events)\n";
     }

@@ -88,8 +88,8 @@ main()
           "eval workload");
 
     std::string err;
-    check(rt.start_monitor(0, &err), "start monitor: " + err);
-    const uint16_t port = rt.monitor_port();
+    check(rt.monitor().start(0, &err), "start monitor: " + err);
+    const uint16_t port = rt.monitor().port();
     std::fprintf(stderr, "# monitoring on 127.0.0.1:%u\n", port);
 
     rt.run(2048);
@@ -246,8 +246,8 @@ main()
     check(seqs_increase, "/events lines parse, seq strictly increases");
     save("events.ndjson", ndjson);
 
-    rt.stop_monitor();
-    check(!rt.monitoring(), "monitor stops");
+    rt.monitor().stop();
+    check(!rt.monitor().running(), "monitor stops");
 
     std::fprintf(stderr, failures == 0 ? "# monitor smoke: all ok\n"
                                        : "# monitor smoke: %d failure(s)\n",

@@ -304,7 +304,6 @@ Bitstream::arm_debug(std::vector<DebugTrigger> triggers,
     debug_ring_.clear();
     debug_ring_depth_ = ring_depth == 0 ? 1 : ring_depth;
     debug_fired_ = 0;
-    debug_fire_cycle_ = 0;
     debug_armed_ = !debug_triggers_.empty() || !debug_probes_.empty();
 }
 
@@ -316,7 +315,6 @@ Bitstream::disarm_debug()
     debug_probes_.clear();
     debug_ring_.clear();
     debug_fired_ = 0;
-    debug_fire_cycle_ = 0;
 }
 
 void
@@ -352,7 +350,6 @@ Bitstream::debug_step_check()
         t.has_prev = true;
         if (fired && debug_fired_ == 0) {
             debug_fired_ = t.id;
-            debug_fire_cycle_ = cycles_;
         }
     }
 }

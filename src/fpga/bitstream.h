@@ -50,7 +50,6 @@ class Bitstream : public FabricExec {
     int mem_index(const std::string& name) const override;
     void write_mem(int mem, uint64_t first, const uint64_t* values,
                    size_t count) override;
-    void charge_cycles(uint64_t n) override { cycles_ += n; }
     /// @}
 
     /// Settles combinational logic for the current inputs/state,
@@ -105,7 +104,6 @@ class Bitstream : public FabricExec {
     bool debug_armed() const override { return debug_armed_; }
     /// Point id of the first trigger that fired, or 0 while none has.
     uint64_t debug_fired() const override { return debug_fired_; }
-    uint64_t debug_fire_cycle() const override { return debug_fire_cycle_; }
     const std::vector<DebugProbe>& debug_probes() const override {
         return debug_probes_;
     }
@@ -155,7 +153,6 @@ class Bitstream : public FabricExec {
     std::deque<DebugSample> debug_ring_;
     size_t debug_ring_depth_ = 64;
     uint64_t debug_fired_ = 0;
-    uint64_t debug_fire_cycle_ = 0;
 };
 
 } // namespace cascade::fpga

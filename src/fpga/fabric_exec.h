@@ -58,10 +58,6 @@ class FabricExec {
     /// that memory's domain dirty.
     virtual void write_mem(int mem, uint64_t first, const uint64_t* values,
                            size_t count) = 0;
-    /// Adds \p n to cycles() without clocking the netlist: the device
-    /// cycles a host transfer that wrote state directly (write_mem) would
-    /// have spent on the bus.
-    virtual void charge_cycles(uint64_t n) = 0;
     /// @}
 
     /// Settles all combinational logic for the current inputs/state.
@@ -128,7 +124,6 @@ class FabricExec {
     virtual bool debug_armed() const { return false; }
     /// Point id of the first trigger that fired, or 0 while none has.
     virtual uint64_t debug_fired() const { return 0; }
-    virtual uint64_t debug_fire_cycle() const { return 0; }
     virtual const std::vector<DebugProbe>& debug_probes() const
     {
         static const std::vector<DebugProbe> kEmpty;

@@ -57,15 +57,11 @@ class JitKernel : public fpga::FabricExec {
     int mem_index(const std::string& name) const override;
     void write_mem(int mem, uint64_t first, const uint64_t* values,
                    size_t count) override;
-    void charge_cycles(uint64_t n) override { charged_cycles_ += n; }
     /// @}
 
     void eval_comb() override { mod_->eval(state_); }
     void step() override { mod_->step(state_); }
-    uint64_t cycles() const override
-    {
-        return mod_->cycles(state_) + charged_cycles_;
-    }
+    uint64_t cycles() const override { return mod_->cycles(state_); }
 
     const BitVector& reg_value(const std::string& name) const override;
     void set_reg(const std::string& name, const BitVector& value) override;
@@ -84,7 +80,6 @@ class JitKernel : public fpga::FabricExec {
     const JitModule* mod_; ///< resident for the process lifetime
     void* state_;          ///< kernel-owned State (freed via the ABI)
     std::string digest_;
-    uint64_t charged_cycles_ = 0; ///< charge_cycles total
 
     std::unordered_map<std::string, int> input_index_;
     std::unordered_map<std::string, int> output_index_;

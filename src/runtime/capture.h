@@ -61,7 +61,6 @@ class Capture {
     bool open(const std::string& path, std::string* err);
     void close();
     bool active() const { return capture_; }
-    const std::string& path() const { return path_; }
     /// @}
 
     /// @{ $dumpfile/$dumpvars/$dumpoff/$dumpon.

@@ -76,7 +76,7 @@ HwEngine::mmio_write(uint32_t addr, uint32_t value)
     fabric_->set_input_word(in_clk_, 0);
     fabric_->step();
     fabric_->set_input_word(in_rw_, 0);
-    cycles_accum_ += 2;
+    cycles_ += 2;
 }
 
 BitVector
@@ -125,8 +125,7 @@ HwEngine::write_mem(const ir::VarSlot& slot, uint64_t first,
     fabric_->write_mem(slot_mem_[s], first, values, count);
     const uint64_t words = count * slot.words;
     transactions_ += words;
-    cycles_accum_ += 2 * words;
-    fabric_->charge_cycles(2 * words);
+    cycles_ += 2 * words;
 }
 
 sim::StateSnapshot
@@ -341,7 +340,7 @@ HwEngine::open_loop(uint64_t max_iterations)
             break;
         }
     }
-    cycles_accum_ += cycles;
+    cycles_ += cycles;
     const uint32_t itrs = mmio_read(map_.ctrl.itrs);
     if (debug_stop) {
         // A synthesized trigger fired mid-batch: cancel the rest of the
@@ -362,10 +361,11 @@ HwEngine::open_loop(uint64_t max_iterations)
 double
 HwEngine::take_modeled_seconds()
 {
-    double out = static_cast<double>(cycles_accum_) * clock_period_s_;
-    cycles_accum_ = 0;
-    out += static_cast<double>(transactions_ - transactions_reported_) *
-           mmio_latency_s_;
+    const double out =
+        static_cast<double>(cycles_ - cycles_reported_) * clock_period_s_ +
+        static_cast<double>(transactions_ - transactions_reported_) *
+            mmio_latency_s_;
+    cycles_reported_ = cycles_;
     transactions_reported_ = transactions_;
     return out;
 }

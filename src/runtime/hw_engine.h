@@ -80,7 +80,8 @@ class HwEngine : public Engine {
     /// @}
 
     uint64_t mmio_transactions() const { return transactions_; }
-    uint64_t fabric_cycles() const { return fabric_->cycles(); }
+    /// Device cycles this engine caused, a span's bus cycles included.
+    uint64_t fabric_cycles() const { return cycles_; }
 
     /// @{ Debugger instrumentation: forwards to the programmed fabric's
     /// trigger cells and pre-trigger capture ring (see Bitstream). While a
@@ -89,10 +90,6 @@ class HwEngine : public Engine {
     /// resets it) so the runtime can halt and evict at the firing cycle.
     bool debug_armed() const { return fabric_->debug_armed(); }
     uint64_t debug_fired() const { return fabric_->debug_fired(); }
-    uint64_t debug_fire_cycle() const
-    {
-        return fabric_->debug_fire_cycle();
-    }
     const std::vector<fpga::FabricExec::DebugProbe>& debug_probes() const
     {
         return fabric_->debug_probes();
@@ -141,7 +138,8 @@ class HwEngine : public Engine {
     bool finished_ = false;
     uint64_t transactions_ = 0;
     uint64_t transactions_reported_ = 0;
-    uint64_t cycles_accum_ = 0;
+    uint64_t cycles_ = 0;
+    uint64_t cycles_reported_ = 0;
 };
 
 } // namespace cascade::runtime

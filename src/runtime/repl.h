@@ -24,6 +24,7 @@ namespace cascade::runtime {
 class Repl {
   public:
     /// Output (program $display/$write and REPL messages) goes to \p out.
+    /// Neither may be null.
     Repl(Runtime* runtime, std::ostream* out);
 
     /// Feeds one chunk of input. Complete declarations are eval'ed; a
@@ -44,7 +45,7 @@ class Repl {
     bool run_meta_command(const std::string& line);
 
     Runtime* runtime_;
-    std::ostream* out_;
+    std::ostream& out_;
     std::string buffer_;
 };
 

@@ -124,7 +124,7 @@ strip_date(const std::string& vcd)
 /// Flattens a profile into identity -> deterministic trigger totals
 /// (eval_ns is wall time and excluded on purpose).
 std::map<std::string, uint64_t>
-trigger_totals(const std::vector<Runtime::ProfileEntry>& entries)
+trigger_totals(const std::vector<runtime::ProfileEntry>& entries)
 {
     std::map<std::string, uint64_t> out;
     for (const auto& e : entries) {
@@ -489,7 +489,7 @@ TEST(Hypervisor, EvictionRoundTripPreservesMonitorVcdAndProfile)
         rt.run_for_ticks(kHalf);
         rt.close_vcd();
         ref_vcd = strip_date(read_file(temp_path("ref.vcd")));
-        ref_profile = trigger_totals(rt.profile());
+        ref_profile = trigger_totals(rt.profiler().profile());
         ref_ticks = rt.virtual_ticks();
     }
     ASSERT_FALSE(ref_out.empty());
@@ -541,7 +541,7 @@ TEST(Hypervisor, EvictionRoundTripPreservesMonitorVcdAndProfile)
         rt.run_for_ticks(ref_ticks - rt.virtual_ticks());
         rt.close_vcd();
         vcd = strip_date(read_file(temp_path("shared.vcd")));
-        profile = trigger_totals(rt.profile());
+        profile = trigger_totals(rt.profiler().profile());
     }
 
     EXPECT_EQ(out, ref_out) << "$monitor/$display stream diverged";

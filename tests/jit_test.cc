@@ -577,6 +577,7 @@ TEST(JitHwEngine, SpanRefillMatchesPerWordWrites)
     for (const Fabric kind :
          {Fabric::Bitstream, Fabric::Kernel, Fabric::ProfiledBitstream}) {
         SCOPED_TRACE(static_cast<int>(kind));
+        fpga::FabricExec* fabric_of_last = nullptr;
         const auto engine = [&](TaskText* out) {
             std::unique_ptr<fpga::FabricExec> fabric;
             if (kind == Fabric::Kernel) {
@@ -584,6 +585,7 @@ TEST(JitHwEngine, SpanRefillMatchesPerWordWrites)
             } else {
                 fabric = std::make_unique<fpga::Bitstream>(nl);
             }
+            fabric_of_last = fabric.get();
             auto eng = std::make_unique<runtime::HwEngine>(
                 std::move(fabric), map,
                 std::vector<std::string>{"clk", "nhits"},
@@ -593,6 +595,7 @@ TEST(JitHwEngine, SpanRefillMatchesPerWordWrites)
         };
         TaskText word_out, span_out;
         auto per_word = engine(&word_out);
+        const fpga::FabricExec* word_fabric = fabric_of_last;
         auto span = engine(&span_out);
         for (runtime::HwEngine* e : {per_word.get(), span.get()}) {
             e->write_var(*head, BitVector(head->width, kFirst));
@@ -618,6 +621,8 @@ TEST(JitHwEngine, SpanRefillMatchesPerWordWrites)
         }
         EXPECT_EQ(per_word->mmio_transactions(), span->mmio_transactions());
         EXPECT_EQ(per_word->fabric_cycles(), span->fabric_cycles());
+        // Every cycle of the per-word path clocks the fabric itself.
+        EXPECT_EQ(per_word->fabric_cycles(), word_fabric->cycles());
         EXPECT_EQ(per_word->take_modeled_seconds(),
                   span->take_modeled_seconds());
         EXPECT_EQ(word_out.text(), span_out.text());

@@ -51,7 +51,7 @@ hw_fast()
 /// Flattens a profile into identity -> deterministic trigger totals
 /// (eval_ns is wall time and excluded on purpose).
 std::map<std::string, uint64_t>
-trigger_totals(const std::vector<Runtime::ProfileEntry>& entries)
+trigger_totals(const std::vector<runtime::ProfileEntry>& entries)
 {
     std::map<std::string, uint64_t> out;
     for (const auto& e : entries) {
@@ -68,7 +68,7 @@ uint64_t
 total_of(const Runtime& rt)
 {
     uint64_t sum = 0;
-    for (const auto& e : rt.profile()) {
+    for (const auto& e : rt.profiler().profile()) {
         sum += e.total_triggers();
     }
     return sum;
@@ -85,7 +85,7 @@ TEST(Profile, TriggerCountsExactAndTimingGated)
     ASSERT_TRUE(rt.eval(kCounterDesign));
     rt.run_for_ticks(5);
 
-    auto entries = rt.profile();
+    auto entries = rt.profiler().profile();
     ASSERT_EQ(entries.size(), 1u);
     const auto& e = entries[0];
     EXPECT_EQ(e.instance, "root");
@@ -101,7 +101,7 @@ TEST(Profile, TriggerCountsExactAndTimingGated)
 
     rt.set_profiling(true);
     rt.run_for_ticks(5);
-    entries = rt.profile();
+    entries = rt.profiler().profile();
     ASSERT_EQ(entries.size(), 1u);
     EXPECT_EQ(entries[0].sw_triggers, 10u);
     EXPECT_GT(entries[0].eval_ns, 0u);
@@ -119,7 +119,7 @@ TEST(Profile, CountsSurviveAppendOnlyEvals)
                         "always @(posedge clk.val) other <= other + 1;\n"));
     rt.run_for_ticks(2);
 
-    const auto totals = trigger_totals(rt.profile());
+    const auto totals = trigger_totals(rt.profiler().profile());
     uint64_t cnt_total = 0;
     uint64_t other_total = 0;
     for (const auto& [id, total] : totals) {
@@ -145,7 +145,7 @@ TEST(Profile, SplicesAcrossMidRunAdoption)
     ASSERT_TRUE(sw.eval(kCounterDesign));
     sw.run_for_ticks(3);
     sw.run_for_ticks(3);
-    const auto sw_totals = trigger_totals(sw.profile());
+    const auto sw_totals = trigger_totals(sw.profiler().profile());
 
     // Same program with a mid-run hardware adoption.
     Runtime hw(hw_fast());
@@ -156,7 +156,7 @@ TEST(Profile, SplicesAcrossMidRunAdoption)
     ASSERT_TRUE(hw.wait_for_hardware(30.0));
     const uint64_t at_adopt = total_of(hw);
     hw.run_for_ticks(3);
-    const auto hw_totals = trigger_totals(hw.profile());
+    const auto hw_totals = trigger_totals(hw.profiler().profile());
 
     // Identical process identities and identical deterministic trigger
     // totals — the profile spliced across the engine transition.
@@ -169,7 +169,7 @@ TEST(Profile, SplicesAcrossMidRunAdoption)
     // The hardware window really contributed (the last 3 ticks ran on
     // the fabric).
     uint64_t hw_attributed = 0;
-    for (const auto& e : hw.profile()) {
+    for (const auto& e : hw.profiler().profile()) {
         hw_attributed += e.hw_triggers;
     }
     EXPECT_GE(hw_attributed, 3u);
@@ -192,7 +192,7 @@ TEST(Profile, FallbackEvalAfterAdoptionKeepsCounts)
     EXPECT_EQ(rt.user_location(), runtime::Location::Software);
     rt.run_for_ticks(1);
 
-    const auto totals = trigger_totals(rt.profile());
+    const auto totals = trigger_totals(rt.profiler().profile());
     uint64_t cnt_total = 0;
     for (const auto& [id, total] : totals) {
         if (id.find("cnt") != std::string::npos) {

@@ -308,15 +308,15 @@ TEST(ReplMeta, StatsResetClearsSyncSitesTimeseriesAndSlo)
         std::lock_guard<telemetry::Mutex> lock(mu);
     }
     ASSERT_GT(probe_acquisitions(), 0u);
-    h.runtime().timeseries().sample("probe", 0.0, 1.0);
-    ASSERT_FALSE(h.runtime().timeseries().names().empty());
-    h.runtime().slo_tracker().record_cold_compile(0.0, 1.0);
+    h.runtime().monitor().timeseries().sample("probe", 0.0, 1.0);
+    ASSERT_FALSE(h.runtime().monitor().timeseries().names().empty());
+    h.runtime().monitor().slo_tracker().record_cold_compile(0.0, 1.0);
 
     h.command(":stats reset");
     EXPECT_EQ(probe_acquisitions(), 0u);
-    EXPECT_TRUE(h.runtime().timeseries().names().empty());
-    EXPECT_EQ(h.runtime().slo_tracker().total_breaches(), 0u);
-    const auto status = h.runtime().slo_tracker().evaluate(1.0);
+    EXPECT_TRUE(h.runtime().monitor().timeseries().names().empty());
+    EXPECT_EQ(h.runtime().monitor().slo_tracker().total_breaches(), 0u);
+    const auto status = h.runtime().monitor().slo_tracker().evaluate(1.0);
     EXPECT_FALSE(status.breached);
 }
 
@@ -335,13 +335,13 @@ TEST(ReplMeta, MonitorCommandLifecycle)
     EXPECT_NE(started.find("monitoring on 127.0.0.1:"),
               std::string::npos)
         << started;
-    EXPECT_TRUE(h.runtime().monitoring());
+    EXPECT_TRUE(h.runtime().monitor().running());
     // Status query while running reports the bound port.
     EXPECT_NE(h.command(":monitor").find("monitoring on 127.0.0.1:"),
               std::string::npos);
     EXPECT_NE(h.command(":monitor off").find("monitor stopped"),
               std::string::npos);
-    EXPECT_FALSE(h.runtime().monitoring());
+    EXPECT_FALSE(h.runtime().monitor().running());
 }
 
 TEST(ReplMeta, SloTableAndJson)
