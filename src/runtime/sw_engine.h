@@ -61,7 +61,7 @@ class SwEngine : public Engine, private sim::SystemTaskHandler {
     }
     /// @}
 
-    /// @{ Source-level profiling (Runtime::profile_json / REPL :profile).
+    /// @{ Source-level profiling (Profiler::profile_json / REPL :profile).
     /// Per-process trigger counts are always collected; eval-ns wall
     /// attribution follows the interpreter's profiling flag.
     void set_profiling(bool on) { interp_.set_profiling(on); }
