@@ -1,5 +1,8 @@
 #include "fpga/source_domains.h"
 
+#include <algorithm>
+#include <bit>
+#include <map>
 #include <unordered_map>
 
 namespace cascade::fpga {
@@ -57,6 +60,44 @@ source_domains(const Netlist& nl)
         d.node.push_back(mask);
     }
     return d;
+}
+
+std::vector<uint32_t>
+settle_order(const Netlist& nl, const SourceDomains& dom)
+{
+    std::vector<uint32_t> order;
+    for (uint32_t i = 0; i < nl.nodes.size(); ++i) {
+        if (nl.nodes[i].op != Op::Const && nl.nodes[i].op != Op::Input) {
+            order.push_back(i);
+        }
+    }
+    const auto block_key = [&dom](uint32_t i) {
+        return std::make_pair(std::popcount(dom.node[i]), dom.node[i]);
+    };
+    std::stable_sort(order.begin(), order.end(),
+                     [&](uint32_t a, uint32_t b) {
+                         return block_key(a) < block_key(b);
+                     });
+    return order;
+}
+
+std::vector<ClockDomain>
+clock_domains(const Netlist& nl, const SourceDomains& dom)
+{
+    std::vector<ClockDomain> out;
+    std::map<uint32_t, size_t> index;
+    for (uint32_t r = 0; r < nl.regs.size(); ++r) {
+        const uint32_t clock = nl.regs[r].clock;
+        if (clock == kNoClock) {
+            continue;
+        }
+        const auto [it, inserted] = index.emplace(clock, out.size());
+        if (inserted) {
+            out.push_back({clock, dom.reg[r], {}});
+        }
+        out[it->second].regs.push_back(r);
+    }
+    return out;
 }
 
 } // namespace cascade::fpga

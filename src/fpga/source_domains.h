@@ -40,6 +40,29 @@ struct SourceDomains {
 /// its node's mask.
 SourceDomains source_domains(const Netlist& nl);
 
+/// Every evaluated node (all but Const and Input) in settle order:
+/// blocks of equal source mask, run in (popcount, mask) order, each in
+/// node-index order. An argument's mask is a subset of its node's mask,
+/// so the argument sits earlier in the same block or in a block with
+/// fewer bits: the order is topological, and one pass that skips the
+/// blocks whose mask misses the dirty bits settles like an index-ordered
+/// pass over every node.
+std::vector<uint32_t> settle_order(const Netlist& nl,
+                                   const SourceDomains& dom);
+
+/// Registers latched by one clock node: they commit together, and the
+/// domain bit they share marks their RegQ nodes dirty.
+struct ClockDomain {
+    uint32_t clock = 0;
+    uint64_t bit = 0;
+    std::vector<uint32_t> regs;
+};
+
+/// One entry per distinct register clock node, in first-use order
+/// (registers that never latch belong to none).
+std::vector<ClockDomain> clock_domains(const Netlist& nl,
+                                       const SourceDomains& dom);
+
 } // namespace cascade::fpga
 
 #endif // CASCADE_FPGA_SOURCE_DOMAINS_H
