@@ -44,13 +44,18 @@ class FabricExec {
     /// @}
 
     /// @{ Raw-word access by index, for a caller that resolved its
-    /// indices once (the hardware engine's AXI pins, its FIFO storage):
+    /// indices once (the hardware engine's AXI pins, its FIFO storage and
+    /// pointers):
     /// no BitVector is built and no name is looked up. The port or memory
     /// element must be at most 64 bits wide. set_input_word masks \p value
     /// to the port width and, like set_input, marks the port's domain only
     /// on a real change; output_word returns the settled value.
     virtual void set_input_word(int index, uint64_t value) = 0;
     virtual uint64_t output_word(int index) const = 0;
+    /// Index of register \p name for reg_word, or -1.
+    virtual int reg_index(const std::string& name) const = 0;
+    /// The low word of register \p index's value.
+    virtual uint64_t reg_word(int index) const = 0;
     /// Index of memory \p name for write_mem, or -1.
     virtual int mem_index(const std::string& name) const = 0;
     /// Stores \p values[0..count) (each masked to the element width) at

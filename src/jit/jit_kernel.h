@@ -54,6 +54,8 @@ class JitKernel : public fpga::FabricExec {
     /// @{ Raw-word access by index, straight onto the kernel ABI.
     void set_input_word(int index, uint64_t value) override;
     uint64_t output_word(int index) const override;
+    int reg_index(const std::string& name) const override;
+    uint64_t reg_word(int index) const override;
     int mem_index(const std::string& name) const override;
     void write_mem(int mem, uint64_t first, const uint64_t* values,
                    size_t count) override;

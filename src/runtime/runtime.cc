@@ -2765,12 +2765,22 @@ Runtime::run_open_loop()
     if (user == nullptr || !user->engine->supports_open_loop()) {
         return;
     }
-    // Feed the hardware FIFO before relinquishing control.
-    if (hw_engine_ != nullptr) {
+    // Feed the hardware FIFO before relinquishing control. While the host
+    // still holds bytes for it, a grant that drains it ends there: refill
+    // it and grant the rest, so the fabric never idles on a FIFO the host
+    // could fill and the modeled rate does not depend on the grant size.
+    const auto refill = [this] {
+        if (hw_engine_ == nullptr) {
+            return;
+        }
         for (const FifoBinding& f : fifos_) {
             feed_fifo_hw(f);
         }
-    }
+        const bool watch = !fifos_.empty() && !fifo_queue_.empty();
+        hw_engine_->stop_on_drain(watch ? fifos_.front().head : nullptr,
+                                  watch ? fifos_.front().tail : nullptr);
+    };
+    refill();
     // Adaptive profiling (§4.4): size batches so the engine relinquishes
     // control roughly every open_loop_target_wall_s of host time.
     if (open_loop_batch_ == 0) {
@@ -2784,6 +2794,11 @@ Runtime::run_open_loop()
     {
         TELEM_SPAN_HIST("openloop.batch", m_.open_loop_wall_ns);
         itrs = user->engine->open_loop(grant);
+        while (hw_engine_ != nullptr && hw_engine_->drained() &&
+               itrs < grant) {
+            refill();
+            itrs += user->engine->open_loop(grant - itrs);
+        }
     }
     const double wall = wall_seconds() - wall0;
     m_.open_loop_batch->record(grant);
