@@ -642,6 +642,96 @@ TEST(JitHwEngine, SpanRefillMatchesPerWordWrites)
     }
 }
 
+TEST(JitHwEngine, SetStateSpanMatchesPerWordRestore)
+{
+    // set_state restores a memory of at most 64-bit elements in one
+    // write_mem span. A profiled Bitstream observes every device cycle,
+    // so it takes the per-word MMIO path instead: both must cost the
+    // same bus transactions and device cycles and restore the same state.
+    // The kernel runs when a compiler exists; the Bitstream pair always.
+    Diagnostics diags;
+    SourceUnit unit = parse(workloads::regex_fifo_module(true), &diags);
+    ASSERT_FALSE(diags.has_errors()) << diags.str();
+    Elaborator elab(&diags);
+    auto em = elab.elaborate(*unit.modules[0]);
+    ASSERT_NE(em, nullptr) << diags.str();
+    ir::WrapperMap map;
+    auto wrapper = ir::generate_hw_wrapper(*em, "clk", &map, &diags);
+    ASSERT_NE(wrapper, nullptr) << diags.str();
+    auto wrapped = elab.elaborate(*wrapper);
+    ASSERT_NE(wrapped, nullptr) << diags.str();
+    std::shared_ptr<const fpga::Netlist> nl =
+        fpga::synthesize(*wrapped, &diags);
+    ASSERT_NE(nl, nullptr) << diags.str();
+
+    enum class Fabric { Bitstream, Kernel, ProfiledBitstream };
+    std::vector<Fabric> kinds = {Fabric::ProfiledBitstream,
+                                 Fabric::Bitstream};
+    if (jit::compiler_available()) {
+        kinds.push_back(Fabric::Kernel);
+    }
+    std::vector<TaskText> outs(kinds.size());
+    std::vector<const fpga::FabricExec*> fabrics;
+    std::vector<std::unique_ptr<runtime::HwEngine>> engines;
+    for (size_t k = 0; k < kinds.size(); ++k) {
+        std::unique_ptr<fpga::FabricExec> fabric;
+        if (kinds[k] == Fabric::Kernel) {
+            fabric = make_kernel(nl);
+            ASSERT_NE(fabric, nullptr);
+        } else {
+            fabric = std::make_unique<fpga::Bitstream>(nl);
+        }
+        fabrics.push_back(fabric.get());
+        engines.push_back(std::make_unique<runtime::HwEngine>(
+            std::move(fabric), map, std::vector<std::string>{"clk", "nhits"},
+            std::vector<bool>{true, false}, &outs[k], 50.0, 1e-6));
+        engines.back()->set_profiling(kinds[k] ==
+                                      Fabric::ProfiledBitstream);
+    }
+
+    // A snapshot with a full ring of text and a 20-byte backlog in it.
+    sim::StateSnapshot snap = engines[0]->get_state();
+    ASSERT_EQ(snap.memories.at("f__mem").size(), 256u);
+    const std::string text = "GET /ab GET /cde xyz";
+    for (size_t i = 0; i < 256; ++i) {
+        snap.memories["f__mem"][i] = BitVector(8, text[i % text.size()]);
+    }
+    snap.regs["f__head"] = BitVector(9, 250);
+    snap.regs["f__tail"] = BitVector(9, 270);
+
+    std::vector<uint64_t> tx, cycles, itrs;
+    std::vector<double> modeled_s;
+    std::vector<sim::StateSnapshot> restored;
+    for (auto& e : engines) {
+        e->take_modeled_seconds(); // engines[0] took the snapshot
+        const uint64_t tx0 = e->mmio_transactions();
+        const uint64_t cycles0 = e->fabric_cycles();
+        e->set_state(snap);
+        tx.push_back(e->mmio_transactions() - tx0);
+        cycles.push_back(e->fabric_cycles() - cycles0);
+        restored.push_back(e->get_state());
+        itrs.push_back(e->open_loop(64));
+        modeled_s.push_back(e->take_modeled_seconds());
+    }
+    EXPECT_EQ(restored[0].memories.at("f__mem"), snap.memories["f__mem"]);
+    EXPECT_EQ(restored[0].regs.at("f__tail"), snap.regs["f__tail"]);
+    for (size_t k = 1; k < kinds.size(); ++k) {
+        SCOPED_TRACE(static_cast<int>(kinds[k]));
+        EXPECT_EQ(tx[k], tx[0]);
+        EXPECT_EQ(cycles[k], cycles[0]);
+        EXPECT_EQ(restored[k], restored[0]);
+        EXPECT_EQ(itrs[k], itrs[0]);
+        EXPECT_EQ(outs[k].text(), outs[0].text());
+        EXPECT_EQ(modeled_s[k], modeled_s[0]);
+    }
+    EXPECT_NE(outs[0].text().find("match"), std::string::npos)
+        << outs[0].text();
+    // The per-word restore clocked the fabric on every bus cycle; the
+    // span skipped the two per element of the 256-entry ring.
+    EXPECT_EQ(fabrics[0]->cycles(), engines[0]->fabric_cycles());
+    EXPECT_EQ(engines[1]->fabric_cycles() - fabrics[1]->cycles(), 2u * 256);
+}
+
 // ---------------------------------------------------------------------------
 // Randomized three-way differential: simulator vs Bitstream vs JitKernel.
 // ---------------------------------------------------------------------------
