@@ -9,8 +9,10 @@
 /// one straight-line latch section per clock domain in step() — behind a
 /// flat extern "C" ABI (see kJitAbiVersion in jit_cache.h). The emitted
 /// source deliberately mirrors Bitstream::eval_comb / Bitstream::step and
-/// the BitVector op definitions bit for bit, so the differential suite can
-/// require byte-identical outputs across all three tiers.
+/// the BitVector op definitions bit for bit, and carries as text the same
+/// word-op helpers (fpga/word_ops.inc) the Bitstream runs as host code,
+/// so the differential suite can require byte-identical outputs across
+/// all three tiers.
 ///
 /// The split is a fixed rule of the netlist, never of the host, so a
 /// kernel's digest does not depend on the core count: one unit per eval_N
