@@ -7,6 +7,8 @@
 #ifndef CASCADE_FPGA_COMPILE_H
 #define CASCADE_FPGA_COMPILE_H
 
+#include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -74,10 +76,16 @@ struct CompileResult {
     CompileReport report;
 };
 
-/// Runs the full flow. Blocking; Cascade's runtime invokes this on the
-/// compile-server thread.
-CompileResult compile(const verilog::ElaboratedModule& em,
-                      const CompileOptions& options);
+/// Runs the full flow. Blocking; Cascade's runtime invokes this on a
+/// compile-service worker. \p on_netlist, when set, is called once
+/// synthesis succeeds, with the netlist the rest of the flow (and the
+/// result) shares. Once \p cancel is set, placement stops early and the
+/// result is an error.
+CompileResult compile(
+    const verilog::ElaboratedModule& em, const CompileOptions& options,
+    const std::atomic<bool>* cancel = nullptr,
+    const std::function<void(std::shared_ptr<const Netlist>)>& on_netlist =
+        {});
 
 /// The reprogrammable device (Cyclone V-class by default): capacity limits
 /// plus the fabric clock the runtime models hardware time against.

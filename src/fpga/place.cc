@@ -26,7 +26,8 @@ grid_side(size_t cells)
 } // namespace
 
 PlacementResult
-place(const MappedDesign& design, const PlaceOptions& options)
+place(const MappedDesign& design, const PlaceOptions& options,
+      const std::atomic<bool>* cancel)
 {
     PlacementResult out;
     const size_t n = design.cells.size();
@@ -90,6 +91,13 @@ place(const MappedDesign& design, const PlaceOptions& options)
 
     for (int step = 0; step < temp_steps; ++step) {
         for (uint64_t m = 0; m < moves_per_temp; ++m) {
+            // A temperature step of a large design at full effort is
+            // millions of moves, so the cancel check runs every 16k.
+            if ((m & 0x3fff) == 0 && cancel != nullptr &&
+                cancel->load(std::memory_order_relaxed)) {
+                out.cancelled = true;
+                return out;
+            }
             ++out.moves_evaluated;
             const uint32_t c = pick_cell(rng);
             const int32_t from = slot_of_cell[c];

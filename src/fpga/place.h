@@ -9,6 +9,7 @@
 #ifndef CASCADE_FPGA_PLACE_H
 #define CASCADE_FPGA_PLACE_H
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -23,6 +24,7 @@ struct PlacementResult {
     double final_wirelength = 0;  ///< HPWL after annealing
     double initial_wirelength = 0;
     uint64_t moves_evaluated = 0; ///< annealing work performed
+    bool cancelled = false;       ///< stopped early; not a placement
 };
 
 struct PlaceOptions {
@@ -32,8 +34,11 @@ struct PlaceOptions {
     uint64_t seed = 1;
 };
 
+/// Anneals \p design. Once \p cancel is set the anneal stops within
+/// 16k moves, and the result is marked cancelled.
 PlacementResult place(const MappedDesign& design,
-                      const PlaceOptions& options);
+                      const PlaceOptions& options,
+                      const std::atomic<bool>* cancel = nullptr);
 
 struct TimingReport {
     double critical_path_ns = 1.0;

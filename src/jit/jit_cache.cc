@@ -171,11 +171,11 @@ run_job(const std::vector<std::string>& argv, const std::string& log_path)
 
 /// Compiles srcs[k] to objs[k] for every unit, in unit order, on at most
 /// one thread per job slot. Returns "" on success, else which unit failed
-/// and how.
+/// and how (or that \p cancel stopped the build).
 std::string
 compile_units(const std::string& cxx, const std::vector<std::string>& srcs,
               const std::vector<std::string>& objs,
-              const std::string& log_path)
+              const std::string& log_path, const std::atomic<bool>* cancel)
 {
     std::atomic<size_t> next{0};
     std::mutex mutex;
@@ -184,6 +184,10 @@ compile_units(const std::string& cxx, const std::vector<std::string>& srcs,
         for (size_t k = next++; k < srcs.size(); k = next++) {
             {
                 std::lock_guard<std::mutex> lock(mutex);
+                if (failure.empty() && cancel != nullptr &&
+                    cancel->load(std::memory_order_relaxed)) {
+                    failure = "cancelled";
+                }
                 if (!failure.empty()) {
                     return; // the build has failed: start no more jobs
                 }
@@ -345,7 +349,8 @@ source_path_for(const std::string& digest)
 
 const JitModule*
 build_module(const std::vector<std::string>& units, std::string* digest_out,
-             bool* cache_hit, std::string* error)
+             bool* cache_hit, std::string* error,
+             const std::atomic<bool>* cancel)
 {
     // The object depends on the compiler and its flags as much as on the
     // source, so all of them address the cache: a warm cache never hands
@@ -440,7 +445,7 @@ build_module(const std::vector<std::string>& units, std::string* digest_out,
         ::close(log_fd);
     }
     const std::string tmp_so = so_path + tmp;
-    std::string failure = compile_units(cxx, srcs, objs, log_path);
+    std::string failure = compile_units(cxx, srcs, objs, log_path, cancel);
     if (failure.empty()) {
         std::vector<std::string> argv = {cxx};
         argv.insert(argv.end(), kLinkFlags.begin(), kLinkFlags.end());

@@ -29,6 +29,7 @@
 #ifndef CASCADE_JIT_JIT_CACHE_H
 #define CASCADE_JIT_JIT_CACHE_H
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -80,10 +81,13 @@ std::string source_path_for(const std::string& digest);
 /// compiling, so kernels self-identify. \p cache_hit reports whether the
 /// build was skipped (either an in-process resident module or an on-disk
 /// .so). On failure returns nullptr with \p error set; a failed compile
-/// or link names the log that holds the compiler's stderr.
+/// or link names the log that holds the compiler's stderr. Once
+/// \p cancel is set no further unit starts, and the build fails once the
+/// running ones finish.
 const JitModule* build_module(const std::vector<std::string>& units,
                               std::string* digest_out, bool* cache_hit,
-                              std::string* error);
+                              std::string* error,
+                              const std::atomic<bool>* cancel = nullptr);
 
 } // namespace cascade::jit
 

@@ -13,12 +13,13 @@ using fpga::words_of;
 std::unique_ptr<JitKernel>
 JitKernel::create(std::shared_ptr<const fpga::Netlist> nl,
                   std::string* error, std::string* digest_out,
-                  bool* cache_hit)
+                  bool* cache_hit, const std::atomic<bool>* cancel)
 {
     CASCADE_CHECK(nl != nullptr);
     const std::vector<std::string> units = generate_units(*nl);
     std::string digest;
-    const JitModule* mod = build_module(units, &digest, cache_hit, error);
+    const JitModule* mod =
+        build_module(units, &digest, cache_hit, error, cancel);
     if (digest_out != nullptr) {
         *digest_out = digest;
     }

@@ -29,12 +29,14 @@ class JitKernel : public fpga::FabricExec {
   public:
     /// Generates, compiles (or cache-loads), and instantiates a kernel
     /// for \p nl. Returns nullptr with \p *error set when the tier is
-    /// unavailable (no compiler, compile failure, dlopen failure).
+    /// unavailable (no compiler, compile failure, dlopen failure) or the
+    /// build was cancelled (see build_module).
     /// \p digest_out / \p cache_hit report the content address and
     /// whether the compile was skipped.
     static std::unique_ptr<JitKernel>
     create(std::shared_ptr<const fpga::Netlist> nl, std::string* error,
-           std::string* digest_out = nullptr, bool* cache_hit = nullptr);
+           std::string* digest_out = nullptr, bool* cache_hit = nullptr,
+           const std::atomic<bool>* cancel = nullptr);
 
     ~JitKernel() override;
 

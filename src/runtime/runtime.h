@@ -13,7 +13,6 @@
 #include <atomic>
 #include <deque>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <optional>
@@ -512,7 +511,7 @@ class Runtime : public EngineCallbacks {
     };
 
     /// How a compiled user engine is wired into the program. launch_compile
-    /// builds it from the stdlib slots it walks (both tiers of one launch
+    /// builds it from the stdlib slots it walks (both stages of the job
     /// share it), adoption completes it, and it stays as resident_ while
     /// that engine runs; a rebuild into software clears it.
     struct Wiring {
@@ -526,9 +525,10 @@ class Runtime : public EngineCallbacks {
         /// @{ Set at adoption.
         Location location = Location::Software;
         double clock_mhz = 0;
-        /// The compiled netlist (cache-shared, never mutated): the
-        /// debugger rebuilds the engine around an instrumented copy, or
-        /// around the plain tier again, without a recompile.
+        /// The compiled netlist (cache-shared, never mutated; both stages
+        /// of a job hold the one object): the debugger rebuilds the engine
+        /// around an instrumented copy, or around the plain tier again,
+        /// without a recompile.
         std::shared_ptr<const fpga::Netlist> netlist;
         /// @}
         /// The stdlib components are merged into the engine: their state
@@ -537,11 +537,11 @@ class Runtime : public EngineCallbacks {
         bool merged() const { return native || !prefixes.empty(); }
     };
 
-    /// One background build of a program version, in flight or finished:
-    /// the wiring adoption needs, plus the result of whichever tier built
-    /// it — a fabric compile (\p result from the compile service) or a
-    /// JIT build (\p kernel, generated from result.netlist; null when the
-    /// tier is unavailable, with result.error saying why).
+    /// One stage of a program version's compile-service job, in flight
+    /// or finished: the wiring adoption needs, plus the stage's result —
+    /// the fabric compile (\p result) or the JIT kernel (\p kernel, built
+    /// from result.netlist; null when the tier is unavailable, with
+    /// result.error saying why).
     struct CompileOutcome {
         uint64_t version = 0;
         fpga::CompileResult result;
@@ -627,16 +627,19 @@ class Runtime : public EngineCallbacks {
     void resolve_peripherals();
     void service_peripherals();
     uint32_t pad_width_hint(const std::string& net) const;
-    /// Polls both build kinds, the JIT's first, unless the debugger is
-    /// halted: a halted program stays in the interpreter.
+    /// Polls both stages of the compile-service job, the kernel's first,
+    /// unless the debugger is halted: a halted program stays in the
+    /// interpreter. Neither poll blocks (the live oracle never waits).
     void poll_builds();
-    /// The fabric kind's poll: acts on the finished compile when the
+    /// The fabric stage's poll: acts on the finished compile when the
     /// oracle says so.
     void poll_compiles();
-    /// Drains the compile service (waiting up to \p wait_s for a result):
-    /// discards superseded results and moves the current version's into
-    /// pending_outcome_. True once pending_outcome_ holds its result.
-    bool compile_finished(double wait_s);
+    /// Drains the compile service (waiting up to \p wait_s for a result)
+    /// into the two pending stages, pending_kernel_ and pending_outcome_,
+    /// and discards superseded results. True once \p pending, one of the
+    /// two, holds its result.
+    bool build_finished(const std::optional<CompileOutcome>& pending,
+                        double wait_s);
     void launch_compile();
     /// Relocates the user program onto an adopted engine and journals
     /// the transition. The engine runs outcome.kernel when it holds one
@@ -665,12 +668,8 @@ class Runtime : public EngineCallbacks {
     Slot engine_slot(const Wiring& wiring,
                      std::unique_ptr<fpga::FabricExec> fabric,
                      double mmio_latency_s);
-    /// Spawns the async JIT build for the wrapper module just submitted
-    /// to the fabric compiler (journals jit.launch).
-    void launch_jit(std::shared_ptr<const verilog::ElaboratedModule> em,
-                    const CompileOutcome& outcome);
-    /// The JIT kind's poll: adopts or discards the finished build when
-    /// the oracle says so.
+    /// The kernel stage's poll: adopts or discards the finished kernel
+    /// when the oracle says so.
     void poll_jit();
     /// The user program occupies actual fabric (Hardware,
     /// HardwareForwarded or Native — not Jit, not Software). Gates
@@ -857,11 +856,10 @@ class Runtime : public EngineCallbacks {
     /// (null in exclusive mode).
     hypervisor::FabricManager* fabric_ = nullptr;
     uint64_t tenant_ = 0;
-    /// The in-flight fabric compile; compile_finished() fills its result.
+    /// The latest job's two stages, in flight or finished but not yet
+    /// acted on; build_finished() fills their results.
     std::optional<CompileOutcome> pending_outcome_;
-    /// The in-flight JIT build (at most one; a relaunch waits out the
-    /// previous one, and poll_jit discards a result gone stale).
-    std::future<CompileOutcome> jit_build_;
+    std::optional<CompileOutcome> pending_kernel_;
     /// Shared mode: a finished compile awaiting fabric capacity (its
     /// admission was denied retryable). Re-tried when the hypervisor's
     /// capacity epoch moves past parked_epoch_.

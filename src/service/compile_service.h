@@ -1,21 +1,30 @@
 /// \file
-/// The pooled compile service: the process-wide successor of the
-/// single-runtime CompileServer that used to live inside runtime.cc. One
-/// service instance hosts an N-worker thread pool running fpga::compile
-/// jobs for any number of registered clients (Runtimes), a bounded FIFO
-/// queue with per-client cancellation (a superseded program version
-/// cancels its still-queued compile), and a content-addressed bitstream
-/// cache: results are keyed by a digest of the canonical elaborated
-/// source, the bound parameter values, the device/target configuration,
-/// the annealing effort, and the placement seed. A hit skips
-/// synth/techmap/place entirely and returns the cached CompileResult with
-/// `CompileReport::cache_hit = true` and zeroed per-phase timings — the
-/// dominant REPL pattern (recompiling an unchanged program) becomes
-/// near-free.
+/// The pooled compile service: every background build of a program
+/// version, for any number of registered clients (Runtimes). One job per
+/// edit: an N-worker pool synthesizes the job's module once, then runs
+/// two stages from that one netlist. The fabric stage (techmap, place,
+/// timing) continues on the worker; the kernel stage, when the job asks
+/// for it, builds the native JIT kernel on a thread the service starts
+/// for it, so a worker never waits for a compiler. Each stage delivers
+/// its own Done on the client's channel.
+///
+/// A bounded FIFO queue feeds the workers. A client's newer job, or its
+/// unregistering, cancels its queued jobs and its running one: placement
+/// stops within a few thousand moves, the kernel build starts no further
+/// unit, and a cancelled job delivers nothing and caches nothing. A
+/// content-addressed bitstream cache keys results by a digest of the
+/// canonical elaborated source, the bound parameter values, the
+/// device/target configuration, the annealing effort, and the placement
+/// seed. A hit skips synth/techmap/place entirely and returns the cached
+/// CompileResult with `CompileReport::cache_hit = true` and zeroed
+/// per-phase timings (recompiling an unchanged program, the dominant REPL
+/// pattern, becomes near-free); a wanted kernel still builds, from the
+/// cached netlist.
 
 #ifndef CASCADE_SERVICE_COMPILE_SERVICE_H
 #define CASCADE_SERVICE_COMPILE_SERVICE_H
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -29,6 +38,7 @@
 #include <vector>
 
 #include "fpga/compile.h"
+#include "jit/jit_kernel.h"
 #include "telemetry/sync.h"
 #include "telemetry/telemetry.h"
 #include "verilog/elaborate.h"
@@ -59,11 +69,26 @@ class CompileService {
         /// Echoed back on Done and bound into the worker's trace spans
         /// as a flow step, so a request's spans chain across threads.
         uint64_t request = 0;
+        /// Also build a JIT kernel from the job's netlist (the kernel
+        /// stage).
+        bool kernel = false;
     };
 
+    /// One finished stage of a job.
     struct Done {
+        enum class Stage { Fabric, Kernel };
+        Stage stage = Stage::Fabric;
         uint64_t version = 0;
+        /// The fabric stage's flow result. The kernel stage fills ok,
+        /// error, netlist (the fabric's own netlist object) and
+        /// report.cache_hit (whether the kernel build was skipped).
         fpga::CompileResult result;
+        /// @{ Kernel stage: the kernel (null when the tier is
+        /// unavailable, with result.error saying why) and its content
+        /// address.
+        std::unique_ptr<jit::JitKernel> kernel;
+        std::string kernel_digest;
+        /// @}
         uint64_t request = 0; ///< echoed from Job::request
         /// @{ Request-tracing timeline anchors (tracer microseconds):
         /// the service-side boundaries the critical-path analyzer turns
@@ -88,21 +113,22 @@ class CompileService {
 
     /// @{ Client registry. Each Runtime registers once; results are
     /// delivered per-client, and unregistering cancels that client's
-    /// queued jobs and discards its undelivered results.
+    /// queued and running jobs and discards its undelivered results.
     uint64_t register_client();
     void unregister_client(uint64_t client);
     /// @}
 
     /// Enqueues a compile for \p client. Any job of the same client still
-    /// in the queue is cancelled first (a newer program version obsoletes
-    /// it). On a cache hit the finished result is delivered immediately
-    /// without touching the queue or the workers.
+    /// queued or running is cancelled first (a newer program version
+    /// obsoletes it). On a cache hit the fabric result is delivered
+    /// immediately without touching the queue or the workers, and a
+    /// wanted kernel stage starts from the cached netlist.
     void submit(uint64_t client, Job job);
 
-    /// Drains and returns every finished compile for \p client.
+    /// Drains and returns every finished stage for \p client.
     std::vector<Done> poll(uint64_t client);
 
-    /// True while \p client has a job queued or running.
+    /// True while \p client has a job queued or a stage running.
     bool busy(uint64_t client) const;
 
     /// Blocks until a finished compile is available for \p client (true)
@@ -111,8 +137,8 @@ class CompileService {
     /// adoption-poll sleep loops.
     bool wait_for_done(uint64_t client, double timeout_s);
 
-    /// Blocks until the queue is empty and no worker is running a job
-    /// (benches bracket measurements with this).
+    /// Blocks until the queue is empty and no stage is running (benches
+    /// bracket measurements with this).
     void wait_idle();
 
     /// @{ Introspection.
@@ -143,7 +169,30 @@ class CompileService {
         double cache_us = 0;   ///< cache lookup duration at submit
     };
 
+    /// Set when a running job is cancelled; its stages poll it.
+    using CancelFlag = std::shared_ptr<std::atomic<bool>>;
+
+    /// A kernel stage's thread; `finished` once it no longer needs the
+    /// service, so the next start (or the destructor) can join it.
+    struct KernelThread {
+        std::thread thread;
+        bool finished = false;
+    };
+
     void worker_loop();
+    /// Starts \p job's kernel stage over \p netlist on its own thread.
+    void start_kernel_locked(uint64_t client, const Job& job,
+                             std::shared_ptr<const fpga::Netlist> netlist,
+                             const CancelFlag& cancel);
+    void kernel_stage(uint64_t client, uint64_t version, uint64_t request,
+                      std::shared_ptr<const fpga::Netlist> netlist,
+                      CancelFlag cancel,
+                      std::list<KernelThread>::iterator self);
+    /// Cancels \p client's queued and running jobs.
+    void cancel_locked(uint64_t client);
+    /// Retires one running stage of \p client; true if its job was not
+    /// cancelled and its client is still registered (deliver its Done).
+    bool finish_stage_locked(uint64_t client, const CancelFlag& cancel);
     bool inflight_locked(uint64_t client) const;
     void cache_insert_locked(const std::string& key,
                              const fpga::CompileResult& result);
@@ -159,11 +208,14 @@ class CompileService {
     uint64_t next_client_ = 0;
     std::set<uint64_t> clients_;
     std::deque<Pending> queue_;
-    std::map<uint64_t, size_t> running_;            ///< client -> jobs
+    /// client -> one entry per running stage (a job's two stages share
+    /// its flag)
+    std::multimap<uint64_t, CancelFlag> running_;
     std::map<uint64_t, std::vector<Done>> done_;    ///< client -> results
     std::map<std::string, fpga::CompileResult> cache_;
     std::list<std::string> cache_lru_; ///< front = most recently used
     std::vector<std::thread> workers_;
+    std::list<KernelThread> kernel_threads_;
 
     /// Process-registry metrics (telemetry::Registry::global()): pointers
     /// are stable for the registry's lifetime.

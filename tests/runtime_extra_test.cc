@@ -563,5 +563,27 @@ TEST(RuntimeExtra, ForwardedFifoRateDoesNotDependOnTheGrantSize)
         << long_grants << " at 300 ms grants";
 }
 
+
+TEST(RuntimeExtra, TeardownCancelsAnInFlightPlacement)
+{
+    // The miner's placement at full effort runs for seconds; destroying
+    // the runtime cancels it instead of waiting it out.
+    Runtime::Options opts;
+    opts.enable_hardware = true;
+    opts.enable_jit = false;
+    opts.compile_effort = 1.0;
+    auto rt = std::make_unique<Runtime>(opts);
+    std::string err;
+    ASSERT_TRUE(rt->eval(workloads::proof_of_work_source(16, false), &err))
+        << err;
+    rt->run_for_ticks(2);
+    const auto t0 = std::chrono::steady_clock::now();
+    rt.reset();
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count(),
+              0.1);
+}
+
 } // namespace
 } // namespace cascade::runtime
