@@ -116,6 +116,7 @@ main()
         int hw_samples = 0;
         double sw_kio = 0;
         double hw_kio = 0;
+        uint64_t feed = 8192;
         while (now_s() - t0 < 150.0) {
             if (rt.fifo_backlog() < 4096) {
                 rt.fifo_push(log_bytes(8192));
@@ -134,9 +135,22 @@ main()
                 continue;
             }
             // Hardware phase: throughput against the virtual timeline.
+            // The paper's host keeps up with the bus, so before every
+            // scheduler call the host queue holds at least `feed` bytes.
+            // A grant that empties it idles on the FIFO for the rest of
+            // its ticks, and the modeled clock counts that idle time, so
+            // the feed doubles whenever one does.
             const uint64_t bytes0 = rt.fifo_bytes_consumed();
             const double tl0 = rt.timeline_seconds();
-            rt.run(8);
+            for (int i = 0; i < 8; ++i) {
+                if (rt.fifo_backlog() < feed) {
+                    rt.fifo_push(log_bytes(2 * feed - rt.fifo_backlog()));
+                }
+                rt.run(1);
+                if (rt.fifo_backlog() == 0) {
+                    feed *= 2;
+                }
+            }
             const double dtl = rt.timeline_seconds() - tl0;
             const uint64_t dbytes = rt.fifo_bytes_consumed() - bytes0;
             if (dtl > 0 && dbytes > 0) {
