@@ -80,8 +80,6 @@ enum class ReplayClass : uint8_t {
     /* What the user typed; eval records what was submitted. */             \
     X(ReplInput, "repl.input", Info, nullptr, nullptr)                      \
     X(Log, "log", Info, nullptr, nullptr)                                   \
-    /* Whether a stale result surfaces is a wall-clock race. */             \
-    X(CompileStale, "compile.stale", Info, nullptr, nullptr)                \
     /* Who compiled first is a wall-clock artifact. */                      \
     X(CompileCache, "compile.cache", Info, nullptr, nullptr)                \
     X(JitCache, "jit.cache", Info, nullptr, nullptr)                        \
@@ -97,7 +95,7 @@ enum class ReplayClass : uint8_t {
     /* Exists only on sessions that dump a window. */                       \
     X(DebugWindow, "debug.window", Info, nullptr, nullptr)                  \
     X(DebugRearm, "debug.rearm", Info, nullptr, nullptr)                    \
-    /* A stale compile closes its request at a wall-clock race. */          \
+    /* Request bookkeeping; replay pins no decision on it. */               \
     X(RequestDone, "request.done", Info, nullptr, nullptr)                  \
     X(SloBreach, "slo.breach", Info, nullptr, nullptr)
 

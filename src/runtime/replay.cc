@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <type_traits>
 
 #include "common/diagnostics.h"
 #include "runtime/events.h"
@@ -291,29 +292,17 @@ Runtime::Options
 options_from_header(const telemetry::JsonValue& header)
 {
     Runtime::Options o;
-    o.enable_inlining =
-        header.get_bool("enable_inlining", o.enable_inlining);
-    o.enable_hardware =
-        header.get_bool("enable_hardware", o.enable_hardware);
-    o.enable_jit = header.get_bool("enable_jit", o.enable_jit);
-    o.enable_forwarding =
-        header.get_bool("enable_forwarding", o.enable_forwarding);
-    o.enable_open_loop =
-        header.get_bool("enable_open_loop", o.enable_open_loop);
-    o.native_mode = header.get_bool("native_mode", o.native_mode);
-    o.compile_effort = header.get_num("compile_effort", o.compile_effort);
-    o.device_clock_mhz =
-        header.get_num("device_clock_mhz", o.device_clock_mhz);
-    o.mmio_latency_s = header.get_num("mmio_latency_s", o.mmio_latency_s);
-    o.device_les = header.get_u64("device_les", o.device_les);
-    o.device_bram_bits =
-        header.get_u64("device_bram_bits", o.device_bram_bits);
-    o.open_loop_iterations =
-        header.get_u64("open_loop_iterations", o.open_loop_iterations);
-    o.open_loop_target_wall_s = header.get_num("open_loop_target_wall_s",
-                                               o.open_loop_target_wall_s);
-    o.profiling = header.get_bool("profiling", o.profiling);
-    o.compile_seed = header.get_u64("compile_seed", o.compile_seed);
+    Runtime::Options::for_each_journaled(o, [&header](const char* key,
+                                                      auto& value) {
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, bool>) {
+            value = header.get_bool(key, value);
+        } else if constexpr (std::is_same_v<T, double>) {
+            value = header.get_num(key, value);
+        } else {
+            value = header.get_u64(key, value);
+        }
+    });
     return o;
 }
 

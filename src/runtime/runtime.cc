@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 
 #include "common/check.h"
 #include "fpga/synth.h"
@@ -1414,7 +1415,8 @@ Runtime::wait_for_hardware(double timeout_s)
             if (remaining <= 0) {
                 break;
             }
-            if (parked_outcome_.has_value() && fabric_ != nullptr) {
+            if (job_.has_value() && job_->parked_epoch.has_value() &&
+                fabric_ != nullptr) {
                 // Admission denied retryably: wake on fabric capacity
                 // changes rather than compile completions.
                 fabric_->wait_for_change(std::min(remaining, 0.05));
@@ -1422,8 +1424,8 @@ Runtime::wait_for_hardware(double timeout_s)
             }
             // Only a fabric result still owed by the service can land
             // the program on the fabric (a kernel stage cannot).
-            if (!pending_outcome_.has_value() ||
-                pending_outcome_->polled_us > 0 ||
+            if (!job_.has_value() || !job_->fabric_pending ||
+                job_->fabric.has_value() ||
                 !compile_service_->busy(compile_client_)) {
                 break;
             }
@@ -1469,26 +1471,19 @@ Runtime::log_event(LogLevel level, const char* component,
 std::string
 Runtime::journal_header_json() const
 {
-    // Every option that shapes execution, so a replayer can reconstruct an
-    // identically-configured Runtime from the journal alone. Doubles are
-    // printed round-trip exact (%.17g) by JsonWriter::dbl.
-    return telemetry::JsonWriter()
-        .boolean("enable_inlining", options_.enable_inlining)
-        .boolean("enable_hardware", options_.enable_hardware)
-        .boolean("enable_jit", options_.enable_jit)
-        .boolean("enable_forwarding", options_.enable_forwarding)
-        .boolean("enable_open_loop", options_.enable_open_loop)
-        .boolean("native_mode", options_.native_mode)
-        .dbl("compile_effort", options_.compile_effort)
-        .dbl("device_clock_mhz", options_.device_clock_mhz)
-        .dbl("mmio_latency_s", options_.mmio_latency_s)
-        .num("device_les", options_.device_les)
-        .num("device_bram_bits", options_.device_bram_bits)
-        .num("open_loop_iterations", options_.open_loop_iterations)
-        .dbl("open_loop_target_wall_s", options_.open_loop_target_wall_s)
-        .boolean("profiling", options_.profiling)
-        .num("compile_seed", options_.compile_seed)
-        .build();
+    // Doubles are printed round-trip exact (%.17g) by JsonWriter::dbl.
+    telemetry::JsonWriter header;
+    Options::for_each_journaled(options_, [&header](const char* key,
+                                                    auto value) {
+        if constexpr (std::is_same_v<decltype(value), bool>) {
+            header.boolean(key, value);
+        } else if constexpr (std::is_same_v<decltype(value), double>) {
+            header.dbl(key, value);
+        } else {
+            header.num(key, value);
+        }
+    });
+    return header.build();
 }
 
 bool
@@ -2081,15 +2076,27 @@ Runtime::service_peripherals()
 void
 Runtime::launch_compile()
 {
+    // This version supersedes the current job, whether or not it gets a
+    // job of its own: a request not yet acted on closes unadopted, and
+    // the service stops the build and drops its results.
+    telemetry::Tracer& tracer = telemetry::Tracer::global();
+    if (job_.has_value()) {
+        if (job_->fabric_pending || job_->parked_epoch.has_value()) {
+            finish_request(job_->request, "compile", job_->version, false,
+                           tracer.now_us());
+        }
+        compile_service_->cancel(compile_client_);
+        job_.reset();
+    }
     if (root_items_.empty()) {
         return;
     }
     Diagnostics diags;
     auto root = make_root(root_items_);
 
-    CompileOutcome outcome;
-    outcome.version = version_;
-    Wiring& wiring = outcome.wiring;
+    Job job;
+    job.version = version_;
+    Wiring& wiring = job.wiring;
     wiring.native = options_.native_mode;
 
     const bool merge_stdlib =
@@ -2206,33 +2213,18 @@ Runtime::launch_compile()
         version_,
         options_.compile_seed != 0 ? options_.compile_seed : version_);
 
-    // Request tracing: this launch supersedes any in-flight compile
-    // request (its result will surface as compile.stale, if at all);
-    // close those before opening the new request. The new id is the
-    // journal seq of the compile.launch event, recorded before
-    // submission so the workers see it on the job.
-    telemetry::Tracer& tracer = telemetry::Tracer::global();
-    const double submit_us = tracer.now_us();
-    if (pending_outcome_.has_value() && pending_outcome_->request != 0) {
-        finish_request(pending_outcome_->request, "compile",
-                       pending_outcome_->version, false, submit_us);
-    }
-    if (parked_outcome_.has_value() && parked_outcome_->request != 0) {
-        finish_request(parked_outcome_->request, "compile",
-                       parked_outcome_->version, false, submit_us);
-    }
-    const uint64_t request = emit(EventKind::CompileLaunch,
-                                  JsonWriter()
-                                      .num("version", version_)
-                                      .num("seed", seed),
-                                  version_);
-    outcome.request = request;
-    outcome.submit_us = submit_us;
-    requests_.begin(request, "compile", version_, tenant_, submit_us);
+    // Request tracing: the id is the journal seq of the compile.launch
+    // event, recorded before submission so the workers see it on the job.
+    job.submit_us = tracer.now_us();
+    job.request = emit(EventKind::CompileLaunch,
+                       JsonWriter().num("version", version_).num("seed", seed),
+                       version_);
+    requests_.begin(job.request, "compile", version_, tenant_,
+                    job.submit_us);
     // Flow start: the causal arrow leaves the runtime thread here and
     // lands in the worker's compile.exec span (phase "t"), then back at
     // adoption (phase "f").
-    tracer.flow("request", 's', request);
+    tracer.flow("request", 's', job.request);
 
     // The same job also builds the JIT-tier kernel (the middle rung of
     // the interpreter → JIT → fabric ladder) from the netlist it
@@ -2241,27 +2233,22 @@ Runtime::launch_compile()
     // program is the clock alone: the first eval supersedes its kernel,
     // whose cancelled build would only take compiler slots from the
     // first real kernel.
-    service::CompileService::Job job;
-    job.kernel =
+    service::CompileService::Job submit;
+    submit.kernel =
         options_.enable_jit && !options_.native_mode && !bootstrapping_;
-    if (job.kernel) {
+    if (submit.kernel) {
         emit(EventKind::JitLaunch, JsonWriter().num("version", version_),
              version_);
-        CompileOutcome build;
-        build.version = version_;
-        build.wiring = outcome.wiring;
-        pending_kernel_ = std::move(build);
     }
-
-    pending_outcome_ = std::move(outcome);
-    parked_outcome_.reset();
-    job.version = version_;
-    job.request = request;
-    job.module = em;
-    job.options.effort = options_.compile_effort;
-    job.options.target_clock_mhz = options_.device_clock_mhz;
-    job.options.seed = seed;
-    compile_service_->submit(compile_client_, std::move(job));
+    submit.version = version_;
+    submit.request = job.request;
+    submit.module = em;
+    submit.options.effort = options_.compile_effort;
+    submit.options.target_clock_mhz = options_.device_clock_mhz;
+    submit.options.seed = seed;
+    job.kernel_pending = submit.kernel;
+    job_ = std::move(job);
+    compile_service_->submit(compile_client_, std::move(submit));
 }
 
 void
@@ -2286,134 +2273,101 @@ void
 Runtime::poll_compiles()
 {
     const uint64_t version =
-        pending_outcome_.has_value() ? pending_outcome_->version : 0;
+        job_.has_value() && job_->fabric_pending ? job_->version : 0;
     if (oracle_->act_now(Oracle::Build::Fabric, version, iterations_,
                          [this](double s) {
-                             return build_finished(pending_outcome_, s);
+                             return build_finished(Done::Stage::Fabric, s);
                          })) {
-        CompileOutcome outcome = std::move(*pending_outcome_);
-        pending_outcome_.reset();
-        maybe_admit_and_act(std::move(outcome));
+        job_->fabric_pending = false;
+        maybe_admit_and_act();
     }
     retry_parked();
 }
 
 bool
-Runtime::build_finished(const std::optional<CompileOutcome>& pending,
-                        double wait_s)
+Runtime::build_finished(Done::Stage stage, double wait_s)
 {
-    if (!pending.has_value()) {
+    const bool kernel = stage == Done::Stage::Kernel;
+    if (!job_.has_value() ||
+        !(kernel ? job_->kernel_pending : job_->fabric_pending)) {
         return false; // nothing in flight: leave the service's lock alone
     }
     if (wait_s > 0) {
         compile_service_->wait_for_done(compile_client_, wait_s);
     }
-    using Done = service::CompileService::Done;
     for (Done& done : compile_service_->poll(compile_client_)) {
-        const bool kernel = done.stage == Done::Stage::Kernel;
-        std::optional<CompileOutcome>& build =
-            kernel ? pending_kernel_ : pending_outcome_;
-        // A kernel lands on the build that launched it (poll_jit discards
-        // it if the program changed since); a fabric result only on the
-        // current version.
-        if (build.has_value() && done.version == build->version &&
-            (kernel || done.version == version_)) {
-            build->result = std::move(done.result);
-            build->kernel = std::move(done.kernel);
-            build->kernel_digest = std::move(done.kernel_digest);
-            build->svc_cache_us = done.cache_us;
-            build->svc_enqueue_us = done.enqueue_us;
-            build->svc_dequeue_us = done.dequeue_us;
-            build->svc_done_us = done.done_us;
-            build->polled_us = telemetry::Tracer::global().now_us();
-            continue;
-        }
-        if (kernel) {
-            continue; // a superseded job's kernel: never adopted
-        }
-        // Stale: the program changed since submission. Journaled only by
-        // a poll that does not wait: a stale result that surfaces while a
-        // pinned (replayed) decision waits must stay out of the journal,
-        // which replays byte-identically.
-        if (wait_s == 0) {
-            emit(EventKind::CompileStale, JsonWriter()
-                                              .num("version", done.version)
-                                              .num("req", done.request));
-        }
-        if (done.request != 0) {
-            finish_request(done.request, "compile", done.version, false,
-                           telemetry::Tracer::global().now_us());
+        if (done.stage == Done::Stage::Kernel) {
+            job_->kernel = std::move(done);
+        } else {
+            job_->polled_us = telemetry::Tracer::global().now_us();
+            job_->fabric = std::move(done);
         }
     }
-    return pending->polled_us > 0;
+    return (kernel ? job_->kernel : job_->fabric).has_value();
 }
 
 void
-Runtime::maybe_admit_and_act(CompileOutcome outcome)
+Runtime::maybe_admit_and_act()
 {
     // Shared mode gates adoption on hypervisor admission, and the grant
     // is requested BEFORE compile.done is journaled so the compared
     // compile.done/adopt pair stays adjacent in both record and replay.
-    if (fabric_ == nullptr || !outcome.result.ok) {
-        act_on_compile(std::move(outcome), nullptr);
+    const fpga::CompileResult& result = job_->fabric->result;
+    if (fabric_ == nullptr || !result.ok) {
+        act_on_compile(nullptr);
         return;
     }
-    hypervisor::Admission adm =
-        fabric_->request_residency(tenant_, outcome.result);
+    hypervisor::Admission adm = fabric_->request_residency(tenant_, result);
     if (adm.bitstream == nullptr && adm.retryable) {
         // Capacity pressure: park the finished compile and re-request
         // when the fabric changes.
         emit(EventKind::HypervisorDefer, JsonWriter()
-                                             .num("version", outcome.version)
-                                             .num("req", outcome.request)
+                                             .num("version", job_->version)
+                                             .num("req", job_->request)
                                              .str("reason", adm.error));
         log_event(LogLevel::Info, "hypervisor",
                   "admission deferred for v" +
-                      std::to_string(outcome.version) + ": " + adm.error);
-        parked_epoch_ = fabric_->capacity_epoch();
-        parked_outcome_ = std::move(outcome);
+                      std::to_string(job_->version) + ": " + adm.error);
+        job_->parked_epoch = fabric_->capacity_epoch();
         return;
     }
-    act_on_compile(std::move(outcome), &adm);
+    act_on_compile(&adm);
 }
 
 void
 Runtime::retry_parked()
 {
-    if (!parked_outcome_.has_value()) {
-        return;
-    }
-    if (parked_outcome_->version != version_) {
-        parked_outcome_.reset(); // obsoleted by a newer eval
+    if (!job_.has_value() || !job_->parked_epoch.has_value()) {
         return;
     }
     if (fabric_ != nullptr &&
-        fabric_->capacity_epoch() == parked_epoch_) {
+        fabric_->capacity_epoch() == *job_->parked_epoch) {
         return; // nothing changed; asking again would re-flag a victim
     }
-    CompileOutcome outcome = std::move(*parked_outcome_);
-    parked_outcome_.reset();
-    maybe_admit_and_act(std::move(outcome));
+    job_->parked_epoch.reset();
+    maybe_admit_and_act();
 }
 
 void
-Runtime::act_on_compile(CompileOutcome outcome,
-                        hypervisor::Admission* admission)
+Runtime::act_on_compile(hypervisor::Admission* admission)
 {
-    last_report_ = outcome.result.report;
-    const fpga::CompileReport& r = outcome.result.report;
+    Done& done = *job_->fabric;
+    const uint64_t request = job_->request;
+    const uint64_t version = job_->version;
+    last_report_ = done.result.report;
+    const fpga::CompileReport& r = done.result.report;
     telemetry::Tracer& tracer = telemetry::Tracer::global();
     const double act_start_us = tracer.now_us();
     // End-to-end compile latency (submit -> acted on) for the SLO
     // window; warm = answered from the bitstream cache.
     monitor_->record_compile(r.cache_hit,
-                             (act_start_us - outcome.submit_us) * 1e-6);
+                             (act_start_us - job_->submit_us) * 1e-6);
     emit(EventKind::CompileCache, JsonWriter()
-                                      .num("version", outcome.version)
+                                      .num("version", version)
                                       .boolean("hit", r.cache_hit));
     emit(EventKind::CompileDone, JsonWriter()
-                                     .num("version", outcome.version)
-                                     .boolean("ok", outcome.result.ok)
+                                     .num("version", version)
+                                     .boolean("ok", done.result.ok)
                                      .num("seed", r.seed)
                                      .str("digest", report_digest(r))
                                      .num("les", r.area.les)
@@ -2426,15 +2380,12 @@ Runtime::act_on_compile(CompileOutcome outcome,
     // the segment sum equals end-to-end latency by construction.
     // "overhead" absorbs the service-side slack the named segments
     // don't cover (submit lock wait, cache insert, clock jitter).
-    const uint64_t request = outcome.request;
-    const uint64_t request_version = outcome.version;
     if (request != 0) {
         const auto clamp0 = [](double us) { return std::max(0.0, us); };
-        const double queue_us =
-            clamp0(outcome.svc_dequeue_us - outcome.svc_enqueue_us);
+        const double queue_us = clamp0(done.dequeue_us - done.enqueue_us);
         const double phases_us = r.phase_sum_seconds() * 1e6;
         requests_.annotate_cache(request, r.cache_hit);
-        requests_.add_segment(request, "cache", outcome.svc_cache_us);
+        requests_.add_segment(request, "cache", done.cache_us);
         requests_.add_segment(request, "queue", queue_us);
         requests_.add_segment(request, "synth", r.synth_seconds * 1e6);
         requests_.add_segment(request, "techmap",
@@ -2444,14 +2395,12 @@ Runtime::act_on_compile(CompileOutcome outcome,
                               r.timing_seconds * 1e6);
         requests_.add_segment(
             request, "overhead",
-            clamp0((outcome.svc_done_us - outcome.submit_us) -
-                   outcome.svc_cache_us - queue_us - phases_us));
-        requests_.add_segment(
-            request, "wait",
-            clamp0(outcome.polled_us - outcome.svc_done_us));
-        requests_.add_segment(
-            request, "admission",
-            clamp0(act_start_us - outcome.polled_us));
+            clamp0((done.done_us - job_->submit_us) - done.cache_us -
+                   queue_us - phases_us));
+        requests_.add_segment(request, "wait",
+                              clamp0(job_->polled_us - done.done_us));
+        requests_.add_segment(request, "admission",
+                              clamp0(act_start_us - job_->polled_us));
     }
     // The fabric kind's step ahead of relocation: the bitstream. A forced
     // (recorded) rejection stands in for it, as hypervisor denials cannot
@@ -2460,8 +2409,8 @@ Runtime::act_on_compile(CompileOutcome outcome,
     std::string error;
     double clock_mhz = device_.clock_mhz();
     std::unique_ptr<fpga::Bitstream> bitstream;
-    if (auto forced = oracle_->forced_failure(Oracle::Build::Fabric,
-                                              outcome.version)) {
+    if (auto forced =
+            oracle_->forced_failure(Oracle::Build::Fabric, version)) {
         error = std::move(*forced);
     } else if (admission != nullptr) {
         bitstream = std::move(admission->bitstream);
@@ -2470,14 +2419,13 @@ Runtime::act_on_compile(CompileOutcome outcome,
             clock_mhz = admission->clock_mhz;
         }
     } else {
-        bitstream = device_.program(outcome.result, &error,
+        bitstream = device_.program(done.result, &error,
                                     /*allow_derated_clock=*/true,
                                     &clock_mhz);
     }
     const bool adopted = bitstream != nullptr;
     if (adopted) {
-        adopt_fabric(std::move(outcome), std::move(bitstream), clock_mhz,
-                     admission);
+        adopt_fabric(done, std::move(bitstream), clock_mhz, admission);
     } else {
         // Timing or fit failure: report and stay in software (the UT
         // study's "ran in simulation but did not pass timing closure").
@@ -2485,10 +2433,10 @@ Runtime::act_on_compile(CompileOutcome outcome,
                           error + "\n");
         emit(EventKind::CompileRejected,
              JsonWriter()
-                 .num("version", request_version)
+                 .num("version", version)
                  .num("iteration", iterations_)
                  .str("error", error),
-             request_version);
+             version);
         log_event(LogLevel::Warn, "compile",
                   "hardware compilation rejected: " + error);
     }
@@ -2504,43 +2452,43 @@ Runtime::act_on_compile(CompileOutcome outcome,
             // arrow lands back on the runtime thread here.
             tracer.flow("request", 'f', request);
             first_tick_request_ = request;
-            first_tick_version_ = request_version;
+            first_tick_version_ = version;
             first_tick_adopt_us_ = now_us;
         } else {
-            finish_request(request, "compile", request_version, false,
-                           now_us);
+            finish_request(request, "compile", version, false, now_us);
         }
     }
 }
 
 void
-Runtime::adopt_fabric(CompileOutcome outcome,
+Runtime::adopt_fabric(Done& stage,
                       std::unique_ptr<fpga::Bitstream> bitstream,
                       double actual_clock_mhz,
                       hypervisor::Admission* admission)
 {
-    const bool is_jit = outcome.kernel != nullptr;
+    const uint64_t version = job_->version;
+    const bool is_jit = stage.kernel != nullptr;
     std::unique_ptr<fpga::FabricExec> fabric = std::move(bitstream);
     if (is_jit) {
-        fabric = std::move(outcome.kernel);
+        fabric = std::move(stage.kernel);
     }
     // Upgrading: the real fabric landed while the same version was
     // running on the JIT tier.
     const bool upgrading = user_location() == Location::Jit;
     if (upgrading) {
         emit(EventKind::JitDiscard, JsonWriter()
-                                        .num("version", outcome.version)
+                                        .num("version", version)
                                         .str("reason", "fabric"));
     }
 
-    Wiring wiring = std::move(outcome.wiring);
+    Wiring wiring = job_->wiring;
     wiring.location =
         is_jit ? Location::Jit
                : (wiring.native ? Location::Native
                                 : (wiring.merged() ? Location::HardwareForwarded
                                                    : Location::Hardware));
     wiring.clock_mhz = actual_clock_mhz;
-    wiring.netlist = outcome.result.netlist;
+    wiring.netlist = stage.result.netlist;
     // The JIT kernel is in-process: the MMIO slot protocol is the same,
     // but each access is a function call, not a bus round trip, so the
     // modeled MMIO latency is zero for that tier.
@@ -2563,7 +2511,7 @@ Runtime::adopt_fabric(CompileOutcome outcome,
     // off).
     m_.transitions->inc();
     TransitionRecord rec;
-    rec.version = outcome.version;
+    rec.version = version;
     rec.to = user_location();
     rec.timeline_seconds = timeline_s_;
     rec.trace_ts_us = telemetry::Tracer::global().now_us();
@@ -2571,13 +2519,13 @@ Runtime::adopt_fabric(CompileOutcome outcome,
     transitions_.push_back(rec);
     if (is_jit) {
         emit(EventKind::JitAdopt, JsonWriter()
-                                      .num("version", outcome.version)
+                                      .num("version", version)
                                       .num("iteration", iterations_)
-                                      .str("digest", outcome.kernel_digest));
+                                      .str("digest", stage.kernel_digest));
     } else {
         emit(EventKind::Adopt,
              JsonWriter()
-                 .num("version", outcome.version)
+                 .num("version", version)
                  .num("iteration", iterations_)
                  .str("location", location_name(user_location()))
                  .dbl("clock_mhz", actual_clock_mhz));
@@ -2586,21 +2534,20 @@ Runtime::adopt_fabric(CompileOutcome outcome,
         // Where on the shared fabric this tenant landed.
         emit(EventKind::HypervisorAdmit,
              JsonWriter()
-                 .num("version", outcome.version)
+                 .num("version", version)
                  .num("le_start", admission->le_start)
                  .num("le_count", admission->le_count)
                  .dbl("clock_mhz", actual_clock_mhz));
     }
     log_event(LogLevel::Info, is_jit ? "jit" : "adopt",
-              std::string("program v") +
-                  std::to_string(outcome.version) + " moved to " +
-                  location_name(user_location()) + " at iteration " +
-                  std::to_string(iterations_));
+              std::string("program v") + std::to_string(version) +
+                  " moved to " + location_name(user_location()) +
+                  " at iteration " + std::to_string(iterations_));
     telemetry::Tracer::global().instant(
         is_jit ? "transition.sw_to_jit"
                : (upgrading ? "transition.jit_to_hw"
                             : "transition.sw_to_hw"),
-        outcome.version);
+        version);
     // Debugger support: arming a trigger on a fabric engine synthesizes
     // comparator cells into a copy of its netlist and swaps the engine.
     // Native engines run uninstrumented by definition, so conditions on
@@ -2622,16 +2569,14 @@ Runtime::poll_jit()
 {
     if (!oracle_->act_now(Oracle::Build::Jit, version_, iterations_,
                           [this](double s) {
-                              return build_finished(pending_kernel_, s);
+                              return build_finished(Done::Stage::Kernel, s);
                           })) {
         return;
     }
-    CompileOutcome build = std::move(*pending_kernel_);
-    pending_kernel_.reset();
-    if (build.version != version_ ||
-        user_location() != Location::Software || finished_) {
-        // Stale (the program changed since launch) or the tenant is
-        // already somewhere faster than software.
+    job_->kernel_pending = false;
+    Done& build = *job_->kernel;
+    if (user_location() != Location::Software || finished_) {
+        // The tenant is already somewhere faster than software.
         emit(EventKind::JitDiscard,
              JsonWriter().num("version", build.version).str("reason", "stale"));
         return;
@@ -2660,7 +2605,7 @@ Runtime::poll_jit()
          JsonWriter()
              .num("version", build.version)
              .boolean("hit", build.result.report.cache_hit));
-    adopt_fabric(std::move(build), nullptr, device_.clock_mhz(), nullptr);
+    adopt_fabric(build, nullptr, device_.clock_mhz(), nullptr);
 }
 
 void

@@ -29,20 +29,15 @@
 #include "runtime/events.h"
 #include "runtime/monitor.h"
 #include "runtime/profiler.h"
+#include "service/compile_service.h"
 #include "telemetry/journal.h"
 #include "telemetry/request_trace.h"
 #include "telemetry/telemetry.h"
 #include "verilog/elaborate.h"
 
-namespace cascade::service {
-class CompileService;
-}
 namespace cascade::hypervisor {
 class FabricManager;
 struct Admission;
-}
-namespace cascade::jit {
-class JitKernel;
 }
 
 namespace cascade::runtime {
@@ -143,6 +138,32 @@ class Runtime : public EngineCallbacks {
         double slo_max_interrupt_p99_s = 0;
         double slo_min_ticks_per_s = 0;
         /// @}
+
+        /// Calls \p f(key, option) for each option that shapes execution,
+        /// in journal-header order: what a replayer needs to reconstruct
+        /// an identically configured Runtime. journal_header_json()
+        /// writes these and options_from_header() (replay.h) reads them
+        /// back. \p o is an Options, const or not.
+        template <typename O, typename F>
+        static void
+        for_each_journaled(O& o, F&& f)
+        {
+            f("enable_inlining", o.enable_inlining);
+            f("enable_hardware", o.enable_hardware);
+            f("enable_jit", o.enable_jit);
+            f("enable_forwarding", o.enable_forwarding);
+            f("enable_open_loop", o.enable_open_loop);
+            f("native_mode", o.native_mode);
+            f("compile_effort", o.compile_effort);
+            f("device_clock_mhz", o.device_clock_mhz);
+            f("mmio_latency_s", o.mmio_latency_s);
+            f("device_les", o.device_les);
+            f("device_bram_bits", o.device_bram_bits);
+            f("open_loop_iterations", o.open_loop_iterations);
+            f("open_loop_target_wall_s", o.open_loop_target_wall_s);
+            f("profiling", o.profiling);
+            f("compile_seed", o.compile_seed);
+        }
     };
 
     Runtime(); ///< default options
@@ -537,31 +558,39 @@ class Runtime : public EngineCallbacks {
         bool merged() const { return native || !prefixes.empty(); }
     };
 
-    /// One stage of a program version's compile-service job, in flight
-    /// or finished: the wiring adoption needs, plus the stage's result —
-    /// the fabric compile (\p result) or the JIT kernel (\p kernel, built
-    /// from result.netlist; null when the tier is unavailable, with
-    /// result.error saying why).
-    struct CompileOutcome {
+    using Done = service::CompileService::Done;
+
+    /// The compile-service job of the current program version, from its
+    /// launch until the next version supersedes it. The service delivers
+    /// only this job's stages (launch_compile() cancels the job it
+    /// supersedes), each as one Done: the fabric compile, and the JIT
+    /// kernel built from its netlist (null when the tier is unavailable,
+    /// with result.error saying why).
+    struct Job {
         uint64_t version = 0;
-        fpga::CompileResult result;
-        std::unique_ptr<jit::JitKernel> kernel;
-        std::string kernel_digest; ///< the kernel's content address
-        Wiring wiring;
-        /// @{ Request tracing: the causal id (journal seq of this
-        /// compile's compile.launch event) and the timeline anchors the
-        /// critical-path analyzer partitions into segments. submit_us is
-        /// stamped at launch, the svc_* anchors are copied from the
-        /// service's Done, polled_us when poll_compiles() saw the result
-        /// (0 while the compile is in flight).
+        /// @{ Request tracing: the causal id (journal seq of this job's
+        /// compile.launch event) and the launch time. With the Done's
+        /// service anchors and polled_us (when the fabric Done was
+        /// polled), they are the timeline the critical-path analyzer
+        /// partitions into segments.
         uint64_t request = 0;
         double submit_us = 0;
-        double svc_cache_us = 0;
-        double svc_enqueue_us = 0;
-        double svc_dequeue_us = 0;
-        double svc_done_us = 0;
         double polled_us = 0;
         /// @}
+        /// Both stages adopt under it.
+        Wiring wiring;
+        /// @{ Each stage is pending until acted on; its Done is held
+        /// from delivery on. The kernel stage exists only when the job
+        /// builds one.
+        bool fabric_pending = true;
+        bool kernel_pending = false;
+        std::optional<Done> fabric;
+        std::optional<Done> kernel;
+        /// @}
+        /// Shared mode: set while the finished fabric stage waits for
+        /// fabric capacity (its admission was denied retryable); it is
+        /// re-tried once the hypervisor's capacity epoch moves past this.
+        std::optional<uint64_t> parked_epoch;
     };
 
     /// Runtime wiring for one FIFO standard component.
@@ -597,16 +626,16 @@ class Runtime : public EngineCallbacks {
     /// Journals a `log` event and mirrors it through the process Logger.
     void log_event(LogLevel level, const char* component,
                    const std::string& message);
-    /// Journals compile.cache + compile.done, takes the bitstream (the
-    /// hypervisor's grant, the private device's, or a forced rejection)
-    /// and adopts it through adopt_fabric(). \p admission is the
-    /// slot grant in shared mode, null in exclusive mode.
-    void act_on_compile(CompileOutcome outcome,
-                        hypervisor::Admission* admission);
+    /// Journals compile.cache + compile.done for the job's fabric stage,
+    /// takes the bitstream (the hypervisor's grant, the private device's,
+    /// or a forced rejection) and adopts it through adopt_fabric().
+    /// \p admission is the slot grant in shared mode, null in exclusive
+    /// mode.
+    void act_on_compile(hypervisor::Admission* admission);
     /// Shared mode: asks the hypervisor for a slot before acting. A
-    /// retryable denial parks the outcome (journaled hypervisor.defer)
-    /// until the fabric's capacity epoch moves.
-    void maybe_admit_and_act(CompileOutcome outcome);
+    /// retryable denial parks the fabric stage (journaled
+    /// hypervisor.defer) until the fabric's capacity epoch moves.
+    void maybe_admit_and_act();
     /// Re-attempts a parked admission once the fabric changed.
     void retry_parked();
     /// Relocates the user program from hardware back to its software
@@ -635,16 +664,18 @@ class Runtime : public EngineCallbacks {
     /// oracle says so.
     void poll_compiles();
     /// Drains the compile service (waiting up to \p wait_s for a result)
-    /// into the two pending stages, pending_kernel_ and pending_outcome_,
-    /// and discards superseded results. True once \p pending, one of the
-    /// two, holds its result.
-    bool build_finished(const std::optional<CompileOutcome>& pending,
-                        double wait_s);
+    /// into the job. True once the job's \p stage is pending and
+    /// delivered.
+    bool build_finished(Done::Stage stage, double wait_s);
+    /// Supersedes the current job (its request closes, the service
+    /// cancels it) and submits the new version's, if the program has
+    /// one the hardware can run.
     void launch_compile();
-    /// Relocates the user program onto an adopted engine and journals
-    /// the transition. The engine runs outcome.kernel when it holds one
-    /// (the JIT tier), else \p bitstream at \p actual_clock_mhz.
-    void adopt_fabric(CompileOutcome outcome,
+    /// Relocates the user program onto an adopted engine, under the job's
+    /// wiring, and journals the transition. The engine runs
+    /// \p stage.kernel when it holds one (the JIT tier), else
+    /// \p bitstream at \p actual_clock_mhz.
+    void adopt_fabric(Done& stage,
                       std::unique_ptr<fpga::Bitstream> bitstream,
                       double actual_clock_mhz,
                       hypervisor::Admission* admission);
@@ -856,15 +887,9 @@ class Runtime : public EngineCallbacks {
     /// (null in exclusive mode).
     hypervisor::FabricManager* fabric_ = nullptr;
     uint64_t tenant_ = 0;
-    /// The latest job's two stages, in flight or finished but not yet
-    /// acted on; build_finished() fills their results.
-    std::optional<CompileOutcome> pending_outcome_;
-    std::optional<CompileOutcome> pending_kernel_;
-    /// Shared mode: a finished compile awaiting fabric capacity (its
-    /// admission was denied retryable). Re-tried when the hypervisor's
-    /// capacity epoch moves past parked_epoch_.
-    std::optional<CompileOutcome> parked_outcome_;
-    uint64_t parked_epoch_ = 0;
+    /// The current version's compile-service job (none before the first
+    /// launch, or when the current version has none).
+    std::optional<Job> job_;
 
     /// Causal request tracker (REPL :requests/:why, GET /requests,
     /// cascade_request_* histograms). Feeds telemetry_, so it must be

@@ -23,7 +23,6 @@ CompileService::CompileService(Config config)
     hits_ = reg.counter("compile.cache.hits");
     misses_ = reg.counter("compile.cache.misses");
     cancelled_ = reg.counter("compile.cancelled");
-    dropped_ = reg.counter("compile.queue.dropped");
     depth_ = reg.gauge("compile.queue.depth");
     workers_.reserve(config_.workers);
     for (size_t i = 0; i < config_.workers; ++i) {
@@ -68,7 +67,16 @@ CompileService::unregister_client(uint64_t client)
         std::lock_guard<telemetry::Mutex> lock(mutex_);
         clients_.erase(client);
         cancel_locked(client);
-        done_.erase(client);
+    }
+    done_cv_.notify_all();
+}
+
+void
+CompileService::cancel(uint64_t client)
+{
+    {
+        std::lock_guard<telemetry::Mutex> lock(mutex_);
+        cancel_locked(client);
     }
     done_cv_.notify_all();
 }
@@ -92,6 +100,7 @@ CompileService::cancel_locked(uint64_t client)
     }
     cancelled_->inc(cancelled);
     depth_->set(static_cast<int64_t>(queue_.size()));
+    done_.erase(client);
 }
 
 bool
@@ -197,7 +206,6 @@ CompileService::submit(uint64_t client, Job job)
             cache_lru_.push_front(pending.key);
             Done done;
             done.version = pending.job.version;
-            done.request = pending.job.request;
             done.cache_us = pending.cache_us;
             done.enqueue_us = pending.enqueue_us;
             done.dequeue_us = pending.enqueue_us;
@@ -222,10 +230,6 @@ CompileService::submit(uint64_t client, Job job)
                 ++local_misses_;
             }
             queue_.push_back(std::move(pending));
-            if (queue_.size() > config_.queue_capacity) {
-                queue_.pop_front();
-                dropped_->inc();
-            }
         }
         depth_->set(static_cast<int64_t>(queue_.size()));
     }
@@ -356,8 +360,8 @@ CompileService::start_kernel_locked(
     const auto self = kernel_threads_.emplace(kernel_threads_.end());
     try {
         self->thread = std::thread(&CompileService::kernel_stage, this,
-                                   client, job.version, job.request,
-                                   std::move(netlist), cancel, self);
+                                   client, job.version, std::move(netlist),
+                                   cancel, self);
     } catch (const std::system_error& e) {
         // No thread to spare: the tier is unavailable for this version.
         kernel_threads_.erase(self);
@@ -365,7 +369,6 @@ CompileService::start_kernel_locked(
             Done done;
             done.stage = Done::Stage::Kernel;
             done.version = job.version;
-            done.request = job.request;
             done.result.error =
                 std::string("no thread for the jit build: ") + e.what();
             done_[client].push_back(std::move(done));
@@ -375,7 +378,6 @@ CompileService::start_kernel_locked(
 
 void
 CompileService::kernel_stage(uint64_t client, uint64_t version,
-                             uint64_t request,
                              std::shared_ptr<const fpga::Netlist> netlist,
                              CancelFlag cancel,
                              std::list<KernelThread>::iterator self)
@@ -383,7 +385,6 @@ CompileService::kernel_stage(uint64_t client, uint64_t version,
     Done done;
     done.stage = Done::Stage::Kernel;
     done.version = version;
-    done.request = request;
     try {
         done.kernel = jit::JitKernel::create(
             netlist, &done.result.error, &done.kernel_digest,
@@ -430,7 +431,6 @@ CompileService::worker_loop()
             tracer.now_us() - pending.enqueue_us, pending.tenant);
         Done done;
         done.version = pending.job.version;
-        done.request = pending.job.request;
         done.cache_us = pending.cache_us;
         done.enqueue_us = pending.enqueue_us;
         const double exec_start_us = tracer.now_us();
@@ -474,7 +474,6 @@ CompileService::worker_loop()
                     Done kernel;
                     kernel.stage = Done::Stage::Kernel;
                     kernel.version = done.version;
-                    kernel.request = done.request;
                     kernel.result.error = done.result.error;
                     done_[pending.client].push_back(std::move(kernel));
                 }

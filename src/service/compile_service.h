@@ -8,11 +8,15 @@
 /// for it, so a worker never waits for a compiler. Each stage delivers
 /// its own Done on the client's channel.
 ///
-/// A bounded FIFO queue feeds the workers. A client's newer job, or its
-/// unregistering, cancels its queued jobs and its running one: placement
-/// stops within a few thousand moves, the kernel build starts no further
-/// unit, and a cancelled job delivers nothing and caches nothing. A
-/// content-addressed bitstream cache keys results by a digest of the
+/// A client has at most one job. Its newer job, or its cancel() or
+/// unregistering, cancels the one it has: a queued job leaves the FIFO
+/// queue, placement stops within a few thousand moves, the kernel build
+/// starts no further unit, the client's undelivered results are
+/// discarded, and a cancelled job delivers nothing and caches nothing.
+/// So the queue holds at most one job per client, and every Done a
+/// client polls belongs to its latest job.
+///
+/// A content-addressed bitstream cache keys results by a digest of the
 /// canonical elaborated source, the bound parameter values, the
 /// device/target configuration, the annealing effort, and the placement
 /// seed. A hit skips synth/techmap/place entirely and returns the cached
@@ -52,9 +56,6 @@ class CompileService {
         /// tests that need deterministic queue/cancellation behavior; the
         /// cache still answers hits synchronously at submit).
         size_t workers = 1;
-        /// Bounded FIFO: when full, the oldest queued job is dropped
-        /// (counted in compile.queue.dropped).
-        size_t queue_capacity = 64;
         bool enable_cache = true;
         /// Cached CompileResults retained (LRU beyond this).
         size_t cache_capacity = 128;
@@ -66,8 +67,8 @@ class CompileService {
         fpga::CompileOptions options;
         /// Causal request id (the submitting runtime's journal seq for
         /// the compile.launch event); 0 when the caller doesn't trace.
-        /// Echoed back on Done and bound into the worker's trace spans
-        /// as a flow step, so a request's spans chain across threads.
+        /// Bound into the worker's trace spans as a flow step, so a
+        /// request's spans chain across threads.
         uint64_t request = 0;
         /// Also build a JIT kernel from the job's netlist (the kernel
         /// stage).
@@ -89,7 +90,6 @@ class CompileService {
         std::unique_ptr<jit::JitKernel> kernel;
         std::string kernel_digest;
         /// @}
-        uint64_t request = 0; ///< echoed from Job::request
         /// @{ Request-tracing timeline anchors (tracer microseconds):
         /// the service-side boundaries the critical-path analyzer turns
         /// into the cache/queue/flow segments of the request. On a cache
@@ -112,17 +112,20 @@ class CompileService {
     CompileService& operator=(const CompileService&) = delete;
 
     /// @{ Client registry. Each Runtime registers once; results are
-    /// delivered per-client, and unregistering cancels that client's
-    /// queued and running jobs and discards its undelivered results.
+    /// delivered per-client, and unregistering cancels that client's job.
     uint64_t register_client();
     void unregister_client(uint64_t client);
     /// @}
 
-    /// Enqueues a compile for \p client. Any job of the same client still
-    /// queued or running is cancelled first (a newer program version
-    /// obsoletes it). On a cache hit the fabric result is delivered
-    /// immediately without touching the queue or the workers, and a
-    /// wanted kernel stage starts from the cached netlist.
+    /// Cancels \p client's job, queued or running, and discards its
+    /// undelivered results.
+    void cancel(uint64_t client);
+
+    /// Enqueues a compile for \p client. It supersedes the client's job,
+    /// which is cancelled first (a newer program version obsoletes it).
+    /// On a cache hit the fabric result is delivered immediately without
+    /// touching the queue or the workers, and a wanted kernel stage
+    /// starts from the cached netlist.
     void submit(uint64_t client, Job job);
 
     /// Drains and returns every finished stage for \p client.
@@ -184,11 +187,11 @@ class CompileService {
     void start_kernel_locked(uint64_t client, const Job& job,
                              std::shared_ptr<const fpga::Netlist> netlist,
                              const CancelFlag& cancel);
-    void kernel_stage(uint64_t client, uint64_t version, uint64_t request,
+    void kernel_stage(uint64_t client, uint64_t version,
                       std::shared_ptr<const fpga::Netlist> netlist,
                       CancelFlag cancel,
                       std::list<KernelThread>::iterator self);
-    /// Cancels \p client's queued and running jobs.
+    /// Cancels \p client's job and discards its undelivered results.
     void cancel_locked(uint64_t client);
     /// Retires one running stage of \p client; true if its job was not
     /// cancelled and its client is still registered (deliver its Done).
@@ -222,7 +225,6 @@ class CompileService {
     telemetry::Counter* hits_ = nullptr;
     telemetry::Counter* misses_ = nullptr;
     telemetry::Counter* cancelled_ = nullptr;
-    telemetry::Counter* dropped_ = nullptr;
     telemetry::Gauge* depth_ = nullptr;
 
     /// This service's own hit/miss tally (guarded by mutex_).

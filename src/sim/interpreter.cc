@@ -1315,23 +1315,6 @@ ModuleInterpreter::set_input(uint32_t net_id, const BitVector& value)
     commit_net(net_id, value.resized(em_->nets[net_id].width));
 }
 
-const BitVector&
-ModuleInterpreter::get_element(const std::string& name, uint64_t idx) const
-{
-    const uint32_t nid = em_->net_id(name);
-    CASCADE_CHECK(idx < memories_[nid].size());
-    return memories_[nid][idx];
-}
-
-void
-ModuleInterpreter::set_element(const std::string& name, uint64_t idx,
-                               const BitVector& value)
-{
-    const uint32_t nid = em_->net_id(name);
-    CASCADE_CHECK(idx < memories_[nid].size());
-    commit_element(nid, idx, value.resized(em_->nets[nid].width));
-}
-
 bool
 ModuleInterpreter::there_are_evals() const
 {

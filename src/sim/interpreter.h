@@ -126,10 +126,6 @@ class ModuleInterpreter {
     /// detection and marks dependents for re-evaluation.
     void set_input(const std::string& name, const BitVector& value);
     void set_input(uint32_t net_id, const BitVector& value);
-    /// Memory element access (tests, state handoff, stdlib engines).
-    const BitVector& get_element(const std::string& name, uint64_t idx) const;
-    void set_element(const std::string& name, uint64_t idx,
-                     const BitVector& value);
     /// @}
 
     /// @{ The reference-scheduler interface (Fig. 2 / Fig. 7).

@@ -736,13 +736,6 @@ BlackBox::remove_source(int id)
     }
 }
 
-void
-BlackBox::set_directory(const std::string& dir)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    directory_ = dir;
-}
-
 std::string
 BlackBox::dump_json(const std::string& reason) const
 {
@@ -788,22 +781,8 @@ BlackBox::dump(const std::string& reason)
     if (g_dumped.exchange(true)) {
         return "";
     }
-    std::string dir;
-    {
-        const bool locked = mutex_.try_lock();
-        dir = directory_;
-        if (locked) {
-            mutex_.unlock();
-        }
-    }
-    if (dir.empty()) {
-        const char* env = std::getenv("CASCADE_CRASH_DIR");
-        if (env != nullptr && env[0] != '\0') {
-            dir = env;
-        } else {
-            dir = ".";
-        }
-    }
+    const char* env = std::getenv("CASCADE_CRASH_DIR");
+    const std::string dir = env != nullptr && env[0] != '\0' ? env : ".";
     const std::string path = dir + "/cascade-crash-" +
                              std::to_string(static_cast<long>(::getpid())) +
                              ".json";

@@ -200,11 +200,8 @@ class BlackBox {
                    std::function<std::string()> provider);
     void remove_source(int id);
 
-    /// Where crash files land: explicit directory, else $CASCADE_CRASH_DIR,
-    /// else the current working directory.
-    void set_directory(const std::string& dir);
-
-    /// Writes the dump (schema `cascade.crash.v1`); returns the file path,
+    /// Writes the dump to $CASCADE_CRASH_DIR, else the current working
+    /// directory (schema `cascade.crash.v1`); returns the file path,
     /// or "" if a dump already happened or the file cannot be written.
     /// Safe to call directly (tests); the handlers call it on the way down.
     std::string dump(const std::string& reason);
@@ -224,7 +221,6 @@ class BlackBox {
     mutable std::mutex mutex_;
     std::vector<Source> sources_;
     int next_id_ = 1;
-    std::string directory_;
 };
 
 } // namespace cascade::telemetry

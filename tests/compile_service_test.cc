@@ -3,9 +3,10 @@
 /// cache (a warm hit is byte-identical to the cold miss that populated it,
 /// with the hit bit set and the flow timings zeroed; any change to the
 /// device configuration or placement seed misses), per-client cancellation
-/// of superseded jobs (queued or running), the bounded queue, multi-worker
-/// completion, the kernel stage that shares the job's one netlist, and the
-/// cache/queue metrics surfaced through the process telemetry registry.
+/// of superseded jobs (queued, running, or finished but unpolled),
+/// multi-worker completion, the kernel stage that shares the job's one
+/// netlist, and the cache/queue metrics surfaced through the process
+/// telemetry registry.
 
 #include "service/compile_service.h"
 
@@ -290,26 +291,42 @@ TEST(CompileQueue, NewerVersionCancelsQueuedJobOfSameClient)
     EXPECT_EQ(svc.queued_jobs(), 0u);
 }
 
-TEST(CompileQueue, BoundedQueueDropsOldest)
+TEST(CompileQueue, CancelDropsTheQueuedJob)
 {
     CompileService::Config cfg;
     cfg.workers = 0;
-    cfg.queue_capacity = 2;
-    cfg.enable_cache = false;
     CompileService svc(cfg);
-    auto em = counter_module();
-    // Distinct clients so per-client cancellation does not kick in.
-    const uint64_t c1 = svc.register_client();
-    const uint64_t c2 = svc.register_client();
-    const uint64_t c3 = svc.register_client();
+    const uint64_t client = svc.register_client();
+    svc.submit(client, job_for(1, counter_module(), fast_options()));
+    EXPECT_TRUE(svc.busy(client));
 
-    svc.submit(c1, job_for(1, em, fast_options(1)));
-    svc.submit(c2, job_for(1, em, fast_options(2)));
-    svc.submit(c3, job_for(1, em, fast_options(3)));
-    EXPECT_EQ(svc.queued_jobs(), 2u);
-    EXPECT_FALSE(svc.busy(c1)); // the oldest was dropped
-    EXPECT_TRUE(svc.busy(c2));
-    EXPECT_TRUE(svc.busy(c3));
+    svc.cancel(client);
+    EXPECT_EQ(svc.queued_jobs(), 0u);
+    EXPECT_FALSE(svc.busy(client));
+    svc.unregister_client(client);
+}
+
+TEST(CompileQueue, NewerJobDiscardsTheUndeliveredResultOfTheOldOne)
+{
+    CompileService svc;
+    auto em = counter_module();
+    const uint64_t primer = svc.register_client();
+    svc.submit(primer, job_for(1, em, fast_options(7)));
+    ASSERT_TRUE(wait_one(svc, primer).result.ok);
+
+    // A cache hit: its Done is queued at submit, undelivered until a poll.
+    const uint64_t client = svc.register_client();
+    svc.submit(client, job_for(1, em, fast_options(7)));
+    // An uncached job supersedes it before the client polls.
+    svc.submit(client, job_for(2, em, fast_options(8)));
+    svc.wait_idle();
+    const std::vector<CompileService::Done> done = svc.poll(client);
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].version, 2u);
+    EXPECT_TRUE(done[0].result.ok);
+    EXPECT_FALSE(done[0].result.report.cache_hit);
+    svc.unregister_client(primer);
+    svc.unregister_client(client);
 }
 
 TEST(CompileQueue, WaitForDoneReturnsFalseWithNothingInFlight)

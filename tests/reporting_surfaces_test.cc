@@ -242,7 +242,6 @@ const Keys kExclusiveFamilies = {
     "cascade_compile_launched_total counter",
     "cascade_compile_queue_depth gauge",
     "cascade_compile_queue_depth_high_water gauge",
-    "cascade_compile_queue_dropped_total counter",
     "cascade_compile_rejected_total counter",
     "cascade_compile_service_cache_entries gauge",
     "cascade_compile_service_cache_hit_rate gauge",

@@ -1,7 +1,8 @@
 /// \file
 /// Additional runtime coverage: GPIO, native-mode rejection of
 /// unsynthesizable code, timeline accounting, $write ordering, multiple
-/// evals building a program incrementally, and location reporting.
+/// evals building a program incrementally, location reporting, and
+/// compile jobs superseded by later evals.
 
 #include "runtime/runtime.h"
 
@@ -583,6 +584,49 @@ TEST(RuntimeExtra, TeardownCancelsAnInFlightPlacement)
                   std::chrono::steady_clock::now() - t0)
                   .count(),
               0.1);
+}
+
+TEST(RuntimeExtra, AnEvalWithoutAJobSupersedesTheRunningOne)
+{
+    // The miner's placement at full effort runs for seconds. An eval the
+    // Fig. 10 wrapper rejects ($dumpvars in an always block) submits no
+    // job, yet it supersedes the running one: the service cancels it,
+    // and its request closes unadopted at that eval.
+    Runtime::Options opts;
+    opts.enable_hardware = true;
+    opts.enable_jit = false;
+    opts.compile_effort = 1.0;
+    Runtime rt(opts);
+    std::string err;
+    ASSERT_TRUE(rt.eval(workloads::proof_of_work_source(16, false), &err))
+        << err;
+    uint64_t request = 0;
+    for (const telemetry::Journal::Event& ev : rt.journal().ring()) {
+        if (ev.type == "compile.launch") {
+            request = ev.seq;
+        }
+    }
+    ASSERT_NE(request, 0u);
+    telemetry::Counter* cancelled =
+        telemetry::Registry::global().counter("compile.cancelled");
+    const uint64_t cancelled_before = cancelled->value();
+
+    ASSERT_TRUE(rt.eval("always @(posedge clk.val) $dumpvars;", &err))
+        << err;
+    EXPECT_EQ(cancelled->value(), cancelled_before + 1);
+    telemetry::RequestRecord record;
+    ASSERT_TRUE(rt.request_tracker().find(request, &record));
+    EXPECT_TRUE(record.done);
+    EXPECT_FALSE(record.ok);
+    const std::string closed = "\"id\":" + std::to_string(request) + ",";
+    bool journaled = false;
+    for (const telemetry::Journal::Event& ev : rt.journal().ring()) {
+        if (ev.type == "request.done" &&
+            ev.data.find(closed) != std::string::npos) {
+            journaled = ev.data.find("\"ok\":false") != std::string::npos;
+        }
+    }
+    EXPECT_TRUE(journaled);
 }
 
 } // namespace
