@@ -26,9 +26,10 @@
 /// tracker's invariant (segments sum to end-to-end latency within 1%) on
 /// every sample.
 ///
-/// Output: BENCH_table6_request_latency.json with p50/p99 per class and
-/// the mean cold-path segment breakdown (queue, cache, synth, techmap,
-/// place, timing, admission, adoption).
+/// Output: BENCH_table6_request_latency.json with p50/p99 per class, the
+/// mean cold-path segment breakdown (queue, cache, synth, techmap, place,
+/// timing, admission, adoption) and the mean jit_cold kernel-build layers
+/// (codegen, the units' compile, link plus dlopen).
 
 #include <algorithm>
 #include <barrier>
@@ -50,12 +51,14 @@
 #include "runtime/runtime.h"
 #include "service/compile_service.h"
 #include "telemetry/request_trace.h"
+#include "telemetry/telemetry.h"
 #include "workloads/workloads.h"
 
 using cascade::hypervisor::FabricManager;
 using cascade::runtime::Location;
 using cascade::runtime::Runtime;
 using cascade::service::CompileService;
+using cascade::telemetry::Histogram;
 using cascade::telemetry::RequestRecord;
 
 namespace {
@@ -183,6 +186,14 @@ measure_jit_cold(int salt, const std::string& cache)
     return seconds;
 }
 
+/// A kernel-build layer's process histogram (jit.build.<layer>_ns).
+Histogram*
+jit_build_hist(const char* layer)
+{
+    return cascade::telemetry::Registry::global().histogram(
+        std::string("jit.build.") + layer + "_ns");
+}
+
 double
 percentile(std::vector<double> v, double p)
 {
@@ -282,8 +293,16 @@ main()
     }
 
     // -- Jit cold: a salted miner per sample, each in a fresh cache. -----
+    // The kernel-build layers of these samples: the process histograms
+    // JitKernel::create and build_module record, emptied of the kernels
+    // the classes above built.
     std::vector<double> jit_cold_s;
+    std::string jit_segments_json;
     if (cascade::jit::compiler_available()) {
+        const char* const kLayers[] = {"codegen", "compile", "link"};
+        for (const char* layer : kLayers) {
+            jit_build_hist(layer)->reset();
+        }
         const char* old = std::getenv("CASCADE_JIT_CACHE_DIR");
         const std::string restore = old != nullptr ? old : "";
         const std::filesystem::path root =
@@ -294,6 +313,17 @@ main()
                 measure_jit_cold(i, (root / std::to_string(i)).string()));
         }
         std::filesystem::remove_all(root);
+        for (const char* layer : kLayers) {
+            const Histogram* h = jit_build_hist(layer);
+            char row[96];
+            std::snprintf(row, sizeof row, "%s\"%s_seconds\":%.6f",
+                          jit_segments_json.empty() ? "" : ",", layer,
+                          h->mean() * 1e-9);
+            jit_segments_json += row;
+            std::printf("  jit_cold mean %-8s %.4fs  (%llu builds)\n",
+                        layer, h->mean() * 1e-9,
+                        static_cast<unsigned long long>(h->count()));
+        }
         if (old != nullptr) {
             ::setenv("CASCADE_JIT_CACHE_DIR", restore.c_str(), 1);
         } else {
@@ -338,7 +368,11 @@ main()
         << class_json("warm", warm_s) << ','
         << class_json("shared", shared_s)
         << (jit_cold_s.empty() ? "" : "," + class_json("jit_cold", jit_cold_s))
-        << ",\"cold_segments_mean\":{" << segments_json << "}}\n";
+        << ",\"cold_segments_mean\":{" << segments_json << "}"
+        << (jit_cold_s.empty() ? ""
+                               : ",\"jit_cold_segments_mean\":{" +
+                                     jit_segments_json + "}")
+        << "}\n";
     std::fprintf(stderr,
                  "# results -> BENCH_table6_request_latency.json\n");
     return 0;

@@ -41,24 +41,65 @@ const char kPreamble[] =
 #undef CASCADE_WORD_OP
     "\n} // namespace\n";
 
+/// True when node \p n can be a `const u64 vN` local: its one-word value
+/// is assigned by a single expression (see emit_node). Multi-word values
+/// and MemRead results always live in V.
+bool
+local_candidate(const Netlist& nl, const Node& n)
+{
+    return fpga::is_scalar(nl, n) && n.op != Op::Const &&
+           n.op != Op::Input && n.op != Op::MemRead;
+}
+
+/// True when emit_node reads argument \p k of node \p n by value (`A`)
+/// rather than through a pointer into V (`AP`, the multi-word helpers).
+bool
+reads_by_value(const Netlist& nl, const Node& n, size_t k)
+{
+    if (fpga::is_scalar(nl, n) || n.op == Op::MemRead) {
+        return true;
+    }
+    switch (n.op) {
+      case Op::Shl:
+      case Op::Lshr:
+      case Op::Ashr:
+      case Op::DynSlice:
+        return k == 1; // the shift amount or offset
+      default:
+        return false;
+    }
+}
+
 /// Emits the evaluation statement(s) for one node into \p os. `V` is the
-/// node-value word array; offsets come from the layout.
+/// node-value word array; offsets come from the layout. A node marked in
+/// \p local is a `const u64 vN` of its block instead, and so is an
+/// argument marked there.
 void
-emit_node(std::ostream& os, const Netlist& nl, const Layout& L, uint32_t i)
+emit_node(std::ostream& os, const Netlist& nl, const Layout& L,
+          const std::vector<bool>& local, uint32_t i)
 {
     const Node& n = nl.nodes[i];
     const uint32_t d = L.voff[i];
     const uint32_t W = n.width;
     const uint32_t NW = words_of(W);
     auto A = [&](size_t k) {
-        return "V[" + std::to_string(L.voff[n.args[k]]) + "]";
+        const uint32_t a = n.args[k];
+        return local[a] ? "v" + std::to_string(a)
+                        : "V[" + std::to_string(L.voff[a]) + "]";
     };
     auto AP = [&](size_t k) {
+        CASCADE_CHECK(!local[n.args[k]]);
         return "&V[" + std::to_string(L.voff[n.args[k]]) + "]";
     };
     auto aw = [&](size_t k) { return nl.nodes[n.args[k]].width; };
-    auto D = [&] { return "V[" + std::to_string(d) + "]"; };
-    auto DP = [&] { return "&V[" + std::to_string(d) + "]"; };
+    auto D = [&] {
+        return local[i] ? "const u64 v" + std::to_string(i)
+                        : "V[" + std::to_string(d) + "]";
+    };
+    auto DP = [&] {
+        CASCADE_CHECK(!local[i]);
+        return "&V[" + std::to_string(d) + "]";
+    };
     const std::string M = hex(fullmask(W));
 
     switch (n.op) {
@@ -356,7 +397,12 @@ emit_table(std::ostream& os, const char* type, const char* name,
 /// Most nodes emitted into one generated function. The system compiler's
 /// optimizer time grows faster than linearly with function size, so the
 /// settle pass is split into functions of at most this many nodes to keep
-/// kernel builds fast.
+/// kernel builds fast. On the Fig. 10-wrapped SHA-256 miner (918
+/// evaluated nodes, block-local values as locals, g++ -O1, one job at a
+/// time on a 4-core x86-64 host) an eval_N unit compiled in 50-70 ms at
+/// 128 nodes, 70-140 ms at 256, 120-190 ms at 512, and the whole pass as
+/// one function in 950 ms. With one compiler job per core, 256 keeps the
+/// slowest unit near the ABI and step() units without multiplying units.
 constexpr size_t kMaxFnNodes = 256;
 
 } // namespace
@@ -395,7 +441,8 @@ generate_units(const Netlist& nl)
         << "    u64 v[" << std::max<uint32_t>(1, L.vtotal) << "];\n"
         << "    u64 r[" << std::max<uint32_t>(1, L.rtotal) << "];\n"
         << "    u64 m[" << std::max<uint32_t>(1, L.mtotal) << "];\n"
-        << "    u64 latch[" << std::max<size_t>(1, nl.regs.size()) << "];\n"
+        << "    u64 latch[" << std::max<size_t>(1, clocks.size())
+        << "]; // commits per clock domain\n"
         << "    u64 cycles;\n"
         << "    u64 dirty; // source-domain bits changed since the last "
            "eval\n"
@@ -415,6 +462,9 @@ generate_units(const Netlist& nl)
     // units follow in function order.
     std::vector<std::string> units(2);
     std::ostringstream os; // the ABI unit
+    // calloc and free: the kernel uses nothing of the C++ runtime, so it
+    // links without it (jit_cache.cc).
+    os << "#include <stdlib.h>\n\n";
 
     // --- ABI marshalling tables -----------------------------------------
     {
@@ -425,6 +475,15 @@ generate_units(const Netlist& nl)
             rmask.push_back(topmask(r.width));
         }
         emit_table(os, "u64", "g_reg_mask", rmask);
+        // Every register of a clock domain latches on each of its commits,
+        // so one count per domain serves them all (~0u: never latches).
+        std::vector<uint32_t> reg_domain(nl.regs.size(), ~0u);
+        for (size_t k = 0; k < clocks.size(); ++k) {
+            for (uint32_t r : clocks[k].regs) {
+                reg_domain[r] = static_cast<uint32_t>(k);
+            }
+        }
+        emit_table(os, "u32", "g_reg_domain", reg_domain);
         std::vector<uint32_t> in_off, in_w;
         std::vector<uint64_t> in_mask;
         for (const fpga::PortDef& p : nl.inputs) {
@@ -462,6 +521,47 @@ generate_units(const Netlist& nl)
     // Each function runs the blocks whose mask meets the dirty bits eval()
     // captured; eval() skips a function none of whose blocks is dirty.
     // Each function is its own unit.
+    //
+    // A one-word node whose readers all sit later in its own block (a run
+    // of one mask within one function) is a `const u64 vN` local of that
+    // block: the system compiler then keeps it in a register instead of
+    // walking every V[] store for aliases. The rest are stored to V, and
+    // so is every value read outside the eval functions: by step() and
+    // init() (clocks, next values, write ports) or by get_output.
+    std::vector<uint32_t> block_of(nl.nodes.size(), ~0u);
+    for (size_t k = 0, b = 0; k < order.size(); ++k) {
+        b += k != 0 && (k % kMaxFnNodes == 0 ||
+                        dom.node[order[k]] != dom.node[order[k - 1]]);
+        block_of[order[k]] = static_cast<uint32_t>(b);
+    }
+    // The settle order is topological, so every argument's flag is set
+    // before its readers can clear it.
+    std::vector<bool> local(nl.nodes.size(), false);
+    for (uint32_t i : order) {
+        const Node& n = nl.nodes[i];
+        local[i] = local_candidate(nl, n);
+        for (size_t k = 0; k < n.args.size(); ++k) {
+            if (block_of[n.args[k]] != block_of[i] ||
+                !reads_by_value(nl, n, k)) {
+                local[n.args[k]] = false;
+            }
+        }
+    }
+    for (const fpga::RegDef& r : nl.regs) {
+        local[r.next] = false;
+        if (r.clock != fpga::kNoClock) {
+            local[r.clock] = false;
+        }
+    }
+    for (const fpga::MemWritePort& p : nl.write_ports) {
+        for (uint32_t node : {p.addr, p.data, p.enable, p.clock}) {
+            local[node] = false;
+        }
+    }
+    for (const fpga::PortDef& p : nl.outputs) {
+        local[p.node] = false;
+    }
+
     std::vector<std::pair<std::string, uint64_t>> fns;
     {
         std::ostringstream body;
@@ -494,7 +594,7 @@ generate_units(const Netlist& nl)
                 open = mask;
                 fn_mask |= mask;
             }
-            emit_node(body, nl, L, i);
+            emit_node(body, nl, L, local, i);
             ++in_fn;
         }
         close_fn();
@@ -545,8 +645,8 @@ generate_units(const Netlist& nl)
                 st << "                ch |= " << q << " ^ " << x << "; "
                    << q << " = " << x << ";\n";
             }
-            st << "                S->latch[" << r << "] += 1;\n";
         }
+        st << "                S->latch[" << k << "] += 1;\n";
         st << "                if (ch) S->dirty |= " << hex(cd.bit) << ";\n"
            << "                any = 1;\n"
            << "            }\n"
@@ -589,26 +689,34 @@ generate_units(const Netlist& nl)
        << "}\n\n";
 
     // --- init(): Bitstream's constructor ---------------------------------
-    os << "static void init(State* S) {\n";
+    // The nonzero words of the constants and of the register and memory
+    // initial values, as (offset, word) tables that one loop per state
+    // array stores: tables compile much faster than a store per word.
+    struct InitWords {
+        std::vector<uint32_t> at;
+        std::vector<uint64_t> word;
+        void
+        put(uint64_t offset, uint64_t w)
+        {
+            if (w != 0) {
+                at.push_back(static_cast<uint32_t>(offset));
+                word.push_back(w);
+            }
+        }
+    } init_v, init_r, init_m;
     for (size_t i = 0; i < nl.nodes.size(); ++i) {
         const Node& n = nl.nodes[i];
         if (n.op != Op::Const) {
             continue;
         }
         for (uint32_t w = 0; w < n.cval.num_words(); ++w) {
-            if (n.cval.word(w) != 0) {
-                os << "    S->v[" << (L.voff[i] + w) << "] = "
-                   << hex(n.cval.word(w)) << ";\n";
-            }
+            init_v.put(L.voff[i] + w, n.cval.word(w));
         }
     }
     for (size_t r = 0; r < nl.regs.size(); ++r) {
         const BitVector init = nl.regs[r].init.resized(nl.regs[r].width);
         for (uint32_t w = 0; w < L.rwords[r] && w < init.num_words(); ++w) {
-            if (init.word(w) != 0) {
-                os << "    S->r[" << (L.roff[r] + w) << "] = "
-                   << hex(init.word(w)) << ";\n";
-            }
+            init_r.put(L.roff[r] + w, init.word(w));
         }
     }
     for (size_t m = 0; m < nl.mems.size(); ++m) {
@@ -619,14 +727,22 @@ generate_units(const Netlist& nl)
             }
             const BitVector v = value.resized(mem.width);
             for (uint32_t w = 0; w < v.num_words(); ++w) {
-                if (v.word(w) != 0) {
-                    os << "    S->m["
-                       << (L.moff[m] + addr * L.ew[m] + w) << "] = "
-                       << hex(v.word(w)) << ";\n";
-                }
+                init_m.put(L.moff[m] + addr * L.ew[m] + w, v.word(w));
             }
         }
     }
+    std::ostringstream init_body;
+    for (const auto& [a, words] :
+         {std::pair{"v", &init_v}, {"r", &init_r}, {"m", &init_m}}) {
+        const std::string at = std::string("g_init_") + a + "_at";
+        const std::string word = std::string("g_init_") + a + "_word";
+        emit_table(os, "u32", at.c_str(), words->at);
+        emit_table(os, "u64", word.c_str(), words->word);
+        init_body << "    for (u32 k = 0; k < " << words->at.size()
+                  << "u; ++k) S->" << a << "[" << at << "[k]] = " << word
+                  << "[k];\n";
+    }
+    os << "static void init(State* S) {\n" << init_body.str();
     os << "    S->dirty = ~0ull;\n"
        << "    eval(S);\n";
     for (size_t k = 0; k < clocks.size(); ++k) {
@@ -644,9 +760,12 @@ generate_units(const Netlist& nl)
     // memory's domain; set_reg marks every domain.
     os << "extern \"C\" {\n"
        << "unsigned cascade_jit_abi_version() { return 1; }\n"
-       << "void* cascade_jit_new() { State* S = new State(); init(S); "
-          "return S; }\n"
-       << "void cascade_jit_free(void* p) { delete (State*)p; }\n"
+       << "void* cascade_jit_new() {\n"
+       << "    State* S = (State*)calloc(1, sizeof(State));\n"
+       << "    if (S) init(S);\n"
+       << "    return S;\n"
+       << "}\n"
+       << "void cascade_jit_free(void* p) { free(p); }\n"
        << "void cascade_jit_eval(void* p) { eval((State*)p); }\n"
        << "void cascade_jit_step(void* p) { step((State*)p); }\n"
        << "u64 cascade_jit_cycles(void* p) { return ((State*)p)->cycles; "
@@ -696,8 +815,10 @@ generate_units(const Netlist& nl)
        << "    S->m[off + g_mem_ew[m] - 1] &= g_mem_mask[m];\n"
        << "    S->dirty |= g_mem_bit[m];\n"
        << "}\n"
-       << "u64 cascade_jit_latch_count(void* p, u32 r) { return "
-          "((State*)p)->latch[r]; }\n"
+       << "u64 cascade_jit_latch_count(void* p, u32 r) {\n"
+       << "    const u32 k = g_reg_domain[r];\n"
+       << "    return k == ~0u ? 0 : ((State*)p)->latch[k];\n"
+       << "}\n"
        << "} // extern \"C\"\n";
 
     units[0] = prefix + os.str();

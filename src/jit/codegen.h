@@ -21,6 +21,16 @@
 /// the helper preamble and the State definition; the functions one unit
 /// calls in another have hidden visibility, so the shared object exports
 /// only the cascade_jit_* ABI.
+///
+/// Every node value has a word in State::v, but a one-word value whose
+/// readers all sit later in its own gated block of one eval_N is emitted
+/// as a `const u64` local of that block and never stored. Values read by
+/// another block, by step(), by get_output or through a multi-word
+/// helper's pointer are stored, and so are multi-word values and memory
+/// reads. Locals spare the system compiler its alias walks over 256
+/// dependent stores per function, which took about half of a unit's
+/// compile time. The kernel allocates State with calloc and references
+/// nothing of the C++ runtime.
 
 #ifndef CASCADE_JIT_CODEGEN_H
 #define CASCADE_JIT_CODEGEN_H

@@ -5,6 +5,8 @@
 #include "common/check.h"
 #include "fpga/word_ops.h"
 #include "jit/codegen.h"
+#include "telemetry/telemetry.h"
+#include "telemetry/trace.h"
 
 namespace cascade::jit {
 
@@ -16,7 +18,13 @@ JitKernel::create(std::shared_ptr<const fpga::Netlist> nl,
                   bool* cache_hit, const std::atomic<bool>* cancel)
 {
     CASCADE_CHECK(nl != nullptr);
-    const std::vector<std::string> units = generate_units(*nl);
+    static telemetry::Histogram* const codegen_ns =
+        telemetry::Registry::global().histogram("jit.build.codegen_ns");
+    std::vector<std::string> units;
+    {
+        TELEM_SPAN_HIST("jit.codegen", codegen_ns);
+        units = generate_units(*nl);
+    }
     std::string digest;
     const JitModule* mod =
         build_module(units, &digest, cache_hit, error, cancel);

@@ -47,14 +47,6 @@ hw_fast()
     return opts;
 }
 
-Runtime::Options
-sw_only()
-{
-    Runtime::Options opts;
-    opts.enable_hardware = false;
-    return opts;
-}
-
 /// Tenant i's program: same shape, different arithmetic, so the printed
 /// streams are distinct per tenant and any cross-tenant state bleed would
 /// change the bytes.

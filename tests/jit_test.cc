@@ -10,12 +10,15 @@
 /// Every test degrades to GTEST_SKIP when no system compiler is usable
 /// (the same condition under which the runtime journals jit.unavailable).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -26,12 +29,14 @@
 #include <vector>
 
 #include <dlfcn.h>
+#include <elf.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "fpga/bitstream.h"
 #include "fpga/synth.h"
+#include "fpga/word_ops.h"
 #include "ir/hw_wrapper.h"
 #include "jit/codegen.h"
 #include "jit/jit_cache.h"
@@ -248,6 +253,70 @@ TEST(JitKernel, DerivedClockDomainMatchesBitstream)
     auto kern = make_kernel(nl);
     ASSERT_NE(kern, nullptr);
     lockstep(&hw, kern.get(), {{"a", 8}}, 19, 80);
+}
+
+TEST(JitKernel, BlockLocalValuesReachEveryOutsideReader)
+{
+    REQUIRE_JIT();
+    // A one-word value whose readers all sit later in its gated block is
+    // a local of its eval_N; every other value must still be stored to
+    // V. x is read by a later eval_N (the end of a chain of more than
+    // 256 nodes), by step() (the next value of s) and by get_output.
+    // Other values are read by step() alone: the derived clock gclk, r's
+    // next value and the write port's address and data.
+    std::ostringstream src;
+    src << "module L(input wire clk, input wire clk2, input wire en,\n"
+           "         input wire [31:0] a, input wire [31:0] b,\n"
+           "         output wire [31:0] x_out, output wire [31:0] q);\n"
+           "  wire gclk;\n"
+           "  wire [31:0] x;\n"
+           "  reg [31:0] r = 1;\n"
+           "  reg [31:0] s = 2;\n"
+           "  reg [31:0] mem [0:15];\n"
+           "  assign gclk = clk2 & en;\n"
+           "  assign x = (a ^ b) + 32'h9e3779b9;\n"
+           "  wire [31:0] c0;\n"
+           "  assign c0 = x ^ r;\n";
+    constexpr int kChain = 64;
+    for (int i = 1; i <= kChain; ++i) {
+        src << "  wire [31:0] c" << i << ";\n  assign c" << i << " = (c"
+            << (i - 1) << " + 32'd" << 2654435761u * i << ") ^ {c"
+            << (i - 1) << "[30:0], c" << (i - 1) << "[31]};\n";
+    }
+    src << "  always @(posedge clk) begin\n"
+           "    r <= c" << kChain << " ^ x;\n"
+           "    mem[a[3:0]] <= a - b;\n"
+           "  end\n"
+           "  always @(posedge gclk) s <= x;\n"
+           "  assign x_out = x;\n"
+           "  assign q = s ^ r ^ mem[b[3:0]];\n"
+           "endmodule\n";
+    auto nl = synth(src.str());
+    ASSERT_NE(nl, nullptr);
+
+    // The design has the shape the test needs: x is stored by one eval_N
+    // and read by another, and step() reads it.
+    const std::vector<std::string> units = jit::generate_units(*nl);
+    ASSERT_GE(units.size(), 4u); // the ABI unit, step() and two eval_N
+    const auto x_out =
+        std::find_if(nl->outputs.begin(), nl->outputs.end(),
+                     [](const fpga::PortDef& p) { return p.name == "x_out"; });
+    ASSERT_NE(x_out, nl->outputs.end());
+    const uint32_t x = x_out->node;
+    const std::string x_word =
+        "V[" + std::to_string(fpga::compute_layout(*nl).voff[x]) + "]";
+    size_t evals_with_x = 0;
+    for (size_t k = 2; k < units.size(); ++k) {
+        evals_with_x += units[k].find(x_word) != std::string::npos;
+    }
+    EXPECT_GE(evals_with_x, 2u);
+    EXPECT_NE(units[1].find(x_word), std::string::npos);
+
+    fpga::Bitstream hw(nl);
+    auto kern = make_kernel(nl);
+    ASSERT_NE(kern, nullptr);
+    lockstep(&hw, kern.get(),
+             {{"clk2", 1}, {"en", 1}, {"a", 32}, {"b", 32}}, 23, 200);
 }
 
 TEST(JitKernel, StateInjectionRoundTrips)
@@ -1123,6 +1192,73 @@ TEST(JitCache, ConcurrentBuildsMatchBitstreamAndExportOnlyTheAbi)
             EXPECT_EQ(::dlsym(m->handle, internal), nullptr) << internal;
         }
     }
+    std::filesystem::remove_all(dir);
+}
+
+/// The DT_NEEDED entries of the 64-bit ELF shared object at \p path, or
+/// nullopt if it has no dynamic section.
+std::optional<std::vector<std::string>>
+dt_needed(const std::string& path)
+{
+    std::ifstream f(path, std::ios::binary);
+    const std::string img((std::istreambuf_iterator<char>(f)),
+                          std::istreambuf_iterator<char>());
+    Elf64_Ehdr eh;
+    if (img.size() < sizeof eh || img.compare(0, SELFMAG, ELFMAG) != 0 ||
+        img[EI_CLASS] != ELFCLASS64) {
+        return std::nullopt;
+    }
+    std::memcpy(&eh, img.data(), sizeof eh);
+    const auto section = [&](size_t i) {
+        Elf64_Shdr sh;
+        std::memcpy(&sh, img.data() + eh.e_shoff + i * sizeof sh,
+                    sizeof sh);
+        return sh;
+    };
+    for (size_t i = 0; i < eh.e_shnum; ++i) {
+        const Elf64_Shdr dyn = section(i);
+        if (dyn.sh_type != SHT_DYNAMIC) {
+            continue;
+        }
+        const Elf64_Shdr strtab = section(dyn.sh_link);
+        std::vector<std::string> needed;
+        for (size_t at = 0; at + sizeof(Elf64_Dyn) <= dyn.sh_size;
+             at += sizeof(Elf64_Dyn)) {
+            Elf64_Dyn d;
+            std::memcpy(&d, img.data() + dyn.sh_offset + at, sizeof d);
+            if (d.d_tag == DT_NEEDED) {
+                needed.emplace_back(img.data() + strtab.sh_offset +
+                                    d.d_un.d_val);
+            }
+        }
+        return needed;
+    }
+    return std::nullopt;
+}
+
+TEST(JitCache, KernelLinksWithoutTheCxxRuntime)
+{
+    REQUIRE_JIT();
+    // The kernel allocates its State with calloc and links without the
+    // C++ runtime: no DT_NEEDED entry of the shared object names
+    // libstdc++, and the kernel still runs.
+    const std::filesystem::path dir = fresh_dir("cascade_jit_needed");
+    ScopedEnv cache("CASCADE_JIT_CACHE_DIR", dir.string());
+    auto nl = synth(chain_module("N", 5, 4));
+    ASSERT_NE(nl, nullptr);
+    std::string err, digest;
+    bool hit = true;
+    auto k = jit::JitKernel::create(nl, &err, &digest, &hit);
+    ASSERT_NE(k, nullptr) << err;
+    EXPECT_FALSE(hit);
+    const auto needed = dt_needed((dir / (digest + ".so")).string());
+    ASSERT_TRUE(needed.has_value());
+    for (const std::string& lib : *needed) {
+        EXPECT_EQ(lib.find("libstdc++"), std::string::npos) << lib;
+    }
+    fpga::Bitstream hw(nl);
+    lockstep(&hw, k.get(), {{"a", 16}}, 7, 20);
+    k.reset();
     std::filesystem::remove_all(dir);
 }
 
