@@ -1,7 +1,8 @@
 /// \file
 /// Google-benchmark micro suite for the substrate hot paths: BitVector
 /// arithmetic, interpreter scheduling, levelized bitstream evaluation, the
-/// JIT kernel, and the wrapped design each hardware rung runs open loop.
+/// JIT kernel, the wrapped design each hardware rung runs open loop, and
+/// the placement an edit on the fabric rung waits for.
 /// These are the quantities the macro benches (Figs. 11/12) are built from.
 
 #include <benchmark/benchmark.h>
@@ -9,6 +10,7 @@
 #include <mutex>
 
 #include "fpga/bitstream.h"
+#include "fpga/place.h"
 #include "fpga/synth.h"
 #include "ir/hw_wrapper.h"
 #include "jit/jit_cache.h"
@@ -323,6 +325,27 @@ BM_WrappedShaJitOpenLoopCycle(benchmark::State& state)
     run_wrapped_open_loop(state, std::move(kern));
 }
 BENCHMARK(BM_WrappedShaJitOpenLoopCycle);
+
+/// Anneals the wrapped miner at effort 0.05, the effort perfbench's fabric
+/// rung compiles at: the edit cost of that rung. moves_s is anneal moves
+/// per wall second.
+void
+BM_PlaceWrappedSha(benchmark::State& state)
+{
+    const fpga::MappedDesign mapped =
+        fpga::technology_map(*wrapped_sha().netlist);
+    fpga::PlaceOptions opts;
+    opts.effort = 0.05;
+    uint64_t moves = 0;
+    for (auto _ : state) {
+        const fpga::PlacementResult r = fpga::place(mapped, opts);
+        benchmark::DoNotOptimize(r.final_wirelength);
+        moves += r.moves_evaluated;
+    }
+    state.counters["moves_s"] = benchmark::Counter(
+        static_cast<double>(moves), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_PlaceWrappedSha)->Unit(benchmark::kMillisecond);
 
 /// The regex matcher reading a 256-entry FIFO ring in its own state, in
 /// the Fig. 10 wrapper: the design the stream workload's kernel runs.

@@ -1,6 +1,7 @@
 #include "fpga/place.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <random>
 
@@ -23,7 +24,56 @@ grid_side(size_t cells)
     return std::max<uint32_t>(2, static_cast<uint32_t>(std::ceil(side)));
 }
 
+/// std::uniform_real_distribution<double>(0, 1) over a 64-bit engine:
+/// libstdc++'s generate_canonical rounds one draw to a double, divides it
+/// by 2^64 (in long double bookkeeping that costs more than the draw) and
+/// clamps a result of 1.0 to the largest double below it. Same bits,
+/// without the bookkeeping. The draw converts as two exact 32-bit halves
+/// and one correctly rounded addition, which is the rounding the direct
+/// conversion does, minus the branch on the top bit that it compiles to.
+double
+unit_draw(Mt19937_64& rng)
+{
+    const uint64_t x = rng();
+    const double u =
+        static_cast<double>(static_cast<int64_t>(x >> 32)) * 0x1p-32 +
+        static_cast<double>(static_cast<int64_t>(x & 0xffffffffu)) * 0x1p-64;
+    return u < 1.0 ? u : std::nextafter(1.0, 0.0);
+}
+
 } // namespace
+
+Mt19937_64::Mt19937_64(uint64_t seed)
+{
+    state_[0] = seed;
+    for (size_t i = 1; i < kN; ++i) {
+        const uint64_t prev = state_[i - 1];
+        state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+    }
+}
+
+void
+Mt19937_64::twist()
+{
+    // Three loops, so that none reads an index that wraps, and a mask in
+    // place of the odd-word branch: both keep the loops vectorizable.
+    constexpr uint64_t kMatrixA = 0xb5026f5aa96619e9ULL;
+    constexpr uint64_t kUpper = ~uint64_t(0) << 31;
+    constexpr uint64_t kLower = ~kUpper;
+    auto mix = [](uint64_t hi, uint64_t lo, uint64_t far) {
+        const uint64_t y = (hi & kUpper) | (lo & kLower);
+        return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrixA);
+    };
+    uint64_t* mt = state_.data();
+    for (size_t k = 0; k < kN - kM; ++k) {
+        mt[k] = mix(mt[k], mt[k + 1], mt[k + kM]);
+    }
+    for (size_t k = kN - kM; k < kN - 1; ++k) {
+        mt[k] = mix(mt[k], mt[k + 1], mt[k + kM - kN]);
+    }
+    mt[kN - 1] = mix(mt[kN - 1], mt[0], mt[kM - 1]);
+    index_ = 0;
+}
 
 PlacementResult
 place(const MappedDesign& design, const PlaceOptions& options,
@@ -37,48 +87,68 @@ place(const MappedDesign& design, const PlaceOptions& options,
         return out;
     }
 
-    std::mt19937_64 rng(options.seed);
+    Mt19937_64 rng(options.seed);
     const uint32_t g = out.grid;
 
-    // Initial placement: row-major scatter.
-    std::vector<int32_t> slot_of_cell(n);
-    std::vector<int32_t> cell_at_slot(static_cast<size_t>(g) * g, -1);
+    // Initial placement: row-major scatter. Cells keep their coordinates
+    // and slots' are looked up, so that no move divides by the side.
+    struct Pos {
+        int32_t x, y;
+    };
+    std::vector<Pos> slot_pos(static_cast<size_t>(g) * g);
+    for (size_t s = 0; s < slot_pos.size(); ++s) {
+        slot_pos[s] = {static_cast<int32_t>(s % g),
+                       static_cast<int32_t>(s / g)};
+    }
+    std::vector<Pos> pos(n);
+    std::vector<int32_t> cell_at_slot(slot_pos.size(), -1);
     for (size_t i = 0; i < n; ++i) {
-        slot_of_cell[i] = static_cast<int32_t>(i);
+        pos[i] = slot_pos[i];
         cell_at_slot[i] = static_cast<int32_t>(i);
     }
-
-    auto xy = [g](int32_t slot) {
-        return std::pair<int32_t, int32_t>(slot % g, slot / g);
-    };
-    auto edge_len = [&](const CellEdge& e) {
-        const auto [ax, ay] = xy(slot_of_cell[e.a]);
-        const auto [bx, by] = xy(slot_of_cell[e.b]);
-        return std::abs(ax - bx) + std::abs(ay - by);
+    auto dist = [](Pos a, Pos b) {
+        return std::abs(a.x - b.x) + std::abs(a.y - b.y);
     };
 
-    // Per-cell incident edge lists for incremental cost evaluation.
-    std::vector<std::vector<uint32_t>> incident(n);
-    for (size_t e = 0; e < design.edges.size(); ++e) {
-        incident[design.edges[e].a].push_back(static_cast<uint32_t>(e));
-        incident[design.edges[e].b].push_back(static_cast<uint32_t>(e));
-    }
-
-    double cost = 0;
+    // Per-cell neighbour lists (CSR): the far endpoint of every incident
+    // edge, once per endpoint, as the cost sum counts them.
+    std::vector<uint32_t> first(n + 1, 0);
     for (const CellEdge& e : design.edges) {
-        cost += edge_len(e);
+        ++first[e.a + 1];
+        ++first[e.b + 1];
     }
-    out.initial_wirelength = cost;
+    for (size_t i = 0; i < n; ++i) {
+        first[i + 1] += first[i];
+    }
+    std::vector<int32_t> neighbour(first[n]);
+    {
+        std::vector<uint32_t> fill(first.begin(), first.end() - 1);
+        for (const CellEdge& e : design.edges) {
+            neighbour[fill[e.a]++] = static_cast<int32_t>(e.b);
+            neighbour[fill[e.b]++] = static_cast<int32_t>(e.a);
+        }
+    }
+
+    // Wirelengths are integers; int64 sums convert exactly to the double
+    // the result reports.
+    int64_t cost = 0;
+    for (const CellEdge& e : design.edges) {
+        cost += dist(pos[e.a], pos[e.b]);
+    }
+    out.initial_wirelength = static_cast<double>(cost);
 
     // Annealing schedule: O(n^1.5) moves per temperature step, geometric
     // cooling. This is the deliberate compile-time sink: at effort 1.0 a
-    // mid-sized design (a few hundred cells) takes seconds, and time grows
-    // superlinearly with size — the property the JIT hides.
+    // mid-sized design (a few hundred cells) anneals for tens of millions
+    // of moves, and the count grows superlinearly with size — the property
+    // the JIT hides. What one move costs in wall time is this
+    // implementation's, and the loop below keeps it small.
     const double effort = std::max(0.01, options.effort);
     const uint64_t moves_per_temp = static_cast<uint64_t>(
         effort * 400.0 * static_cast<double>(n) *
         std::sqrt(static_cast<double>(std::max<size_t>(16, n))));
-    double temp = std::max(4.0, cost / std::max<size_t>(1, n));
+    double temp = std::max(4.0, out.initial_wirelength /
+                                    std::max<size_t>(1, n));
     const double cooling = 0.92;
     const int temp_steps =
         static_cast<int>(20 + 10 * std::log2(1.0 + effort));
@@ -86,10 +156,33 @@ place(const MappedDesign& design, const PlaceOptions& options,
     std::uniform_int_distribution<uint32_t> pick_cell(
         0, static_cast<uint32_t>(n - 1));
     std::uniform_int_distribution<uint32_t> pick_slot(
-        0, static_cast<uint32_t>(g) * g - 1);
-    std::uniform_real_distribution<double> unit(0.0, 1.0);
+        0, static_cast<uint32_t>(slot_pos.size() - 1));
+
+    // Sum over c's neighbours of how much farther each lies once c moves
+    // from `from` to `to`. Edges to c itself and to the cell it trades
+    // places with keep their length.
+    auto moved = [&](uint32_t c, int32_t other, Pos from, Pos to) {
+        int64_t d = 0;
+        for (uint32_t k = first[c]; k < first[c + 1]; ++k) {
+            const int32_t nb = neighbour[k];
+            if (nb == static_cast<int32_t>(c) || nb == other) {
+                continue;
+            }
+            const Pos p = pos[static_cast<size_t>(nb)];
+            d += dist(to, p) - dist(from, p);
+        }
+        return d;
+    };
+
+    // exp(-delta / temp) for the small uphill deltas most rejected moves
+    // have, computed per temperature step by the same expression.
+    constexpr int64_t kMemoDeltas = 64;
+    std::array<double, kMemoDeltas> accept_p{};
 
     for (int step = 0; step < temp_steps; ++step) {
+        for (int64_t d = 1; d < kMemoDeltas; ++d) {
+            accept_p[d] = std::exp(-static_cast<double>(d) / temp);
+        }
         for (uint64_t m = 0; m < moves_per_temp; ++m) {
             // A temperature step of a large design at full effort is
             // millions of moves, so the cancel check runs every 16k.
@@ -100,59 +193,45 @@ place(const MappedDesign& design, const PlaceOptions& options,
             }
             ++out.moves_evaluated;
             const uint32_t c = pick_cell(rng);
-            const int32_t from = slot_of_cell[c];
+            const Pos from_pos = pos[c];
+            const int32_t from =
+                from_pos.y * static_cast<int32_t>(g) + from_pos.x;
             const int32_t to = static_cast<int32_t>(pick_slot(rng));
             if (from == to) {
                 continue;
             }
             const int32_t other = cell_at_slot[static_cast<size_t>(to)];
-
-            double before = 0;
-            for (uint32_t e : incident[c]) {
-                before += edge_len(design.edges[e]);
-            }
+            const Pos to_pos = slot_pos[static_cast<size_t>(to)];
+            int64_t delta = moved(c, other, from_pos, to_pos);
             if (other >= 0) {
-                for (uint32_t e : incident[static_cast<size_t>(other)]) {
-                    before += edge_len(design.edges[e]);
+                delta += moved(static_cast<uint32_t>(other),
+                               static_cast<int32_t>(c), to_pos, from_pos);
+            }
+            if (delta > 0) {
+                const double u = unit_draw(rng);
+                const double p =
+                    delta < kMemoDeltas
+                        ? accept_p[delta]
+                        : std::exp(-static_cast<double>(delta) / temp);
+                if (!(u < p)) {
+                    continue;
                 }
             }
-            // Apply tentatively.
-            slot_of_cell[c] = to;
+            pos[c] = to_pos;
+            cell_at_slot[static_cast<size_t>(to)] = static_cast<int32_t>(c);
+            cell_at_slot[static_cast<size_t>(from)] = other;
             if (other >= 0) {
-                slot_of_cell[static_cast<size_t>(other)] = from;
+                pos[static_cast<size_t>(other)] = from_pos;
             }
-            double after = 0;
-            for (uint32_t e : incident[c]) {
-                after += edge_len(design.edges[e]);
-            }
-            if (other >= 0) {
-                for (uint32_t e : incident[static_cast<size_t>(other)]) {
-                    after += edge_len(design.edges[e]);
-                }
-            }
-            const double delta = after - before;
-            if (delta <= 0 || unit(rng) < std::exp(-delta / temp)) {
-                // Accept.
-                cell_at_slot[static_cast<size_t>(from)] = other;
-                cell_at_slot[static_cast<size_t>(to)] =
-                    static_cast<int32_t>(c);
-                cost += delta;
-            } else {
-                // Revert.
-                slot_of_cell[c] = from;
-                if (other >= 0) {
-                    slot_of_cell[static_cast<size_t>(other)] = to;
-                }
-            }
+            cost += delta;
         }
         temp *= cooling;
     }
 
-    out.final_wirelength = cost;
+    out.final_wirelength = static_cast<double>(cost);
     for (size_t i = 0; i < n; ++i) {
-        const auto [x, y] = xy(slot_of_cell[i]);
-        out.locations[i] = {static_cast<uint32_t>(x),
-                            static_cast<uint32_t>(y)};
+        out.locations[i] = {static_cast<uint32_t>(pos[i].x),
+                            static_cast<uint32_t>(pos[i].y)};
     }
     return out;
 }

@@ -4,18 +4,59 @@
 /// wirelength — this is the genuinely expensive, size-dependent step that
 /// makes background compilation slow, exactly the property Cascade's JIT
 /// hides (paper §1: "compilation for FPGAs is theoretically hard ...
-/// constraint satisfaction").
+/// constraint satisfaction"). The schedule fixes how many moves a design
+/// costs; what one move costs in wall time is the implementation's, and is
+/// kept small (see place.cc).
 
 #ifndef CASCADE_FPGA_PLACE_H
 #define CASCADE_FPGA_PLACE_H
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "fpga/techmap.h"
 
 namespace cascade::fpga {
+
+/// MT19937-64: the same output sequence as std::mt19937_64 seeded with the
+/// same value, with a twist the compiler can vectorize (libstdc++'s does
+/// not vectorize at generic x86-64 flags). The annealer draws two or three
+/// numbers a move through the std distributions, which see only the
+/// outputs, so every draw matches the standard engine's.
+class Mt19937_64 {
+public:
+    using result_type = uint64_t;
+
+    explicit Mt19937_64(uint64_t seed);
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type(0); }
+
+    result_type operator()()
+    {
+        if (index_ == kN) {
+            twist();
+        }
+        uint64_t y = state_[index_++];
+        y ^= (y >> 29) & 0x5555555555555555ULL;
+        y ^= (y << 17) & 0x71d67fffeda60000ULL;
+        y ^= (y << 37) & 0xfff7eee000000000ULL;
+        y ^= y >> 43;
+        return y;
+    }
+
+private:
+    static constexpr size_t kN = 312;
+    static constexpr size_t kM = 156;
+
+    void twist();
+
+    std::array<uint64_t, kN> state_{};
+    size_t index_ = kN;
+};
 
 struct PlacementResult {
     /// Per-cell (x, y) grid coordinates.

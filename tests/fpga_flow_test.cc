@@ -8,8 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
+#include <random>
+
 #include "ir/hw_wrapper.h"
+#include "telemetry/journal.h"
 #include "verilog/parser.h"
+#include "workloads/workloads.h"
 
 namespace cascade::fpga {
 namespace {
@@ -122,6 +128,104 @@ TEST(Place, DeterministicForSeed)
     PlacementResult b = place(mapped, opts);
     EXPECT_EQ(a.locations, b.locations);
     EXPECT_EQ(a.final_wirelength, b.final_wirelength);
+}
+
+MappedDesign
+map_src(std::string_view src)
+{
+    auto em = elaborate_src(src);
+    Diagnostics diags;
+    auto nl = synthesize(*em, &diags);
+    EXPECT_NE(nl, nullptr) << diags.str();
+    return technology_map(*nl);
+}
+
+/// Everything a placement decides: each cell's location, both
+/// wirelengths and the number of moves.
+std::string
+placement_digest(const PlacementResult& r)
+{
+    std::string text;
+    for (const auto& [x, y] : r.locations) {
+        text += std::to_string(x) + "," + std::to_string(y) + ";";
+    }
+    char tail[96];
+    std::snprintf(tail, sizeof tail, "%a %a %llu", r.initial_wirelength,
+                  r.final_wirelength,
+                  static_cast<unsigned long long>(r.moves_evaluated));
+    return telemetry::digest_hex(text + tail);
+}
+
+TEST(Place, MatchesTheParentAnnealer)
+{
+    // Digests recorded from the annealer before its per-move cost was
+    // cut (std::mt19937_64, apply-and-revert deltas, std::exp per uphill
+    // move). The faster loop must make every draw and accept decision
+    // the same, so every placement stays bit-identical.
+    const MappedDesign pipe = map_src(pipeline_src(24));
+    const MappedDesign miner =
+        map_src(workloads::proof_of_work_module(16));
+    struct Case {
+        const MappedDesign* design;
+        double effort;
+        uint64_t seed;
+        const char* digest;
+    };
+    const Case cases[] = {
+        {&pipe, 0.3, 1, "2aa1f24ad7705472"},
+        {&pipe, 0.3, 7, "0ec966daf8d7f262"},
+        {&miner, 0.05, 1, "5e5e9b3a60f1391e"},
+    };
+    for (const Case& c : cases) {
+        PlaceOptions opts;
+        opts.effort = c.effort;
+        opts.seed = c.seed;
+        EXPECT_EQ(placement_digest(place(*c.design, opts)), c.digest)
+            << "effort " << c.effort << " seed " << c.seed;
+    }
+}
+
+TEST(Place, FinalWirelengthIsTheHpwlOfItsLocations)
+{
+    const MappedDesign mapped = map_src(pipeline_src(24));
+    PlaceOptions opts;
+    opts.effort = 0.3;
+    PlacementResult r = place(mapped, opts);
+    ASSERT_FALSE(r.cancelled);
+    double hpwl = 0;
+    for (const CellEdge& e : mapped.edges) {
+        const auto [ax, ay] = r.locations[e.a];
+        const auto [bx, by] = r.locations[e.b];
+        hpwl += std::abs(static_cast<int64_t>(ax) - bx) +
+                std::abs(static_cast<int64_t>(ay) - by);
+    }
+    EXPECT_EQ(r.final_wirelength, hpwl);
+}
+
+TEST(Place, CancelledBeforeTheFirstMove)
+{
+    const MappedDesign mapped = map_src(pipeline_src(8));
+    const std::atomic<bool> cancel{true};
+    PlaceOptions opts;
+    PlacementResult r = place(mapped, opts, &cancel);
+    EXPECT_TRUE(r.cancelled);
+    EXPECT_EQ(r.moves_evaluated, 0u);
+}
+
+static_assert(std::uniform_random_bit_generator<Mt19937_64>);
+
+TEST(Mt19937_64, MatchesTheStandardEngine)
+{
+    for (uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{7},
+                          std::numeric_limits<uint64_t>::max()}) {
+        Mt19937_64 ours(seed);
+        std::mt19937_64 theirs(seed);
+        uint64_t mismatches = 0;
+        for (int i = 0; i < 10'000'000; ++i) {
+            mismatches += ours() != theirs();
+        }
+        EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+    }
 }
 
 TEST(Timing, CombDepthRaisesCriticalPath)
