@@ -9,11 +9,8 @@ namespace cascade::fpga {
 using namespace word_ops;
 
 Bitstream::Bitstream(std::shared_ptr<const Netlist> netlist)
-    : nl_(std::move(netlist))
+    : FabricExec(std::move(netlist))
 {
-    CASCADE_CHECK(nl_ != nullptr);
-    domains_ = source_domains(*nl_);
-    layout_ = compute_layout(*nl_);
     v_.assign(layout_.vtotal, 0);
     r_.assign(layout_.rtotal, 0);
     m_.assign(layout_.mtotal, 0);
@@ -35,22 +32,7 @@ Bitstream::Bitstream(std::shared_ptr<const Netlist> netlist)
             }
         }
     }
-    for (size_t i = 0; i < nl_->inputs.size(); ++i) {
-        input_index_[nl_->inputs[i].name] = static_cast<int>(i);
-    }
-    for (size_t i = 0; i < nl_->outputs.size(); ++i) {
-        const PortDef& port = nl_->outputs[i];
-        output_index_[port.name] = static_cast<int>(i);
-        out_off_.push_back(layout_.voff[port.node]);
-        out_cache_.emplace_back(nl_->nodes[port.node].width, 0);
-    }
-    for (size_t i = 0; i < nl_->regs.size(); ++i) {
-        reg_index_[nl_->regs[i].name] = static_cast<uint32_t>(i);
-        reg_cache_.emplace_back(nl_->regs[i].width, 0);
-    }
-    for (size_t i = 0; i < nl_->mems.size(); ++i) {
-        mem_index_[nl_->mems[i].name] = static_cast<uint32_t>(i);
-    }
+    bind_state({v_.data(), r_.data(), m_.data(), &cycles_, &dirty_});
     reg_latch_count_.assign(nl_->regs.size(), 0);
     prev_.resize(layout_.maxw);
     compile_tape();
@@ -123,90 +105,6 @@ Bitstream::compile_tape()
                           L.ew[port.mem]);
         ports_.push_back(p);
     }
-}
-
-void
-Bitstream::store(uint64_t* words, uint32_t width, const BitVector& value)
-{
-    const BitVector v = value.resized(width);
-    for (uint32_t k = 0; k < v.num_words(); ++k) {
-        words[k] = v.word(k);
-    }
-}
-
-void
-Bitstream::load(BitVector* out, const uint64_t* words)
-{
-    for (uint32_t k = 0; k < out->num_words(); ++k) {
-        out->set_word(k, words[k]);
-    }
-}
-
-int
-Bitstream::input_index(const std::string& name) const
-{
-    const auto it = input_index_.find(name);
-    return it == input_index_.end() ? -1 : it->second;
-}
-
-int
-Bitstream::output_index(const std::string& name) const
-{
-    const auto it = output_index_.find(name);
-    return it == output_index_.end() ? -1 : it->second;
-}
-
-void
-Bitstream::set_input(const std::string& name, const BitVector& value)
-{
-    const int i = input_index(name);
-    CASCADE_CHECK(i >= 0);
-    set_input(i, value);
-}
-
-void
-Bitstream::set_input(int index, const BitVector& value)
-{
-    const PortDef& port = nl_->inputs[static_cast<size_t>(index)];
-    const BitVector v = value.resized(port.width);
-    uint64_t* cur = &v_[layout_.voff[port.node]];
-    uint64_t changed = 0;
-    for (uint32_t k = 0; k < v.num_words(); ++k) {
-        changed |= cur[k] ^ v.word(k);
-        cur[k] = v.word(k);
-    }
-    if (changed != 0) {
-        dirty_ |= domains_.input[static_cast<size_t>(index)];
-    }
-}
-
-void
-Bitstream::set_input_word(int index, uint64_t value)
-{
-    const PortDef& port = nl_->inputs[static_cast<size_t>(index)];
-    CASCADE_CHECK(port.width <= 64);
-    value &= fullmask(port.width);
-    uint64_t& cur = v_[layout_.voff[port.node]];
-    if (cur != value) {
-        cur = value;
-        dirty_ |= domains_.input[static_cast<size_t>(index)];
-    }
-}
-
-const BitVector&
-Bitstream::output(const std::string& name) const
-{
-    const int i = output_index(name);
-    CASCADE_CHECK(i >= 0);
-    return output(i);
-}
-
-const BitVector&
-Bitstream::output(int index) const
-{
-    const auto i = static_cast<size_t>(index);
-    load(&out_cache_[i], &v_[out_off_[i]]);
-    return out_cache_[i];
 }
 
 void
@@ -529,8 +427,8 @@ Bitstream::activity_by_source() const
 uint64_t
 Bitstream::latch_count(const std::string& name) const
 {
-    const auto it = reg_index_.find(name);
-    return it == reg_index_.end() ? 0 : reg_latch_count_[it->second];
+    const int r = reg_index(name);
+    return r < 0 ? 0 : reg_latch_count_[static_cast<size_t>(r)];
 }
 
 void
@@ -649,77 +547,6 @@ Bitstream::debug_step_check()
             debug_fired_ = t.id;
         }
     }
-}
-
-const BitVector&
-Bitstream::reg_value(const std::string& name) const
-{
-    const uint32_t r = reg_index_.at(name);
-    load(&reg_cache_[r], &r_[layout_.roff[r]]);
-    return reg_cache_[r];
-}
-
-void
-Bitstream::set_reg(const std::string& name, const BitVector& value)
-{
-    const uint32_t r = reg_index_.at(name);
-    store(&r_[layout_.roff[r]], nl_->regs[r].width, value);
-    dirty_ = ~uint64_t{0};
-}
-
-const BitVector&
-Bitstream::mem_value(const std::string& name, uint64_t idx) const
-{
-    const uint32_t m = mem_index_.at(name);
-    CASCADE_CHECK(idx < nl_->mems[m].size);
-    BitVector& out =
-        mem_cache_
-            .emplace(std::make_pair(m, idx),
-                     BitVector(nl_->mems[m].width, 0))
-            .first->second;
-    load(&out, &m_[layout_.moff[m] + idx * layout_.ew[m]]);
-    return out;
-}
-
-void
-Bitstream::set_mem(const std::string& name, uint64_t idx,
-                   const BitVector& value)
-{
-    const uint32_t m = mem_index_.at(name);
-    CASCADE_CHECK(idx < nl_->mems[m].size);
-    store(&m_[layout_.moff[m] + idx * layout_.ew[m]], nl_->mems[m].width,
-          value);
-    dirty_ |= domains_.mem[m];
-}
-
-int
-Bitstream::reg_index(const std::string& name) const
-{
-    const auto it = reg_index_.find(name);
-    return it == reg_index_.end() ? -1 : static_cast<int>(it->second);
-}
-
-int
-Bitstream::mem_index(const std::string& name) const
-{
-    const auto it = mem_index_.find(name);
-    return it == mem_index_.end() ? -1 : static_cast<int>(it->second);
-}
-
-void
-Bitstream::write_mem(int mem, uint64_t first, const uint64_t* values,
-                     size_t count)
-{
-    const auto m = static_cast<size_t>(mem);
-    const MemDef& def = nl_->mems[m];
-    CASCADE_CHECK(def.width <= 64 && first <= def.size &&
-                  count <= def.size - first);
-    const uint64_t mask = fullmask(def.width);
-    uint64_t* const base = &m_[layout_.moff[m] + first];
-    for (size_t k = 0; k < count; ++k) {
-        base[k] = values[k] & mask;
-    }
-    dirty_ |= domains_.mem[m];
 }
 
 } // namespace cascade::fpga

@@ -6,7 +6,8 @@
 /// a device cycle). The constructor compiles the netlist into a tape: one
 /// pre-resolved instruction per node over flat uint64_t state in the JIT
 /// kernel's layout (fpga/word_ops.h), run with the kernel's own word-op
-/// helpers, so no BitVector is built on the hot path. Settling is
+/// helpers, so no BitVector is built on the hot path. Port, register and
+/// memory access is FabricExec's, over the same words. Settling is
 /// domain-gated (fpga/source_domains.h): a pass runs only the blocks of
 /// nodes whose input port, register clock domain or memory changed since
 /// the previous pass.
@@ -24,47 +25,17 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bitvector.h"
 #include "fpga/fabric_exec.h"
 #include "fpga/netlist.h"
-#include "fpga/source_domains.h"
-#include "fpga/word_ops.h"
 
 namespace cascade::fpga {
 
 class Bitstream : public FabricExec {
   public:
     explicit Bitstream(std::shared_ptr<const Netlist> netlist);
-
-    const Netlist& netlist() const override { return *nl_; }
-
-    /// @{ Port access by name (cached index lookups available below).
-    void set_input(const std::string& name, const BitVector& value) override;
-    const BitVector& output(const std::string& name) const override;
-    int input_index(const std::string& name) const override;
-    int output_index(const std::string& name) const override;
-    void set_input(int index, const BitVector& value) override;
-    const BitVector& output(int index) const override;
-    /// @}
-
-    /// @{ Raw-word access by index (see FabricExec).
-    void set_input_word(int index, uint64_t value) override;
-    uint64_t output_word(int index) const override
-    {
-        return v_[out_off_[static_cast<size_t>(index)]];
-    }
-    int reg_index(const std::string& name) const override;
-    uint64_t reg_word(int index) const override
-    {
-        return r_[layout_.roff[static_cast<size_t>(index)]];
-    }
-    int mem_index(const std::string& name) const override;
-    void write_mem(int mem, uint64_t first, const uint64_t* values,
-                   size_t count) override;
-    /// @}
 
     /// Settles combinational logic for the current inputs/state,
     /// recomputing only nodes whose source domain changed (with profiling
@@ -74,18 +45,6 @@ class Bitstream : public FabricExec {
     /// One device clock cycle: settle, latch every register whose clock
     /// rose (cascading derived clock domains), settle again.
     void step() override;
-
-    /// @{ Direct state access (used by native mode and tests; the hardware
-    /// engine goes through MMIO instead).
-    const BitVector& reg_value(const std::string& name) const override;
-    void set_reg(const std::string& name, const BitVector& value) override;
-    const BitVector& mem_value(const std::string& name,
-                               uint64_t idx) const override;
-    void set_mem(const std::string& name, uint64_t idx,
-                 const BitVector& value) override;
-    /// @}
-
-    uint64_t cycles() const override { return cycles_; }
 
     /// @{ Source-level activity profiling. When enabled, eval_comb counts
     /// per-node evaluations and value toggles; when off, the evaluator
@@ -181,14 +140,7 @@ class Bitstream : public FabricExec {
     /// the word helpers' scratch bound (word_ops::kMaxWords).
     void exec_reference(const Insn& in);
     void debug_step_check();
-    /// Stores \p value, resized to \p width, at \p words[0..].
-    static void store(uint64_t* words, uint32_t width,
-                      const BitVector& value);
-    static void load(BitVector* out, const uint64_t* words);
 
-    std::shared_ptr<const Netlist> nl_;
-    SourceDomains domains_;
-    Layout layout_;
     /// Domain bits changed since the last settle (all set until the first).
     uint64_t dirty_ = ~uint64_t{0};
     /// @{ State in the layout's three word arrays.
@@ -201,17 +153,7 @@ class Bitstream : public FabricExec {
     std::vector<std::pair<uint32_t, uint32_t>> concat_; ///< (offset, width)
     std::vector<ClockLatch> clocks_;
     std::vector<PortLatch> ports_;
-    std::vector<uint32_t> out_off_; ///< per output: its word offset
-    std::unordered_map<std::string, int> input_index_;
-    std::unordered_map<std::string, int> output_index_;
-    std::unordered_map<std::string, uint32_t> reg_index_;
-    std::unordered_map<std::string, uint32_t> mem_index_;
     uint64_t cycles_ = 0;
-    /// @{ The BitVector accessors' per-slot caches, refreshed on access.
-    mutable std::vector<BitVector> out_cache_;
-    mutable std::vector<BitVector> reg_cache_;
-    mutable std::map<std::pair<uint32_t, uint64_t>, BitVector> mem_cache_;
-    /// @}
     std::vector<BitVector> argv_; ///< exec_reference scratch
     std::vector<uint64_t> prev_;  ///< a wide node's value before a pass
     bool profile_ = false;

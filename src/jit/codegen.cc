@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "fpga/source_domains.h"
 #include "fpga/word_ops.h"
+#include "jit/jit_cache.h"
 
 namespace cascade::jit {
 
@@ -82,10 +83,16 @@ emit_node(std::ostream& os, const Netlist& nl, const Layout& L,
     const uint32_t d = L.voff[i];
     const uint32_t W = n.width;
     const uint32_t NW = words_of(W);
+    // Built by appending: GCC 12 at -O3 reports a false -Wrestrict
+    // overlap for `"V[" + std::to_string(...)` here.
     auto A = [&](size_t k) {
         const uint32_t a = n.args[k];
-        return local[a] ? "v" + std::to_string(a)
-                        : "V[" + std::to_string(L.voff[a]) + "]";
+        std::string s = local[a] ? "v" : "V[";
+        s += std::to_string(local[a] ? a : L.voff[a]);
+        if (!local[a]) {
+            s += ']';
+        }
+        return s;
     };
     auto AP = [&](size_t k) {
         CASCADE_CHECK(!local[n.args[k]]);
@@ -466,56 +473,15 @@ generate_units(const Netlist& nl)
     // links without it (jit_cache.cc).
     os << "#include <stdlib.h>\n\n";
 
-    // --- ABI marshalling tables -----------------------------------------
-    {
-        emit_table(os, "u32", "g_reg_off", L.roff);
-        emit_table(os, "u32", "g_reg_w", L.rwords);
-        std::vector<uint64_t> rmask;
-        for (const fpga::RegDef& r : nl.regs) {
-            rmask.push_back(topmask(r.width));
+    // Every register of a clock domain latches on each of its commits, so
+    // one count per domain serves them all (~0u: never latches).
+    std::vector<uint32_t> reg_domain(nl.regs.size(), ~0u);
+    for (size_t k = 0; k < clocks.size(); ++k) {
+        for (uint32_t r : clocks[k].regs) {
+            reg_domain[r] = static_cast<uint32_t>(k);
         }
-        emit_table(os, "u64", "g_reg_mask", rmask);
-        // Every register of a clock domain latches on each of its commits,
-        // so one count per domain serves them all (~0u: never latches).
-        std::vector<uint32_t> reg_domain(nl.regs.size(), ~0u);
-        for (size_t k = 0; k < clocks.size(); ++k) {
-            for (uint32_t r : clocks[k].regs) {
-                reg_domain[r] = static_cast<uint32_t>(k);
-            }
-        }
-        emit_table(os, "u32", "g_reg_domain", reg_domain);
-        std::vector<uint32_t> in_off, in_w;
-        std::vector<uint64_t> in_mask;
-        for (const fpga::PortDef& p : nl.inputs) {
-            in_off.push_back(L.voff[p.node]);
-            in_w.push_back(words_of(p.width));
-            in_mask.push_back(topmask(p.width));
-        }
-        emit_table(os, "u32", "g_in_off", in_off);
-        emit_table(os, "u32", "g_in_w", in_w);
-        emit_table(os, "u64", "g_in_mask", in_mask);
-        emit_table(os, "u64", "g_in_bit", dom.input);
-        std::vector<uint32_t> out_off, out_w;
-        for (const fpga::PortDef& p : nl.outputs) {
-            out_off.push_back(L.voff[p.node]);
-            out_w.push_back(words_of(nl.nodes[p.node].width));
-        }
-        emit_table(os, "u32", "g_out_off", out_off);
-        emit_table(os, "u32", "g_out_w", out_w);
-        std::vector<uint32_t> mem_off, mem_ew;
-        std::vector<uint64_t> mem_size, mem_mask;
-        for (size_t m = 0; m < nl.mems.size(); ++m) {
-            mem_off.push_back(L.moff[m]);
-            mem_ew.push_back(L.ew[m]);
-            mem_size.push_back(nl.mems[m].size);
-            mem_mask.push_back(topmask(nl.mems[m].width));
-        }
-        emit_table(os, "u32", "g_mem_off", mem_off);
-        emit_table(os, "u32", "g_mem_ew", mem_ew);
-        emit_table(os, "u64", "g_mem_size", mem_size);
-        emit_table(os, "u64", "g_mem_mask", mem_mask);
-        emit_table(os, "u64", "g_mem_bit", dom.mem);
     }
+    emit_table(os, "u32", "g_reg_domain", reg_domain);
 
     // --- Combinational evaluation: gated blocks, bounded functions -------
     // Each function runs the blocks whose mask meets the dirty bits eval()
@@ -527,7 +493,7 @@ generate_units(const Netlist& nl)
     // block: the system compiler then keeps it in a register instead of
     // walking every V[] store for aliases. The rest are stored to V, and
     // so is every value read outside the eval functions: by step() and
-    // init() (clocks, next values, write ports) or by get_output.
+    // init() (clocks, next values, write ports) or by the host (outputs).
     std::vector<uint32_t> block_of(nl.nodes.size(), ~0u);
     for (size_t k = 0, b = 0; k < order.size(); ++k) {
         b += k != 0 && (k % kMaxFnNodes == 0 ||
@@ -756,10 +722,11 @@ generate_units(const Netlist& nl)
     os << "}\n\n";
 
     // --- extern "C" ABI --------------------------------------------------
-    // set_input marks its port's domain only on a real change, set_mem its
-    // memory's domain; set_reg marks every domain.
+    // The host reaches ports, registers and memories through the State
+    // words themselves (fpga::FabricExec), at the offsets of the layout.
     os << "extern \"C\" {\n"
-       << "unsigned cascade_jit_abi_version() { return 1; }\n"
+       << "unsigned cascade_jit_abi_version() { return " << kJitAbiVersion
+       << "; }\n"
        << "void* cascade_jit_new() {\n"
        << "    State* S = (State*)calloc(1, sizeof(State));\n"
        << "    if (S) init(S);\n"
@@ -768,52 +735,14 @@ generate_units(const Netlist& nl)
        << "void cascade_jit_free(void* p) { free(p); }\n"
        << "void cascade_jit_eval(void* p) { eval((State*)p); }\n"
        << "void cascade_jit_step(void* p) { step((State*)p); }\n"
-       << "u64 cascade_jit_cycles(void* p) { return ((State*)p)->cycles; "
-          "}\n"
-       << "void cascade_jit_set_input(void* p, u32 i, const u64* w) {\n"
+       << "void cascade_jit_state(void* p, u64** v, u64** r, u64** m, "
+          "u64** cycles, u64** dirty) {\n"
        << "    State* S = (State*)p;\n"
-       << "    const u32 off = g_in_off[i];\n"
-       << "    const u32 nw = g_in_w[i];\n"
-       << "    u64 ch = 0;\n"
-       << "    for (u32 k = 0; k < nw; ++k) {\n"
-       << "        const u64 x = k + 1 == nw ? w[k] & g_in_mask[i] : w[k];\n"
-       << "        ch |= S->v[off + k] ^ x;\n"
-       << "        S->v[off + k] = x;\n"
-       << "    }\n"
-       << "    if (ch) S->dirty |= g_in_bit[i];\n"
-       << "}\n"
-       << "void cascade_jit_get_output(void* p, u32 i, u64* w) {\n"
-       << "    State* S = (State*)p;\n"
-       << "    for (u32 k = 0; k < g_out_w[i]; ++k) "
-          "w[k] = S->v[g_out_off[i] + k];\n"
-       << "}\n"
-       << "void cascade_jit_get_reg(void* p, u32 r, u64* w) {\n"
-       << "    State* S = (State*)p;\n"
-       << "    for (u32 k = 0; k < g_reg_w[r]; ++k) "
-          "w[k] = S->r[g_reg_off[r] + k];\n"
-       << "}\n"
-       << "void cascade_jit_set_reg(void* p, u32 r, const u64* w) {\n"
-       << "    State* S = (State*)p;\n"
-       << "    for (u32 k = 0; k < g_reg_w[r]; ++k) "
-          "S->r[g_reg_off[r] + k] = w[k];\n"
-       << "    S->r[g_reg_off[r] + g_reg_w[r] - 1] &= g_reg_mask[r];\n"
-       << "    S->dirty = ~0ull;\n"
-       << "}\n"
-       << "void cascade_jit_get_mem(void* p, u32 m, u64 idx, u64* w) {\n"
-       << "    State* S = (State*)p;\n"
-       << "    const u32 off = g_mem_off[m] + (u32)(idx * g_mem_ew[m]);\n"
-       << "    for (u32 k = 0; k < g_mem_ew[m]; ++k) w[k] = S->m[off + "
-          "k];\n"
-       << "}\n"
-       << "void cascade_jit_set_mem(void* p, u32 m, u64 idx, const u64* w) "
-          "{\n"
-       << "    State* S = (State*)p;\n"
-       << "    if (idx >= g_mem_size[m]) return;\n"
-       << "    const u32 off = g_mem_off[m] + (u32)(idx * g_mem_ew[m]);\n"
-       << "    for (u32 k = 0; k < g_mem_ew[m]; ++k) S->m[off + k] = "
-          "w[k];\n"
-       << "    S->m[off + g_mem_ew[m] - 1] &= g_mem_mask[m];\n"
-       << "    S->dirty |= g_mem_bit[m];\n"
+       << "    *v = S->v;\n"
+       << "    *r = S->r;\n"
+       << "    *m = S->m;\n"
+       << "    *cycles = &S->cycles;\n"
+       << "    *dirty = &S->dirty;\n"
        << "}\n"
        << "u64 cascade_jit_latch_count(void* p, u32 r) {\n"
        << "    const u32 k = g_reg_domain[r];\n"

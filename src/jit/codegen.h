@@ -7,7 +7,10 @@
 /// grouped by source domain (fpga/source_domains.h), each run only when a
 /// source it reads changed, word-level ops on the ≤64-bit fast path, and
 /// one straight-line latch section per clock domain in step() — behind a
-/// flat extern "C" ABI (see kJitAbiVersion in jit_cache.h). The emitted
+/// flat extern "C" ABI (see kJitAbiVersion in jit_cache.h): create, free,
+/// eval, step, latch counts, and one entry that hands the host the State
+/// words, whose ports, registers and memories fpga::FabricExec reads and
+/// writes at the offsets of fpga::compute_layout. The emitted
 /// source deliberately mirrors Bitstream::eval_comb / Bitstream::step and
 /// the BitVector op definitions bit for bit, and carries as text the same
 /// word-op helpers (fpga/word_ops.inc) the Bitstream runs as host code,
@@ -17,7 +20,8 @@
 /// The split is a fixed rule of the netlist, never of the host, so a
 /// kernel's digest does not depend on the core count: one unit per eval_N
 /// function (at most 256 nodes each), one for step(), and one for the
-/// tables, the eval() dispatcher, init() and the ABI. Each unit repeats
+/// init and latch-domain tables, the eval() dispatcher, init() and the
+/// ABI. Each unit repeats
 /// the helper preamble and the State definition; the functions one unit
 /// calls in another have hidden visibility, so the shared object exports
 /// only the cascade_jit_* ABI.
@@ -25,7 +29,7 @@
 /// Every node value has a word in State::v, but a one-word value whose
 /// readers all sit later in its own gated block of one eval_N is emitted
 /// as a `const u64` local of that block and never stored. Values read by
-/// another block, by step(), by get_output or through a multi-word
+/// another block, by step(), by the host (outputs) or through a multi-word
 /// helper's pointer are stored, and so are multi-word values and memory
 /// reads. Locals spare the system compiler its alias walks over 256
 /// dependent stores per function, which took about half of a unit's

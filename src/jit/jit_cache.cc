@@ -263,36 +263,17 @@ resolve(void* handle, const std::string& digest, JitModule* m,
     auto* dig = reinterpret_cast<const char* (*)()>(
         sym("cascade_jit_digest"));
     m->handle = handle;
-    m->create = reinterpret_cast<void* (*)()>(sym("cascade_jit_new"));
-    m->destroy = reinterpret_cast<void (*)(void*)>(sym("cascade_jit_free"));
-    m->eval = reinterpret_cast<void (*)(void*)>(sym("cascade_jit_eval"));
-    m->step = reinterpret_cast<void (*)(void*)>(sym("cascade_jit_step"));
-    m->cycles = reinterpret_cast<uint64_t (*)(void*)>(
-        sym("cascade_jit_cycles"));
-    m->set_input = reinterpret_cast<void (*)(void*, uint32_t,
-                                             const uint64_t*)>(
-        sym("cascade_jit_set_input"));
-    m->get_output = reinterpret_cast<void (*)(void*, uint32_t, uint64_t*)>(
-        sym("cascade_jit_get_output"));
-    m->get_reg = reinterpret_cast<void (*)(void*, uint32_t, uint64_t*)>(
-        sym("cascade_jit_get_reg"));
-    m->set_reg = reinterpret_cast<void (*)(void*, uint32_t,
-                                           const uint64_t*)>(
-        sym("cascade_jit_set_reg"));
-    m->get_mem = reinterpret_cast<void (*)(void*, uint32_t, uint64_t,
-                                           uint64_t*)>(
-        sym("cascade_jit_get_mem"));
-    m->set_mem = reinterpret_cast<void (*)(void*, uint32_t, uint64_t,
-                                           const uint64_t*)>(
-        sym("cascade_jit_set_mem"));
-    m->latch_count = reinterpret_cast<uint64_t (*)(void*, uint32_t)>(
+    m->create = reinterpret_cast<decltype(m->create)>(sym("cascade_jit_new"));
+    m->destroy =
+        reinterpret_cast<decltype(m->destroy)>(sym("cascade_jit_free"));
+    m->eval = reinterpret_cast<decltype(m->eval)>(sym("cascade_jit_eval"));
+    m->step = reinterpret_cast<decltype(m->step)>(sym("cascade_jit_step"));
+    m->state = reinterpret_cast<decltype(m->state)>(sym("cascade_jit_state"));
+    m->latch_count = reinterpret_cast<decltype(m->latch_count)>(
         sym("cascade_jit_latch_count"));
     if (abi == nullptr || dig == nullptr || m->create == nullptr ||
         m->destroy == nullptr || m->eval == nullptr || m->step == nullptr ||
-        m->cycles == nullptr || m->set_input == nullptr ||
-        m->get_output == nullptr || m->get_reg == nullptr ||
-        m->set_reg == nullptr || m->get_mem == nullptr ||
-        m->set_mem == nullptr || m->latch_count == nullptr) {
+        m->state == nullptr || m->latch_count == nullptr) {
         *error = "jit kernel is missing ABI symbols";
         return false;
     }

@@ -18,7 +18,11 @@
 ///
 /// Loaded modules are retained for the life of the process (dlclose while
 /// generated code may still be referenced is never safe), keyed by digest
-/// so re-adoption of the same design reuses the resident mapping.
+/// so re-adoption of the same design reuses the resident mapping. A module
+/// exports create/free, eval, step, latch counts and cascade_jit_state,
+/// which hands out a State's words: the host reads and writes ports,
+/// registers and memories there itself (fpga::FabricExec), so no
+/// per-port or per-register entry exists.
 ///
 /// Environment knobs:
 ///  - CASCADE_JIT_CXX: compiler to use, a name looked up on $PATH or a
@@ -36,7 +40,7 @@
 
 namespace cascade::jit {
 
-inline constexpr uint32_t kJitAbiVersion = 1;
+inline constexpr uint32_t kJitAbiVersion = 2;
 
 /// Resolved symbols of one loaded kernel. Pointers stay valid for the
 /// process lifetime (modules are never unloaded).
@@ -46,13 +50,11 @@ struct JitModule {
     void (*destroy)(void*) = nullptr;
     void (*eval)(void*) = nullptr;
     void (*step)(void*) = nullptr;
-    uint64_t (*cycles)(void*) = nullptr;
-    void (*set_input)(void*, uint32_t, const uint64_t*) = nullptr;
-    void (*get_output)(void*, uint32_t, uint64_t*) = nullptr;
-    void (*get_reg)(void*, uint32_t, uint64_t*) = nullptr;
-    void (*set_reg)(void*, uint32_t, const uint64_t*) = nullptr;
-    void (*get_mem)(void*, uint32_t, uint64_t, uint64_t*) = nullptr;
-    void (*set_mem)(void*, uint32_t, uint64_t, const uint64_t*) = nullptr;
+    /// Hands out the addresses of a State's node-value, register and
+    /// memory words (fpga::compute_layout) and of its cycle count and
+    /// dirty bits; fpga::FabricExec reads and writes them directly.
+    void (*state)(void*, uint64_t**, uint64_t**, uint64_t**, uint64_t**,
+                  uint64_t**) = nullptr;
     uint64_t (*latch_count)(void*, uint32_t) = nullptr;
 };
 

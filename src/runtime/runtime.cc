@@ -1703,14 +1703,8 @@ Runtime::debug_continue()
     // The halt is a span on this tenant's trace lane, from fire to here.
     telemetry::Tracer& tracer = telemetry::Tracer::global();
     const double now_us = tracer.now_us();
-    if (fabric_ != nullptr) {
-        tracer.record_complete_tenant("debug.halt", debug_halt_start_us_,
-                                      now_us - debug_halt_start_us_,
-                                      tenant_);
-    } else {
-        tracer.record_complete("debug.halt", debug_halt_start_us_,
-                               now_us - debug_halt_start_us_, 0);
-    }
+    tracer.record_complete_tenant("debug.halt", debug_halt_start_us_,
+                                  now_us - debug_halt_start_us_, tenant_);
     emit(EventKind::DebugResume, JsonWriter()
                                      .num("iteration", iterations_)
                                      .num("tick", virtual_ticks()));

@@ -149,14 +149,14 @@ void
 CompileService::cache_insert_locked(const std::string& key,
                                     const fpga::CompileResult& result)
 {
-    if (!config_.enable_cache || key.empty() || !result.ok) {
+    if (key.empty() || !result.ok) {
         return;
     }
     const auto it = cache_.find(key);
     if (it == cache_.end()) {
         cache_[key] = result;
         cache_lru_.push_front(key);
-        if (cache_.size() > config_.cache_capacity &&
+        if (cache_.size() > kCacheCapacity &&
             !cache_lru_.empty()) {
             cache_.erase(cache_lru_.back());
             cache_lru_.pop_back();
@@ -183,7 +183,7 @@ CompileService::submit(uint64_t client, Job job)
         // request tracer bills to the "cache" segment; bracket it.
         telemetry::Tracer& tracer = telemetry::Tracer::global();
         const double lookup_start_us = tracer.now_us();
-        pending.key = config_.enable_cache && job.module != nullptr
+        pending.key = job.module != nullptr
                           ? cache_key(*job.module, job.options)
                           : std::string();
         pending.tenant = telemetry::thread_tenant();
@@ -194,9 +194,8 @@ CompileService::submit(uint64_t client, Job job)
         // set; everything deterministic (netlist, area, placement, seed,
         // Fmax) is byte-identical to the cold compile that populated the
         // entry.
-        const auto hit = config_.enable_cache && !pending.key.empty()
-                             ? cache_.find(pending.key)
-                             : cache_.end();
+        const auto hit = !pending.key.empty() ? cache_.find(pending.key)
+                                              : cache_.end();
         pending.enqueue_us = tracer.now_us();
         pending.cache_us = pending.enqueue_us - lookup_start_us;
         if (hit != cache_.end()) {

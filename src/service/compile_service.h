@@ -56,10 +56,10 @@ class CompileService {
         /// tests that need deterministic queue/cancellation behavior; the
         /// cache still answers hits synchronously at submit).
         size_t workers = 1;
-        bool enable_cache = true;
-        /// Cached CompileResults retained (LRU beyond this).
-        size_t cache_capacity = 128;
     };
+
+    /// Cached CompileResults retained (LRU beyond this).
+    static constexpr size_t kCacheCapacity = 128;
 
     struct Job {
         uint64_t version = 0;

@@ -241,25 +241,6 @@ TEST(CompileCache, DifferentSeedMissesAndRunsTheFlow)
     svc.unregister_client(client);
 }
 
-TEST(CompileCache, DisabledCacheAlwaysRunsTheFlow)
-{
-    CompileService::Config cfg;
-    cfg.enable_cache = false;
-    CompileService svc(cfg);
-    const uint64_t client = svc.register_client();
-    auto em = counter_module();
-
-    svc.submit(client, job_for(1, em, fast_options()));
-    const CompileService::Done a = wait_one(svc, client);
-    svc.submit(client, job_for(2, em, fast_options()));
-    const CompileService::Done b = wait_one(svc, client);
-    EXPECT_FALSE(a.result.report.cache_hit);
-    EXPECT_FALSE(b.result.report.cache_hit);
-    EXPECT_EQ(svc.cache_entries(), 0u);
-
-    svc.unregister_client(client);
-}
-
 // ---------------------------------------------------------------------
 // Queue semantics (workers = 0 keeps jobs queued deterministically)
 // ---------------------------------------------------------------------

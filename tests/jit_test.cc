@@ -341,6 +341,38 @@ TEST(JitKernel, StateInjectionRoundTrips)
     BitVector wide(128, 0);
     wide.set_word(0, 0xDEADBEEFCAFEF00Dull);
     wide.set_word(1, 0xFFFFFFFFFFFFFFFFull); // clamped to 67 bits
+
+    // Each evaluator against BitVector::resized, not only against the
+    // other: both run the same FabricExec accessors, so a lockstep alone
+    // misses a fault in them. A wider value is clamped, a narrower one
+    // zero-extends, for registers, memory elements and input ports.
+    const BitVector narrow(8, 0xA5);
+    const BitVector wide_elem(16, 0xBEEF);
+    const BitVector narrow_elem(4, 0x9);
+    for (fpga::FabricExec* e : {static_cast<fpga::FabricExec*>(&hw),
+                                static_cast<fpga::FabricExec*>(kern.get())}) {
+        const char* who = e == &hw ? "bitstream" : "kernel";
+        e->set_reg("r", wide);
+        e->eval_comb();
+        EXPECT_EQ(e->reg_value("r"), wide.resized(67)) << who;
+        EXPECT_EQ(e->output("q"), wide.resized(67)) << who;
+        e->set_reg("r", narrow);
+        e->eval_comb();
+        EXPECT_EQ(e->reg_value("r"), narrow.resized(67)) << who;
+        EXPECT_EQ(e->output("q"), narrow.resized(67)) << who;
+
+        e->set_mem("mem", 5, wide_elem);
+        e->set_mem("mem", 6, narrow_elem);
+        EXPECT_EQ(e->mem_value("mem", 5), wide_elem.resized(8)) << who;
+        EXPECT_EQ(e->mem_value("mem", 6), narrow_elem.resized(8)) << who;
+        e->set_input("ra", BitVector(8, 0xF5)); // clamped to 5
+        e->eval_comb();
+        EXPECT_EQ(e->output("rd"), wide_elem.resized(8)) << who;
+        e->set_input("ra", BitVector(3, 6));
+        e->eval_comb();
+        EXPECT_EQ(e->output("rd"), narrow_elem.resized(8)) << who;
+    }
+
     hw.set_reg("r", wide);
     kern->set_reg("r", wide);
     ASSERT_EQ(hw.reg_value("r"), kern->reg_value("r"));
@@ -501,20 +533,24 @@ TEST(JitGating, StateWritesBetweenStepsMatchUngatedReference)
         g.clock();
         ASSERT_NO_FATAL_FAILURE(g.check(at + "clock"));
 
-        // State writes with every input left as it is.
-        const BitVector cnt(8, rng());
+        // State writes with every input left as it is: a wider register
+        // value, a narrower one and a wider memory element.
+        const BitVector cnt(12, rng());
         g.each([&](fpga::FabricExec& e) { e.set_reg("cnt", cnt); });
         g.eval();
         ASSERT_NO_FATAL_FAILURE(g.check(at + "set_reg cnt"));
-        const BitVector hold(8, rng());
+        const BitVector hold(5, rng());
         g.each([&](fpga::FabricExec& e) { e.set_reg("hold", hold); });
         g.eval();
         ASSERT_NO_FATAL_FAILURE(g.check(at + "set_reg of a kNoClock reg"));
         const uint64_t read_at = c % 2 ? ra.to_uint64() : cnt.to_uint64() % 16;
-        const BitVector word(8, rng());
+        const BitVector word(16, rng());
         g.each([&](fpga::FabricExec& e) { e.set_mem("mem", read_at, word); });
         g.eval();
         ASSERT_NO_FATAL_FAILURE(g.check(at + "set_mem"));
+        g.each([&](fpga::FabricExec& e) {
+            EXPECT_EQ(e.mem_value("mem", read_at), word.resized(8)) << at;
+        });
         // A span ending at the address read through cnt or ra, with
         // bits above the element width that the write drops.
         const uint64_t span[3] = {rng(), rng(), rng()};
@@ -524,6 +560,22 @@ TEST(JitGating, StateWritesBetweenStepsMatchUngatedReference)
         });
         g.eval();
         ASSERT_NO_FATAL_FAILURE(g.check(at + "write_mem span"));
+        // Each evaluator against the masked span too: the lockstep alone
+        // compares evaluators that share their accessors.
+        const char* read_out = c % 2 ? "rd_in" : "rd_cnt";
+        g.each([&](fpga::FabricExec& e) {
+            for (uint64_t k = 0; k < 3; ++k) {
+                EXPECT_EQ(e.mem_value("mem", first + k),
+                          BitVector(8, span[k] & 0xff))
+                    << at << "write_mem element " << first + k;
+            }
+            EXPECT_EQ(e.output(read_out),
+                      BitVector(8, span[read_at - first] & 0xff))
+                << at << read_out << " after write_mem";
+            EXPECT_EQ(e.reg_value("cnt"), cnt.resized(8)) << at;
+            EXPECT_EQ(e.reg_value("hold"), hold.resized(8)) << at;
+            EXPECT_EQ(e.output("hold_o"), hold.resized(8)) << at;
+        });
 
         // Rewriting an input with its current value, also through high
         // bits the port width drops, changes nothing.
@@ -540,6 +592,19 @@ TEST(JitGating, StateWritesBetweenStepsMatchUngatedReference)
         });
         g.eval();
         ASSERT_NO_FATAL_FAILURE(g.check(at + "set_input_word ra"));
+        // A raw-word write whose bits above the port width drop, to an
+        // address of the span, which rd_in must then read.
+        const uint64_t in_span = first + rng() % 3;
+        g.each([&](fpga::FabricExec& e) {
+            e.set_input_word(e.input_index("ra"), ~uint64_t{15} | in_span);
+        });
+        g.eval();
+        ASSERT_NO_FATAL_FAILURE(g.check(at + "set_input_word into the span"));
+        g.each([&](fpga::FabricExec& e) {
+            EXPECT_EQ(e.output("rd_in"),
+                      BitVector(8, span[in_span - first] & 0xff))
+                << at << "rd_in after set_input_word " << in_span;
+        });
         g.clock();
         ASSERT_NO_FATAL_FAILURE(g.check(at + "clock after state writes"));
     }
@@ -1151,7 +1216,8 @@ TEST(JitCache, ConcurrentBuildsMatchBitstreamAndExportOnlyTheAbi)
     // Two threads build distinct multi-unit kernels at once, both cold,
     // so their compiler jobs share the process-wide job slots. Each
     // kernel matches the Bitstream, and its shared object exports the
-    // cascade_jit_* ABI but none of the functions its units share.
+    // cascade_jit_* ABI but none of the functions its units share and no
+    // marshalling entry beyond the State words.
     const std::filesystem::path dir = fresh_dir("cascade_jit_concurrent");
     ScopedEnv cache("CASCADE_JIT_CACHE_DIR", dir.string());
     const std::shared_ptr<const fpga::Netlist> nls[2] = {
@@ -1187,8 +1253,16 @@ TEST(JitCache, ConcurrentBuildsMatchBitstreamAndExportOnlyTheAbi)
             jit::generate_units(*nls[i]), &digest, &hit, &err);
         ASSERT_NE(m, nullptr) << err;
         EXPECT_TRUE(hit);
-        EXPECT_NE(::dlsym(m->handle, "cascade_jit_step"), nullptr);
-        for (const char* internal : {"eval_0", "eval_1"}) {
+        for (const char* entry : {"cascade_jit_step", "cascade_jit_state"}) {
+            EXPECT_NE(::dlsym(m->handle, entry), nullptr) << entry;
+        }
+        // No port, register or memory marshalling entry: the host reaches
+        // the State words through cascade_jit_state.
+        for (const char* internal :
+             {"eval_0", "eval_1", "cascade_jit_set_input",
+              "cascade_jit_get_output", "cascade_jit_get_reg",
+              "cascade_jit_set_reg", "cascade_jit_get_mem",
+              "cascade_jit_set_mem", "cascade_jit_cycles"}) {
             EXPECT_EQ(::dlsym(m->handle, internal), nullptr) << internal;
         }
     }
