@@ -15,6 +15,11 @@ the *bad* direction is a regression:
     never counts as a regression — counters like LE usage move for
     legitimate reasons.
 
+Some benches also bound the ratio of two leaves of one fresh result
+(RATIOS below). Both leaves come from the same run on the same host, so
+such a bound holds whatever the host's speed, and the tolerance does not
+apply to it.
+
 Shared CI runners are noisy, so this is a soft gate by default: findings
 are printed as GitHub ``::warning::`` annotations and the exit code stays
 0. Pass --strict (local perf work) to exit 1 on any regression.
@@ -36,6 +41,15 @@ HIGHER_IS_BETTER = ("hz", "rate", "speedup", "ticks_per", "throughput")
 # Leaves that are environment facts, not performance: never compared.
 IGNORED = ("wall_seconds", "les", "virtual_ticks", "adopted", "schema",
            "bench")
+
+
+# (bench, numerator leaf, denominator leaf, largest allowed ratio).
+RATIOS = (
+    # An edit's placement is seeded from the adopted one: the edited miner
+    # reaches hardware in at most a quarter of the time the miner's own
+    # first compile (a full anneal of nearly the same design) took.
+    ("table6_request_latency", "edit.p50_s", "edit_base.p50_s", 0.25),
+)
 
 
 def classify(key):
@@ -83,6 +97,20 @@ def compare(name, baseline, fresh, tolerance):
     return regressions, drifts
 
 
+def check_ratios(name, fresh):
+    """Returns a message string for every RATIOS bound \p fresh breaks."""
+    values = dict(leaves(fresh))
+    broken = []
+    for bench, num, den, bound in RATIOS:
+        if bench != name or num not in values or not values.get(den):
+            continue
+        ratio = values[num] / values[den]
+        if ratio > bound:
+            broken.append(f"{name}: {num} / {den} = {ratio:.3f}, "
+                          f"above the bound {bound:g}")
+    return broken
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline-dir",
@@ -118,6 +146,7 @@ def main():
         name = entry[len("BENCH_"):-len(".json")]
         regs, drft = compare(name, baseline, fresh, args.tolerance)
         regressions.extend(regs)
+        regressions.extend(check_ratios(name, fresh))
         drifts.extend(drft)
         compared += 1
 

@@ -1,7 +1,7 @@
 /// \file
 /// Table 6 (request tracing, beyond the paper): end-to-end edit ->
-/// hardware latency measured by the causal request tracker, for three
-/// request classes, and edit -> JIT-rung latency for a fourth:
+/// hardware latency measured by the causal request tracker, for four
+/// request classes, and edit -> JIT-rung latency for a fifth:
 ///
 ///   - cold: a fresh runtime per iteration, each compile a distinct
 ///     placement seed, so every request takes the full synthesize /
@@ -11,6 +11,12 @@
 ///     content-addressed bitstream cache hit;
 ///   - shared: a 4-tenant fleet on one fabric through the hypervisor,
 ///     each tenant's first compile admitted onto a device slice;
+///   - edit: a one-line edit (a new print process, as perfbench types)
+///     to the SHA-256 miner once it is adopted on the fabric, JIT off,
+///     timed like cold. Its placement is seeded from the adopted one, so
+///     only the cells the edit added and their neighbours anneal.
+///     edit_base is the miner's own first compile in the same runtimes: a
+///     full anneal of nearly the same design;
 ///   - jit_cold: the cold native-kernel build of the Fig. 10-wrapped
 ///     SHA-256 miner, timed from eval() until the program runs on the JIT
 ///     rung, with fabric admission rejected (a 10-LE device). Every
@@ -19,7 +25,7 @@
 ///     in-process module registry answers it. Skipped without a usable
 ///     system compiler.
 ///
-/// Each sample of the first three classes is a finished "compile" request
+/// Each sample of every class but jit_cold is a finished "compile" request
 /// from the runtime's own tracker -- the submit-to-first-hardware-tick
 /// wall time the REPL's `:why` decomposes -- so the bench measures
 /// exactly what the observability surface reports, and asserts the
@@ -27,9 +33,12 @@
 /// every sample.
 ///
 /// Output: BENCH_table6_request_latency.json with p50/p99 per class, the
-/// mean cold-path segment breakdown (queue, cache, synth, techmap, place,
-/// timing, admission, adoption) and the mean jit_cold kernel-build layers
-/// (codegen, the units' compile, link plus dlopen).
+/// mean segment breakdown (queue, cache, synth, techmap, place, timing,
+/// admission, adoption) of the cold and edit classes, and the mean
+/// jit_cold kernel-build layers (codegen, the units' compile, link plus
+/// dlopen). The edit breakdown is the ledger of an incremental edit; the
+/// edit_base p50, a full anneal of nearly the same design, is what its
+/// place segment is measured against.
 
 #include <algorithm>
 #include <barrier>
@@ -64,6 +73,7 @@ using cascade::telemetry::RequestRecord;
 namespace {
 
 constexpr int kColdRuns = 8;
+constexpr int kEditRuns = 8;
 constexpr int kWarmRuns = 16;
 constexpr int kSharedTenants = 4;
 constexpr int kJitColdRuns = 8;
@@ -84,14 +94,17 @@ const char* const kProgram = "reg [15:0] n = 0;\n"
                              "assign h = (n * 16'h9E37) ^ (n >> 3);\n"
                              "always @(posedge clk.val) n <= n + 1;\n";
 
-/// Runs \p rt until its adopted compile request retires (the request
-/// closes at the first post-adoption hardware tick) and returns it.
-/// Exits the process on timeout or a failed compile.
+/// Evals \p source into \p rt and runs it until the adopted compile
+/// request retires (the request closes at the first post-adoption
+/// hardware tick) and returns it; requests up to \p after_id are
+/// earlier ones. Exits the process on timeout or a failed compile.
 RequestRecord
-measure_compile_request(Runtime& rt, const char* what)
+measure_compile_request(Runtime& rt, const char* what,
+                        const std::string& source = kProgram,
+                        uint64_t after_id = 0)
 {
     std::string errors;
-    if (!rt.eval(kProgram, &errors)) {
+    if (!rt.eval(source, &errors)) {
         std::fprintf(stderr, "%s: eval failed: %s\n", what,
                      errors.c_str());
         std::exit(1);
@@ -104,7 +117,8 @@ measure_compile_request(Runtime& rt, const char* what)
     while (true) {
         rt.step();
         for (const RequestRecord& r : rt.request_tracker().recent()) {
-            if (std::string(r.kind) == "compile" && r.done && r.ok) {
+            if (std::string(r.kind) == "compile" && r.done && r.ok &&
+                r.id > after_id) {
                 return r;
             }
         }
@@ -116,6 +130,38 @@ measure_compile_request(Runtime& rt, const char* what)
             std::exit(1);
         }
     }
+}
+
+/// The edit class's one line: a new print process over the miner's nets.
+const char* const kMinerEdit =
+    "always @(posedge clk.val) if (round == 63 && nonce[3:0] == 4'd5) "
+    "$display(\"e %h %h\", nonce, final_a);\n";
+
+/// Sums each segment of \p r into \p us, by name.
+void
+add_segments(const RequestRecord& r, std::map<std::string, double>* us)
+{
+    for (const auto& s : r.segments) {
+        (*us)[s.name] += s.dur_us;
+    }
+}
+
+/// {"<segment>_seconds":mean,...} over \p runs requests, also printed.
+std::string
+segments_json(const char* what, const std::map<std::string, double>& us,
+              int runs)
+{
+    std::string json;
+    for (const auto& [name, total] : us) {
+        char row[96];
+        std::snprintf(row, sizeof row, "%s\"%s_seconds\":%.6f",
+                      json.empty() ? "" : ",", name.c_str(),
+                      total * 1e-6 / runs);
+        json += row;
+        std::printf("  %s mean %-10s %.4fs\n", what, name.c_str(),
+                    total * 1e-6 / runs);
+    }
+    return json;
 }
 
 /// The tracker's contract, asserted on every sample the bench reports.
@@ -220,7 +266,7 @@ int
 main()
 {
     std::printf("Table 6: edit->hardware request latency "
-                "(cold / warm / shared)\n");
+                "(cold / edit / warm / shared)\n");
 
     // -- Cold: fresh runtime, fresh seed, full compile path. ------------
     std::vector<double> cold_s;
@@ -236,9 +282,31 @@ main()
             return 1;
         }
         cold_s.push_back(r.total_us() * 1e-6);
-        for (const auto& s : r.segments) {
-            cold_segment_us[s.name] += s.dur_us;
+        add_segments(r, &cold_segment_us);
+    }
+
+    // -- Edit: one line added to the adopted miner. ---------------------
+    std::vector<double> edit_base_s;
+    std::vector<double> edit_s;
+    std::map<std::string, double> edit_segment_us;
+    for (int i = 0; i < kEditRuns; ++i) {
+        Runtime::Options opts = bench_options(400 + i);
+        opts.enable_jit = false;
+        Runtime rt(opts);
+        rt.on_output = [](const std::string&) {};
+        const RequestRecord base = measure_compile_request(
+            rt, "edit base", cascade::workloads::proof_of_work_source(16));
+        const RequestRecord r =
+            measure_compile_request(rt, "edit", kMinerEdit, base.id);
+        check_partition(base, "edit base");
+        check_partition(r, "edit");
+        if (r.cache_hit || r.kept_cells == 0) {
+            std::fprintf(stderr, "edit run %d: no seeded placement\n", i);
+            return 1;
         }
+        edit_base_s.push_back(base.total_us() * 1e-6);
+        edit_s.push_back(r.total_us() * 1e-6);
+        add_segments(r, &edit_segment_us);
     }
 
     // -- Warm: one pooled service, pinned seed -> cache hits. -----------
@@ -334,6 +402,10 @@ main()
     std::printf("cold   p50 %.4fs  p99 %.4fs  (%d runs)\n",
                 percentile(cold_s, 0.5), percentile(cold_s, 0.99),
                 kColdRuns);
+    std::printf("edit   p50 %.4fs  p99 %.4fs  (%d runs, seeded placement;"
+                " the miner's first compile p50 %.4fs)\n",
+                percentile(edit_s, 0.5), percentile(edit_s, 0.99),
+                kEditRuns, percentile(edit_base_s, 0.5));
     std::printf("warm   p50 %.4fs  p99 %.4fs  (%d runs, cache hits)\n",
                 percentile(warm_s, 0.5), percentile(warm_s, 0.99),
                 kWarmRuns);
@@ -348,27 +420,22 @@ main()
                     kJitColdRuns);
     }
 
-    std::string segments_json;
-    for (const auto& [name, us] : cold_segment_us) {
-        char row[96];
-        std::snprintf(row, sizeof row, "\"%s_seconds\":%.6f",
-                      name.c_str(), us * 1e-6 / kColdRuns);
-        if (!segments_json.empty()) {
-            segments_json += ',';
-        }
-        segments_json += row;
-        std::printf("  cold mean %-10s %.4fs\n", name.c_str(),
-                    us * 1e-6 / kColdRuns);
-    }
+    const std::string cold_segments =
+        segments_json("cold", cold_segment_us, kColdRuns);
+    const std::string edit_segments =
+        segments_json("edit", edit_segment_us, kEditRuns);
 
     std::ofstream out("BENCH_table6_request_latency.json");
     out << "{\"schema\":\"cascade.bench.v1\","
         << "\"bench\":\"table6_request_latency\","
         << class_json("cold", cold_s) << ','
+        << class_json("edit", edit_s) << ','
+        << class_json("edit_base", edit_base_s) << ','
         << class_json("warm", warm_s) << ','
         << class_json("shared", shared_s)
         << (jit_cold_s.empty() ? "" : "," + class_json("jit_cold", jit_cold_s))
-        << ",\"cold_segments_mean\":{" << segments_json << "}"
+        << ",\"cold_segments_mean\":{" << cold_segments << "}"
+        << ",\"edit_segments_mean\":{" << edit_segments << "}"
         << (jit_cold_s.empty() ? ""
                                : ",\"jit_cold_segments_mean\":{" +
                                      jit_segments_json + "}")

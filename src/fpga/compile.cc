@@ -32,7 +32,8 @@ phase_hist(const char* phase)
 CompileResult
 compile(const verilog::ElaboratedModule& em, const CompileOptions& options,
         const std::atomic<bool>* cancel,
-        const std::function<void(std::shared_ptr<const Netlist>)>& on_netlist)
+        const std::function<void(std::shared_ptr<const Netlist>)>& on_netlist,
+        const CellSites* prior)
 {
     CompileResult result;
     result.report.seed = options.seed;
@@ -73,17 +74,24 @@ compile(const verilog::ElaboratedModule& em, const CompileOptions& options,
     result.report.cells = mapped.cells.size();
 
     PlacementResult placement;
+    auto sites = std::make_shared<CellSites>();
     {
         TELEM_SPAN_HIST("place", place_ns);
         const auto t = std::chrono::steady_clock::now();
+        const std::vector<uint64_t> node_ids = node_identities(*nl);
+        sites->ids.reserve(mapped.cells.size());
+        for (const Cell& cell : mapped.cells) {
+            sites->ids.push_back(node_ids[cell.node]);
+        }
         PlaceOptions popts;
         popts.effort = options.effort;
         popts.seed = options.seed;
-        placement = place(mapped, popts, cancel);
+        placement = place(mapped, popts, cancel, sites->ids, prior);
         result.report.place_seconds = seconds_since(t);
     }
     result.report.anneal_moves = placement.moves_evaluated;
     result.report.wirelength = placement.final_wirelength;
+    result.report.kept_cells = placement.kept;
     if (placement.cancelled) {
         result.error = "cancelled";
         result.report.total_seconds = result.report.phase_sum_seconds();
@@ -123,6 +131,8 @@ compile(const verilog::ElaboratedModule& em, const CompileOptions& options,
                             result.report.place_seconds +
                             result.report.timing_seconds)) <= 1e-12);
 
+    sites->sites = std::move(placement.locations);
+    result.placement = std::move(sites);
     result.netlist = std::move(nl);
     result.ok = true;
     return result;

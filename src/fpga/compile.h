@@ -3,6 +3,16 @@
 /// synthesis -> technology mapping -> placement -> timing closure. Compile
 /// latency is genuine work that scales with design size; Cascade hides it
 /// behind software execution (paper §1, §3).
+///
+/// A compile may be given a prior: the placement of an earlier result
+/// (CompileResult::placement), typically the previous version of the same
+/// program. Placement then keeps the sites of the cells whose identity
+/// survived the edit and anneals only around the rest (see place.h), so a
+/// one-line edit costs a fraction of a full anneal. The prior is a
+/// parameter, not an option: it changes which placement a compile finds,
+/// not what design it compiles, and the compile service's cache key
+/// leaves it out. A cached result is the placement its first compile
+/// found, whatever prior a later request brings.
 
 #ifndef CASCADE_FPGA_COMPILE_H
 #define CASCADE_FPGA_COMPILE_H
@@ -45,6 +55,9 @@ struct CompileReport {
     bool cache_hit = false;
     uint64_t anneal_moves = 0;
     double wirelength = 0;
+    /// Cells placed at their site in the prior (0 without one, or when the
+    /// prior kept fewer than half the cells and a full anneal ran).
+    uint64_t kept_cells = 0;
     /// The critical path rendered as source-level signal names (netlist
     /// provenance, consecutive duplicates collapsed), source first.
     /// Parallel to critical_path_arrival_ns. Lets report consumers show
@@ -74,18 +87,22 @@ struct CompileResult {
     std::string error;
     std::shared_ptr<const Netlist> netlist;
     CompileReport report;
+    /// Every cell's site by identity: the prior for the next compile of
+    /// an edited design. Set when placement finished.
+    std::shared_ptr<const CellSites> placement;
 };
 
 /// Runs the full flow. Blocking; Cascade's runtime invokes this on a
 /// compile-service worker. \p on_netlist, when set, is called once
 /// synthesis succeeds, with the netlist the rest of the flow (and the
 /// result) shares. Once \p cancel is set, placement stops early and the
-/// result is an error.
+/// result is an error. With \p prior, placement is seeded from it.
 CompileResult compile(
     const verilog::ElaboratedModule& em, const CompileOptions& options,
     const std::atomic<bool>* cancel = nullptr,
     const std::function<void(std::shared_ptr<const Netlist>)>& on_netlist =
-        {});
+        {},
+    const CellSites* prior = nullptr);
 
 /// The reprogrammable device (Cyclone V-class by default): capacity limits
 /// plus the fabric clock the runtime models hardware time against.

@@ -1,10 +1,73 @@
 #include "fpga/netlist.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/check.h"
 
 namespace cascade::fpga {
+
+namespace {
+
+/// Folds \p v into the running hash \p h, then scrambles the bits with
+/// splitmix64's finalizer.
+uint64_t
+mix(uint64_t h, uint64_t v)
+{
+    uint64_t z = h ^ (v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+/// FNV-1a: a name's hash, the same on every host and build.
+uint64_t
+name_hash(const std::string& name)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : name) {
+        h = (h ^ static_cast<uint8_t>(c)) * 0x100000001b3ull;
+    }
+    return h;
+}
+
+} // namespace
+
+std::vector<uint64_t>
+node_identities(const Netlist& nl)
+{
+    std::vector<uint64_t> ids(nl.nodes.size());
+    std::unordered_map<uint64_t, uint64_t> repeats;
+    for (size_t i = 0; i < nl.nodes.size(); ++i) {
+        const Node& node = nl.nodes[i];
+        uint64_t h = mix(static_cast<uint64_t>(node.op), node.width);
+        switch (node.op) {
+          case Op::Input:
+            h = mix(h, name_hash(nl.inputs[node.aux].name));
+            break;
+          case Op::RegQ:
+            h = mix(h, name_hash(nl.regs[node.aux].name));
+            break;
+          case Op::MemRead:
+            h = mix(h, name_hash(nl.mems[node.aux].name));
+            break;
+          case Op::Const:
+            for (uint32_t w = 0; w < node.cval.num_words(); ++w) {
+                h = mix(h, node.cval.word(w));
+            }
+            break;
+          default:
+            h = mix(h, node.aux);
+            break;
+        }
+        for (const uint32_t a : node.args) {
+            h = mix(h, ids[a]);
+        }
+        const uint64_t k = repeats[h]++;
+        ids[i] = k == 0 ? h : mix(h, k);
+    }
+    return ids;
+}
 
 BitVector
 eval_node(const Node& node, const std::vector<BitVector>& argv)
@@ -140,7 +203,7 @@ uint32_t
 NetlistBuilder::memory(const std::string& name, uint32_t width,
                        uint32_t size)
 {
-    nl_->mems.push_back({name, width, size});
+    nl_->mems.push_back({name, width, size, {}});
     return static_cast<uint32_t>(nl_->mems.size() - 1);
 }
 

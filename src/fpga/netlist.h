@@ -184,6 +184,15 @@ class NetlistBuilder {
     uint32_t current_src_ = 0;
 };
 
+/// A structural identity for every node, in index order, that survives
+/// edits elsewhere in the design: a hash of the node's op, width, aux,
+/// constant words and its arguments' identities. Inputs, registers and
+/// memory reads hash the port, register or memory name in place of their
+/// index, so renumbering does not change them. The k-th repeat of a hash
+/// is mixed with k, which keeps the identities distinct. Placement keys
+/// the sites it keeps across an edit by these.
+std::vector<uint64_t> node_identities(const Netlist& nl);
+
 /// Evaluates a single node given already-evaluated argument values; shared
 /// by the constant folder and the bitstream evaluator so their semantics
 /// cannot diverge.

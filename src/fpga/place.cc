@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <random>
+#include <unordered_map>
 
 #include "common/check.h"
 
@@ -39,6 +40,140 @@ unit_draw(Mt19937_64& rng)
         static_cast<double>(static_cast<int64_t>(x >> 32)) * 0x1p-32 +
         static_cast<double>(static_cast<int64_t>(x & 0xffffffffu)) * 0x1p-64;
     return u < 1.0 ? u : std::nextafter(1.0, 0.0);
+}
+
+struct Pos {
+    int32_t x, y;
+};
+
+/// Per-cell neighbour lists: the far endpoint of every incident edge,
+/// once per endpoint, as the cost sum counts them. Cell c's neighbours
+/// are neighbour[first[c] .. first[c + 1]).
+struct Neighbours {
+    std::vector<uint32_t> first;
+    std::vector<int32_t> neighbour;
+
+    explicit Neighbours(const MappedDesign& design)
+        : first(design.cells.size() + 1, 0)
+    {
+        const size_t n = design.cells.size();
+        for (const CellEdge& e : design.edges) {
+            ++first[e.a + 1];
+            ++first[e.b + 1];
+        }
+        for (size_t i = 0; i < n; ++i) {
+            first[i + 1] += first[i];
+        }
+        neighbour.resize(first[n]);
+        std::vector<uint32_t> fill(first.begin(), first.end() - 1);
+        for (const CellEdge& e : design.edges) {
+            neighbour[fill[e.a]++] = static_cast<int32_t>(e.b);
+            neighbour[fill[e.b]++] = static_cast<int32_t>(e.a);
+        }
+    }
+};
+
+/// The free slot nearest (\p tx, \p ty) by Manhattan distance; ties go to
+/// the first found, scanning each distance ring by row. The grid always
+/// has a free slot: it holds at least twice the cells.
+int32_t
+nearest_free(const std::vector<int32_t>& cell_at_slot, int32_t g, int32_t tx,
+             int32_t ty)
+{
+    for (int32_t r = 0; r <= 2 * g; ++r) {
+        for (int32_t dy = -r; dy <= r; ++dy) {
+            const int32_t y = ty + dy;
+            if (y < 0 || y >= g) {
+                continue;
+            }
+            const int32_t dx = r - std::abs(dy);
+            for (const int32_t x : {tx - dx, tx + dx}) {
+                if (x >= 0 && x < g && cell_at_slot[y * g + x] < 0) {
+                    return y * g + x;
+                }
+            }
+        }
+    }
+    CASCADE_UNREACHABLE();
+}
+
+/// Seeds a placement from \p prior. Kept cells take their prior sites;
+/// then each other cell, in index order, takes the free slot nearest the
+/// centroid of its neighbours placed so far (the grid's centre if none
+/// is). Fills \p movable with the cells the anneal moves, the new cells
+/// and their neighbours, in index order. Returns the kept count, or 0
+/// with nothing placed when fewer than half the cells keep their site.
+uint32_t
+seed_from_prior(const CellSites& prior, const std::vector<uint64_t>& cell_ids,
+                const Neighbours& nbrs, int32_t g, std::vector<Pos>* pos,
+                std::vector<int32_t>* cell_at_slot,
+                std::vector<uint32_t>* movable)
+{
+    const size_t n = cell_ids.size();
+    std::unordered_map<uint64_t, size_t> prior_index;
+    prior_index.reserve(prior.ids.size());
+    for (size_t i = 0; i < prior.ids.size(); ++i) {
+        prior_index.emplace(prior.ids[i], i);
+    }
+    std::vector<char> placed(n, 0);
+    uint32_t kept = 0;
+    for (size_t c = 0; c < n; ++c) {
+        const auto it = prior_index.find(cell_ids[c]);
+        if (it == prior_index.end()) {
+            continue;
+        }
+        const auto [x, y] = prior.sites[it->second];
+        if (x >= static_cast<uint32_t>(g) || y >= static_cast<uint32_t>(g)) {
+            continue;
+        }
+        int32_t& at = (*cell_at_slot)[y * g + x];
+        if (at >= 0) {
+            continue;
+        }
+        at = static_cast<int32_t>(c);
+        (*pos)[c] = {static_cast<int32_t>(x), static_cast<int32_t>(y)};
+        placed[c] = 1;
+        ++kept;
+    }
+    if (2 * static_cast<size_t>(kept) < n) {
+        std::fill(cell_at_slot->begin(), cell_at_slot->end(), -1);
+        return 0;
+    }
+    std::vector<char> moves(n, 0);
+    for (size_t c = 0; c < n; ++c) {
+        if (placed[c] != 0) {
+            continue;
+        }
+        int64_t sx = 0;
+        int64_t sy = 0;
+        int64_t count = 0;
+        for (uint32_t k = nbrs.first[c]; k < nbrs.first[c + 1]; ++k) {
+            const size_t nb = static_cast<size_t>(nbrs.neighbour[k]);
+            moves[nb] = 1;
+            if (placed[nb] != 0) {
+                sx += (*pos)[nb].x;
+                sy += (*pos)[nb].y;
+                ++count;
+            }
+        }
+        const int32_t tx = count == 0 ? g / 2
+                                      : static_cast<int32_t>(
+                                            (2 * sx + count) / (2 * count));
+        const int32_t ty = count == 0 ? g / 2
+                                      : static_cast<int32_t>(
+                                            (2 * sy + count) / (2 * count));
+        const int32_t slot = nearest_free(*cell_at_slot, g, tx, ty);
+        (*cell_at_slot)[static_cast<size_t>(slot)] = static_cast<int32_t>(c);
+        (*pos)[c] = {slot % g, slot / g};
+        placed[c] = 1;
+        moves[c] = 1;
+    }
+    for (size_t c = 0; c < n; ++c) {
+        if (moves[c] != 0) {
+            movable->push_back(static_cast<uint32_t>(c));
+        }
+    }
+    return kept;
 }
 
 } // namespace
@@ -77,7 +212,8 @@ Mt19937_64::twist()
 
 PlacementResult
 place(const MappedDesign& design, const PlaceOptions& options,
-      const std::atomic<bool>* cancel)
+      const std::atomic<bool>* cancel, const std::vector<uint64_t>& cell_ids,
+      const CellSites* prior)
 {
     PlacementResult out;
     const size_t n = design.cells.size();
@@ -90,44 +226,40 @@ place(const MappedDesign& design, const PlaceOptions& options,
     Mt19937_64 rng(options.seed);
     const uint32_t g = out.grid;
 
-    // Initial placement: row-major scatter. Cells keep their coordinates
-    // and slots' are looked up, so that no move divides by the side.
-    struct Pos {
-        int32_t x, y;
-    };
+    // Cells keep their coordinates and slots' are looked up, so that no
+    // move divides by the side.
     std::vector<Pos> slot_pos(static_cast<size_t>(g) * g);
     for (size_t s = 0; s < slot_pos.size(); ++s) {
         slot_pos[s] = {static_cast<int32_t>(s % g),
                        static_cast<int32_t>(s / g)};
     }
+    const Neighbours nbrs(design);
+    const std::vector<uint32_t>& first = nbrs.first;
+    const std::vector<int32_t>& neighbour = nbrs.neighbour;
+
+    // Initial placement: seeded from the prior, else a row-major scatter
+    // in which every cell may move.
     std::vector<Pos> pos(n);
     std::vector<int32_t> cell_at_slot(slot_pos.size(), -1);
-    for (size_t i = 0; i < n; ++i) {
-        pos[i] = slot_pos[i];
-        cell_at_slot[i] = static_cast<int32_t>(i);
+    std::vector<uint32_t> movable;
+    if (prior != nullptr) {
+        CASCADE_CHECK(cell_ids.size() == n);
+        out.kept = seed_from_prior(*prior, cell_ids, nbrs,
+                                   static_cast<int32_t>(g), &pos,
+                                   &cell_at_slot, &movable);
     }
+    if (out.kept == 0) {
+        movable.resize(n);
+        for (size_t i = 0; i < n; ++i) {
+            pos[i] = slot_pos[i];
+            cell_at_slot[i] = static_cast<int32_t>(i);
+            movable[i] = static_cast<uint32_t>(i);
+        }
+    }
+    out.movable = static_cast<uint32_t>(movable.size());
     auto dist = [](Pos a, Pos b) {
         return std::abs(a.x - b.x) + std::abs(a.y - b.y);
     };
-
-    // Per-cell neighbour lists (CSR): the far endpoint of every incident
-    // edge, once per endpoint, as the cost sum counts them.
-    std::vector<uint32_t> first(n + 1, 0);
-    for (const CellEdge& e : design.edges) {
-        ++first[e.a + 1];
-        ++first[e.b + 1];
-    }
-    for (size_t i = 0; i < n; ++i) {
-        first[i + 1] += first[i];
-    }
-    std::vector<int32_t> neighbour(first[n]);
-    {
-        std::vector<uint32_t> fill(first.begin(), first.end() - 1);
-        for (const CellEdge& e : design.edges) {
-            neighbour[fill[e.a]++] = static_cast<int32_t>(e.b);
-            neighbour[fill[e.b]++] = static_cast<int32_t>(e.a);
-        }
-    }
 
     // Wirelengths are integers; int64 sums convert exactly to the double
     // the result reports.
@@ -137,24 +269,30 @@ place(const MappedDesign& design, const PlaceOptions& options,
     }
     out.initial_wirelength = static_cast<double>(cost);
 
-    // Annealing schedule: O(n^1.5) moves per temperature step, geometric
-    // cooling. This is the deliberate compile-time sink: at effort 1.0 a
-    // mid-sized design (a few hundred cells) anneals for tens of millions
-    // of moves, and the count grows superlinearly with size — the property
-    // the JIT hides. What one move costs in wall time is this
-    // implementation's, and the loop below keeps it small.
+    // Annealing schedule: O(k^1.5) moves per temperature step over the k
+    // movable cells, geometric cooling. This is the deliberate
+    // compile-time sink: at effort 1.0 a mid-sized design (a few hundred
+    // cells) anneals for tens of millions of moves, and the count grows
+    // superlinearly with size — the property the JIT hides. What one move
+    // costs in wall time is this implementation's, and the loop below
+    // keeps it small. A seeded placement is already good: heating it
+    // would only undo it, so it starts at the schedule's floor.
     const double effort = std::max(0.01, options.effort);
+    const size_t k = movable.size();
     const uint64_t moves_per_temp = static_cast<uint64_t>(
-        effort * 400.0 * static_cast<double>(n) *
-        std::sqrt(static_cast<double>(std::max<size_t>(16, n))));
-    double temp = std::max(4.0, out.initial_wirelength /
-                                    std::max<size_t>(1, n));
+        effort * 400.0 * static_cast<double>(k) *
+        std::sqrt(static_cast<double>(std::max<size_t>(16, k))));
+    constexpr double kFloorTemp = 4.0;
+    double temp = out.kept > 0
+                      ? kFloorTemp
+                      : std::max(kFloorTemp, out.initial_wirelength /
+                                                 static_cast<double>(n));
     const double cooling = 0.92;
     const int temp_steps =
         static_cast<int>(20 + 10 * std::log2(1.0 + effort));
 
     std::uniform_int_distribution<uint32_t> pick_cell(
-        0, static_cast<uint32_t>(n - 1));
+        0, static_cast<uint32_t>(std::max<size_t>(k, 1) - 1));
     std::uniform_int_distribution<uint32_t> pick_slot(
         0, static_cast<uint32_t>(slot_pos.size() - 1));
 
@@ -192,7 +330,7 @@ place(const MappedDesign& design, const PlaceOptions& options,
                 return out;
             }
             ++out.moves_evaluated;
-            const uint32_t c = pick_cell(rng);
+            const uint32_t c = movable[pick_cell(rng)];
             const Pos from_pos = pos[c];
             const int32_t from =
                 from_pos.y * static_cast<int32_t>(g) + from_pos.x;

@@ -7,6 +7,13 @@
 /// constraint satisfaction"). The schedule fixes how many moves a design
 /// costs; what one move costs in wall time is the implementation's, and is
 /// kept small (see place.cc).
+///
+/// An edit keeps most of a design, so a placement can be seeded from the
+/// previous one (a prior: cell identity -> site). Cells whose identity
+/// survives keep their sites; only the new cells and their one-hop
+/// neighbours anneal, on the same schedule sized by their count and
+/// started at its floor temperature. A prior that keeps fewer than half
+/// the cells is ignored, and the anneal is the full one, bit for bit.
 
 #ifndef CASCADE_FPGA_PLACE_H
 #define CASCADE_FPGA_PLACE_H
@@ -66,6 +73,19 @@ struct PlacementResult {
     double initial_wirelength = 0;
     uint64_t moves_evaluated = 0; ///< annealing work performed
     bool cancelled = false;       ///< stopped early; not a placement
+    /// Cells placed at their prior site (0 when no prior was used).
+    uint32_t kept = 0;
+    /// Cells the anneal moved: all of them without a prior, else the
+    /// cells new to the prior and their neighbours.
+    uint32_t movable = 0;
+};
+
+/// Where each cell of a placement sits, by cell identity (the
+/// node_identities() entry of the cell's node). The prior an edited
+/// design's placement is seeded from.
+struct CellSites {
+    std::vector<uint64_t> ids;
+    std::vector<std::pair<uint32_t, uint32_t>> sites; ///< parallel to ids
 };
 
 struct PlaceOptions {
@@ -76,10 +96,16 @@ struct PlaceOptions {
 };
 
 /// Anneals \p design. Once \p cancel is set the anneal stops within
-/// 16k moves, and the result is marked cancelled.
+/// 16k moves, and the result is marked cancelled. With \p prior, the
+/// placement is seeded from it: \p cell_ids holds the identity of each of
+/// \p design's cells, and a kept cell takes its prior site if the site
+/// is inside the new grid and no other cell holds it. Each other cell
+/// takes the free site nearest the centroid of its placed neighbours.
 PlacementResult place(const MappedDesign& design,
                       const PlaceOptions& options,
-                      const std::atomic<bool>* cancel = nullptr);
+                      const std::atomic<bool>* cancel = nullptr,
+                      const std::vector<uint64_t>& cell_ids = {},
+                      const CellSites* prior = nullptr);
 
 struct TimingReport {
     double critical_path_ns = 1.0;

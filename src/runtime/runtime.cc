@@ -2211,7 +2211,10 @@ Runtime::launch_compile()
     // event, recorded before submission so the workers see it on the job.
     job.submit_us = tracer.now_us();
     job.request = emit(EventKind::CompileLaunch,
-                       JsonWriter().num("version", version_).num("seed", seed),
+                       JsonWriter()
+                           .num("version", version_)
+                           .num("seed", seed)
+                           .num("prior", prior_version_),
                        version_);
     requests_.begin(job.request, "compile", version_, tenant_,
                     job.submit_us);
@@ -2240,6 +2243,7 @@ Runtime::launch_compile()
     submit.options.effort = options_.compile_effort;
     submit.options.target_clock_mhz = options_.device_clock_mhz;
     submit.options.seed = seed;
+    submit.prior = prior_;
     job.kernel_pending = submit.kernel;
     job_ = std::move(job);
     compile_service_->submit(compile_client_, std::move(submit));
@@ -2366,7 +2370,12 @@ Runtime::act_on_compile(hypervisor::Admission* admission)
                                      .str("digest", report_digest(r))
                                      .num("les", r.area.les)
                                      .num("cells", r.cells)
+                                     .num("kept", r.kept_cells)
                                      .boolean("timing_met", r.timing.met));
+    if (done.result.placement != nullptr) {
+        prior_ = done.result.placement;
+        prior_version_ = version;
+    }
 
     // Critical-path decomposition: the timeline anchors (submit ->
     // service done -> polled -> here) and the report's flow phases
@@ -2385,6 +2394,7 @@ Runtime::act_on_compile(hypervisor::Admission* admission)
         requests_.add_segment(request, "techmap",
                               r.techmap_seconds * 1e6);
         requests_.add_segment(request, "place", r.place_seconds * 1e6);
+        requests_.annotate_placement(request, r.kept_cells, r.cells);
         requests_.add_segment(request, "timing",
                               r.timing_seconds * 1e6);
         requests_.add_segment(

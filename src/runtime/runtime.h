@@ -890,6 +890,11 @@ class Runtime : public EngineCallbacks {
     /// The current version's compile-service job (none before the first
     /// launch, or when the current version has none).
     std::optional<Job> job_;
+    /// The placement of the last fabric result acted on (adopted, or
+    /// rejected after placing) and its version: the next launch's prior.
+    /// Replay acts at the recorded iterations, so it seeds the same way.
+    std::shared_ptr<const fpga::CellSites> prior_;
+    uint64_t prior_version_ = 0;
 
     /// Causal request tracker (REPL :requests/:why, GET /requests,
     /// cascade_request_* histograms). Feeds telemetry_, so it must be

@@ -449,7 +449,8 @@ CompileService::worker_loop()
                     start_kernel_locked(pending.client, pending.job,
                                         std::move(netlist), cancel);
                 }
-            });
+            },
+            pending.job.prior.get());
         tracer.record_complete_tenant("compile.exec", exec_start_us,
                                       tracer.now_us() - exec_start_us,
                                       pending.tenant);

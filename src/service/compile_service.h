@@ -24,6 +24,11 @@
 /// per-phase timings (recompiling an unchanged program, the dominant REPL
 /// pattern, becomes near-free); a wanted kernel still builds, from the
 /// cached netlist.
+///
+/// A job may carry a prior placement (Job::prior), which seeds the
+/// placement of a miss (see fpga/compile.h). The prior is not part of the
+/// cache key: a hit is answered as without one, with the placement the
+/// cached compile found.
 
 #ifndef CASCADE_SERVICE_COMPILE_SERVICE_H
 #define CASCADE_SERVICE_COMPILE_SERVICE_H
@@ -73,6 +78,8 @@ class CompileService {
         /// Also build a JIT kernel from the job's netlist (the kernel
         /// stage).
         bool kernel = false;
+        /// Seeds the placement on a cache miss; null for a full anneal.
+        std::shared_ptr<const fpga::CellSites> prior;
     };
 
     /// One finished stage of a job.

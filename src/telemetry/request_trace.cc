@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 namespace cascade::telemetry {
 
@@ -96,6 +97,17 @@ RequestTracker::annotate_cache(uint64_t id, bool hit)
     RequestRecord* r = find_open_locked(id);
     if (r != nullptr) {
         r->cache_hit = hit;
+    }
+}
+
+void
+RequestTracker::annotate_placement(uint64_t id, uint64_t kept, uint64_t cells)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    RequestRecord* r = find_open_locked(id);
+    if (r != nullptr) {
+        r->kept_cells = kept;
+        r->placed_cells = cells;
     }
 }
 
@@ -329,10 +341,17 @@ RequestTracker::why(uint64_t id) const
                   total / 1000.0);
     out += buf;
     for (const RequestSegment& s : r.segments) {
-        std::snprintf(buf, sizeof buf, "    %-10s %12.3f ms %5.1f%%\n",
+        std::snprintf(buf, sizeof buf, "    %-10s %12.3f ms %5.1f%%",
                       s.name, s.dur_us / 1000.0,
                       total > 0 ? 100.0 * s.dur_us / total : 0.0);
         out += buf;
+        if (r.placed_cells > 0 && std::strcmp(s.name, "place") == 0) {
+            std::snprintf(buf, sizeof buf, "  kept %llu of %llu cells",
+                          static_cast<unsigned long long>(r.kept_cells),
+                          static_cast<unsigned long long>(r.placed_cells));
+            out += buf;
+        }
+        out += '\n';
     }
     const double sum = r.segment_sum_us();
     std::snprintf(buf, sizeof buf,

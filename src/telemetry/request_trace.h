@@ -54,6 +54,11 @@ struct RequestRecord {
     bool done = false;
     bool ok = false;
     bool cache_hit = false;
+    /// @{ A compile's placement: the cells it placed, and how many kept
+    /// their site in the prior placement (`:why` shows them by `place`).
+    uint64_t placed_cells = 0;
+    uint64_t kept_cells = 0;
+    /// @}
     std::vector<RequestSegment> segments;
 
     double total_us() const { return end_us - start_us; }
@@ -79,6 +84,9 @@ class RequestTracker {
     void add_segment(uint64_t id, const char* name, double dur_us);
     /// Tags an open request with the compile cache outcome.
     void annotate_cache(uint64_t id, bool hit);
+    /// Tags an open compile request with its placement: \p kept of its
+    /// \p cells sat where the prior placement had them.
+    void annotate_placement(uint64_t id, uint64_t kept, uint64_t cells);
     /// Completes a request and feeds the segment histograms. Returns
     /// false (a no-op) for ids that are not open — already closed as
     /// superseded, or never tracked.

@@ -245,6 +245,40 @@ TEST(CompileCache, DifferentSeedMissesAndRunsTheFlow)
 // Queue semantics (workers = 0 keeps jobs queued deterministically)
 // ---------------------------------------------------------------------
 
+TEST(CompileCache, PriorSeedsAMissAndLeavesAHitAlone)
+{
+    CompileService svc;
+    const uint64_t client = svc.register_client();
+    auto em = counter_module();
+
+    svc.submit(client, job_for(1, em, fast_options()));
+    const CompileService::Done cold = wait_one(svc, client);
+    ASSERT_TRUE(cold.result.ok) << cold.result.error;
+    ASSERT_NE(cold.result.placement, nullptr);
+    EXPECT_EQ(cold.result.report.kept_cells, 0u);
+
+    // The same key with a prior: answered from the cache, as placed.
+    CompileService::Job hit = job_for(2, em, fast_options());
+    hit.prior = cold.result.placement;
+    svc.submit(client, std::move(hit));
+    const CompileService::Done warm = wait_one(svc, client);
+    EXPECT_TRUE(warm.result.report.cache_hit);
+    EXPECT_EQ(warm.result.report.kept_cells, 0u);
+    EXPECT_EQ(warm.result.placement, cold.result.placement);
+
+    // Another seed misses; the prior of the same design keeps every cell.
+    CompileService::Job miss = job_for(3, em, fast_options(8));
+    miss.prior = cold.result.placement;
+    svc.submit(client, std::move(miss));
+    const CompileService::Done seeded = wait_one(svc, client);
+    ASSERT_TRUE(seeded.result.ok) << seeded.result.error;
+    EXPECT_FALSE(seeded.result.report.cache_hit);
+    EXPECT_EQ(seeded.result.report.kept_cells, seeded.result.report.cells);
+    EXPECT_EQ(seeded.result.report.anneal_moves, 0u);
+    EXPECT_EQ(seeded.result.placement->sites,
+              cold.result.placement->sites);
+}
+
 TEST(CompileQueue, NewerVersionCancelsQueuedJobOfSameClient)
 {
     CompileService::Config cfg;

@@ -10,7 +10,9 @@
 
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <random>
+#include <set>
 
 #include "ir/hw_wrapper.h"
 #include "telemetry/journal.h"
@@ -210,6 +212,193 @@ TEST(Place, CancelledBeforeTheFirstMove)
     PlacementResult r = place(mapped, opts, &cancel);
     EXPECT_TRUE(r.cancelled);
     EXPECT_EQ(r.moves_evaluated, 0u);
+}
+
+/// A design ready to place, with each cell's identity.
+struct Placeable {
+    MappedDesign mapped;
+    std::vector<uint64_t> ids;
+};
+
+Placeable
+placeable(std::string_view src)
+{
+    auto em = elaborate_src(src);
+    Diagnostics diags;
+    auto nl = synthesize(*em, &diags);
+    EXPECT_NE(nl, nullptr) << diags.str();
+    Placeable p{technology_map(*nl), {}};
+    const std::vector<uint64_t> node_ids = node_identities(*nl);
+    for (const Cell& cell : p.mapped.cells) {
+        p.ids.push_back(node_ids[cell.node]);
+    }
+    return p;
+}
+
+CellSites
+sites_of(const Placeable& p, const PlacementResult& r)
+{
+    return CellSites{p.ids, r.locations};
+}
+
+/// \p src with one more register, folded into its last output: a small
+/// edit that leaves the rest of the design as it was.
+std::string
+with_edit(std::string src)
+{
+    const std::string line = "  reg [31:0] edit_r = 0;\n"
+                             "  always @(posedge clk) edit_r <= edit_r + 5;\n";
+    src.insert(src.rfind("endmodule"), line);
+    return src;
+}
+
+TEST(Place, PriorOfTheSameDesignKeepsEveryCell)
+{
+    const Placeable p = placeable(pipeline_src(24));
+    PlaceOptions opts;
+    opts.effort = 0.3;
+    const PlacementResult cold = place(p.mapped, opts);
+    EXPECT_EQ(cold.kept, 0u);
+    EXPECT_EQ(cold.movable, p.mapped.cells.size());
+    const CellSites prior = sites_of(p, cold);
+    const PlacementResult again =
+        place(p.mapped, opts, nullptr, p.ids, &prior);
+    EXPECT_EQ(again.kept, p.mapped.cells.size());
+    EXPECT_EQ(again.movable, 0u);
+    EXPECT_EQ(again.moves_evaluated, 0u);
+    EXPECT_EQ(again.locations, cold.locations);
+    EXPECT_EQ(again.final_wirelength, cold.final_wirelength);
+}
+
+TEST(Place, SeededPlacementAnnealsOnlyAroundTheEdit)
+{
+    const Placeable base = placeable(pipeline_src(24));
+    const Placeable edited = placeable(with_edit(pipeline_src(24)));
+    PlaceOptions opts;
+    opts.effort = 0.3;
+    opts.seed = 3;
+    const CellSites prior = sites_of(base, place(base.mapped, opts));
+    const PlacementResult a =
+        place(edited.mapped, opts, nullptr, edited.ids, &prior);
+    const PlacementResult b =
+        place(edited.mapped, opts, nullptr, edited.ids, &prior);
+    // Same design, prior and seed: the same placement.
+    EXPECT_EQ(placement_digest(a), placement_digest(b));
+    EXPECT_GE(a.kept, base.mapped.cells.size() - 1);
+    EXPECT_GT(a.movable, 0u);
+    EXPECT_LT(a.movable, edited.mapped.cells.size() / 4);
+    EXPECT_LT(a.moves_evaluated,
+              place(edited.mapped, opts).moves_evaluated / 10);
+    // A legal placement, with its wirelength the HPWL of its locations.
+    std::set<std::pair<uint32_t, uint32_t>> seen;
+    for (const auto& loc : a.locations) {
+        EXPECT_LT(loc.first, a.grid);
+        EXPECT_LT(loc.second, a.grid);
+        EXPECT_TRUE(seen.insert(loc).second);
+    }
+    double hpwl = 0;
+    for (const CellEdge& e : edited.mapped.edges) {
+        const auto [ax, ay] = a.locations[e.a];
+        const auto [bx, by] = a.locations[e.b];
+        hpwl += std::abs(static_cast<int64_t>(ax) - bx) +
+                std::abs(static_cast<int64_t>(ay) - by);
+    }
+    EXPECT_EQ(a.final_wirelength, hpwl);
+}
+
+TEST(Place, SitesOutsideTheGridAreDropped)
+{
+    // A prior from a larger design: the smaller design's grid is
+    // smaller, and the cells whose prior site lies beyond it are placed
+    // anew. Every other cell keeps its site.
+    const Placeable large = placeable(pipeline_src(40));
+    const Placeable small = placeable(pipeline_src(30));
+    PlaceOptions opts;
+    opts.effort = 0.1;
+    const CellSites prior = sites_of(large, place(large.mapped, opts));
+    const PlacementResult r =
+        place(small.mapped, opts, nullptr, small.ids, &prior);
+    ASSERT_LT(r.grid, place(large.mapped, opts).grid);
+    std::map<uint64_t, std::pair<uint32_t, uint32_t>> old;
+    for (size_t i = 0; i < prior.ids.size(); ++i) {
+        old[prior.ids[i]] = prior.sites[i];
+    }
+    size_t inside = 0;
+    size_t outside = 0;
+    for (size_t c = 0; c < small.ids.size(); ++c) {
+        const auto it = old.find(small.ids[c]);
+        if (it == old.end()) {
+            continue;
+        }
+        if (it->second.first < r.grid && it->second.second < r.grid) {
+            ++inside;
+        } else {
+            ++outside;
+        }
+    }
+    ASSERT_GT(outside, 0u);
+    ASSERT_GT(2 * inside, small.ids.size());
+    EXPECT_EQ(r.kept, inside);
+    for (const auto& [x, y] : r.locations) {
+        EXPECT_LT(x, r.grid);
+        EXPECT_LT(y, r.grid);
+    }
+
+    // The larger design, seeded from the smaller one's placement, keeps
+    // every site (they all exist in its grid) when the prior covers at
+    // least half its cells; else it anneals from scratch, bit for bit.
+    const CellSites back = sites_of(small, r);
+    const PlacementResult grown =
+        place(large.mapped, opts, nullptr, large.ids, &back);
+    if (grown.kept == 0) {
+        EXPECT_EQ(placement_digest(grown),
+                  placement_digest(place(large.mapped, opts)));
+    } else {
+        EXPECT_EQ(grown.kept, inside + outside);
+    }
+}
+
+TEST(Place, CancelledBeforeTheFirstMoveWithAPrior)
+{
+    const Placeable base = placeable(pipeline_src(8));
+    const Placeable edited = placeable(with_edit(pipeline_src(8)));
+    PlaceOptions opts;
+    const CellSites prior = sites_of(base, place(base.mapped, opts));
+    const std::atomic<bool> cancel{true};
+    PlacementResult r =
+        place(edited.mapped, opts, &cancel, edited.ids, &prior);
+    EXPECT_GT(r.kept, 0u);
+    EXPECT_TRUE(r.cancelled);
+    EXPECT_EQ(r.moves_evaluated, 0u);
+}
+
+TEST(Compile, SeededCompileIsAsGoodAsCold)
+{
+    // The miner with one more register, placed from the miner's own
+    // placement: it keeps nearly every cell at a tenth of the moves. Its
+    // wirelength is the base anneal's plus the edit, so it matches a
+    // full anneal of the edited design within the few percent two seeds
+    // of the full anneal differ by.
+    const std::string miner = workloads::proof_of_work_module(16);
+    CompileOptions opts;
+    opts.effort = 0.05;
+    const CompileResult base = compile(*elaborate_src(miner), opts);
+    ASSERT_TRUE(base.ok) << base.error;
+    ASSERT_NE(base.placement, nullptr);
+    const auto edited = elaborate_src(with_edit(miner));
+    opts.seed = 2;
+    const CompileResult cold = compile(*edited, opts);
+    const CompileResult seeded =
+        compile(*edited, opts, nullptr, {}, base.placement.get());
+    ASSERT_TRUE(cold.ok && seeded.ok);
+    EXPECT_EQ(cold.report.kept_cells, 0u);
+    EXPECT_GT(seeded.report.kept_cells, seeded.report.cells * 9 / 10);
+    EXPECT_LT(seeded.report.anneal_moves, cold.report.anneal_moves / 10);
+    EXPECT_LE(seeded.report.wirelength, 1.05 * cold.report.wirelength);
+    EXPECT_LE(seeded.report.timing.critical_path_ns,
+              1.05 * cold.report.timing.critical_path_ns);
+    EXPECT_TRUE(seeded.report.timing.met || !cold.report.timing.met);
+    EXPECT_EQ(seeded.placement->ids.size(), seeded.report.cells);
 }
 
 static_assert(std::uniform_random_bit_generator<Mt19937_64>);

@@ -6,8 +6,14 @@
 #include "fpga/netlist.h"
 
 #include <random>
+#include <set>
 
 #include <gtest/gtest.h>
+
+#include "fpga/synth.h"
+#include "verilog/elaborate.h"
+#include "verilog/parser.h"
+#include "workloads/workloads.h"
 
 namespace cascade::fpga {
 namespace {
@@ -181,6 +187,83 @@ TEST(EvalNode, CoreOps)
               0xABu);
     EXPECT_EQ(run(Op::ReduceXor, 1, {BitVector(8, 0b0111)}).to_uint64(),
               1u);
+}
+
+std::shared_ptr<Netlist>
+synthesize_src(const std::string& src)
+{
+    Diagnostics diags;
+    verilog::SourceUnit unit = verilog::parse(src, &diags);
+    verilog::Elaborator elab(&diags);
+    auto em = elab.elaborate(*unit.modules.at(0));
+    EXPECT_NE(em, nullptr) << diags.str();
+    auto nl = synthesize(*em, &diags);
+    EXPECT_NE(nl, nullptr) << diags.str();
+    return nl;
+}
+
+TEST(NodeIdentities, NameSourcesNotIndices)
+{
+    // The same sum over inputs declared in the other order: every index
+    // differs, and no identity does.
+    Netlist a;
+    NetlistBuilder ba(&a);
+    const uint32_t ax = ba.input("x", 8);
+    const uint32_t ay = ba.input("y", 8);
+    const uint32_t asum = ba.make(Op::Add, 8, {ax, ay});
+    Netlist b;
+    NetlistBuilder bb(&b);
+    const uint32_t by = bb.input("y", 8);
+    const uint32_t bx = bb.input("x", 8);
+    const uint32_t bsum = bb.make(Op::Add, 8, {bx, by});
+    const std::vector<uint64_t> ia = node_identities(a);
+    const std::vector<uint64_t> ib = node_identities(b);
+    EXPECT_EQ(ia[ax], ib[bx]);
+    EXPECT_EQ(ia[ay], ib[by]);
+    EXPECT_EQ(ia[asum], ib[bsum]);
+    EXPECT_NE(ia[ax], ia[ay]);
+    // Operand order is structure.
+    const uint32_t swapped = bb.make(Op::Add, 8, {by, bx});
+    EXPECT_NE(ia[asum], node_identities(b)[swapped]);
+}
+
+TEST(NodeIdentities, RepeatsStayDistinct)
+{
+    // Memory reads are never consed: two reads of one address are two
+    // nodes with one hash, told apart by their repeat count.
+    Netlist nl;
+    NetlistBuilder b(&nl);
+    const uint32_t mem = b.memory("m", 8, 16);
+    const uint32_t addr = b.input("a", 4);
+    const uint32_t r0 = b.mem_read(mem, addr, 8);
+    const uint32_t r1 = b.mem_read(mem, addr, 8);
+    ASSERT_NE(r0, r1);
+    const std::vector<uint64_t> ids = node_identities(nl);
+    EXPECT_NE(ids[r0], ids[r1]);
+    EXPECT_EQ(ids, node_identities(nl));
+}
+
+TEST(NodeIdentities, UnrelatedEditKeepsNinetyPercent)
+{
+    const std::string miner = workloads::proof_of_work_module(16);
+    std::string edited = miner;
+    edited.insert(edited.rfind("endmodule"),
+                  "reg [15:0] probe = 0;\n"
+                  "always @(posedge clk) if (round == 63) "
+                  "probe <= probe + nonce[15:0];\n");
+    const auto before = synthesize_src(miner);
+    const auto after = synthesize_src(edited);
+    const std::vector<uint64_t> old_ids = node_identities(*before);
+    const std::set<uint64_t> old_set(old_ids.begin(), old_ids.end());
+    EXPECT_EQ(old_set.size(), old_ids.size());
+    const std::vector<uint64_t> new_ids = node_identities(*after);
+    size_t kept = 0;
+    for (const uint64_t id : new_ids) {
+        kept += old_set.count(id);
+    }
+    EXPECT_GT(after->size(), before->size());
+    EXPECT_GE(kept * 10, new_ids.size() * 9)
+        << kept << " of " << new_ids.size();
 }
 
 } // namespace

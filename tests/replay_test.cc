@@ -289,6 +289,85 @@ TEST(Replay, ReplRecordAndReplayMetaCommands)
     std::filesystem::remove(path);
 }
 
+TEST(Replay, EditedFabricCompileSeedsFromThePriorAndReplays)
+{
+    // Two evals on the fabric: the edit's placement is seeded from the
+    // adopted placement of the first. compile.done is compared on replay
+    // and its digest covers the placement, so record and replay must
+    // seed from the same prior.
+    const std::string path = temp_path("prior.jsonl");
+    Runtime::Options opts = hw_fast();
+    opts.enable_jit = false;
+    {
+        Runtime rt(opts);
+        rt.on_output = [](const std::string&) {};
+        std::string err;
+        ASSERT_TRUE(rt.start_recording(path, &err)) << err;
+        ASSERT_TRUE(rt.eval(kProgram));
+        ASSERT_TRUE(step_until_hardware(&rt));
+        rt.run_for_ticks(300);
+        ASSERT_TRUE(rt.eval("always @(posedge clk.val) if (n == 900) "
+                            "$display(\"edit h=%d\", h);\n"));
+        ASSERT_TRUE(step_until_hardware(&rt));
+        rt.run_for_ticks(800);
+        rt.stop_recording();
+        // `:why` on the edit's compile shows the cells place kept.
+        const auto requests = rt.request_tracker().recent();
+        const auto edit = std::find_if(
+            requests.rbegin(), requests.rend(),
+            [](const auto& r) { return std::string(r.kind) == "compile"; });
+        ASSERT_NE(edit, requests.rend());
+        EXPECT_GT(edit->kept_cells, 0u);
+        EXPECT_NE(rt.request_tracker().why(edit->id).find(
+                      "kept " + std::to_string(edit->kept_cells) + " of"),
+                  std::string::npos);
+    }
+
+    const auto compile_events = [](const ReplayLog& log) {
+        std::vector<std::string> done;
+        uint64_t seeded_version = 0;
+        uint64_t kept = 0;
+        for (const ReplayLogEvent& ev : log.events) {
+            if (ev.type == "compile.launch" &&
+                ev.data.get_u64("prior") != 0) {
+                EXPECT_LT(ev.data.get_u64("prior"),
+                          ev.data.get_u64("version"));
+                seeded_version = ev.data.get_u64("version");
+            } else if (ev.type == "compile.done") {
+                done.push_back(ev.data_raw);
+                if (ev.data.get_u64("version") == seeded_version) {
+                    kept = ev.data.get_u64("kept");
+                }
+            }
+        }
+        EXPECT_NE(seeded_version, 0u) << "no compile launched with a prior";
+        EXPECT_GT(kept, 0u) << "the seeded compile kept no cell";
+        return done;
+    };
+    ReplayLog log;
+    std::string err;
+    ASSERT_TRUE(load_journal(path, &log, &err)) << err;
+    const std::vector<std::string> recorded = compile_events(log);
+    ASSERT_GE(recorded.size(), 2u);
+
+    const std::string rerecord = temp_path("prior_replay.jsonl");
+    {
+        Runtime rt2(options_from_header(log.header));
+        rt2.on_output = [](const std::string&) {};
+        ReplayOptions ropts;
+        ropts.record_path = rerecord;
+        const ReplayReport report = replay_into(&rt2, log, ropts);
+        EXPECT_TRUE(report.ok) << report.summary();
+        EXPECT_FALSE(report.diverged) << report.summary();
+    }
+    ReplayLog replayed;
+    ASSERT_TRUE(load_journal(rerecord, &replayed, &err)) << err;
+    EXPECT_EQ(compile_events(replayed), recorded);
+
+    std::filesystem::remove(path);
+    std::filesystem::remove(rerecord);
+}
+
 TEST(Replay, RequestTracingIsDeterministicAcrossReplay)
 {
     // Request ids are journal sequence numbers, and the request.done

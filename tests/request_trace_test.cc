@@ -223,6 +223,12 @@ TEST(RequestTrace, ColdCompileSegmentsPartitionEndToEndLatency)
     EXPECT_NE(why.find("synth"), std::string::npos);
     EXPECT_NE(why.find("adoption"), std::string::npos);
     EXPECT_NE(why.find("segments sum"), std::string::npos);
+    // The first compile has no prior placement: place keeps no cell.
+    EXPECT_GT(compile.placed_cells, 0u);
+    EXPECT_NE(why.find("kept 0 of " + std::to_string(compile.placed_cells) +
+                       " cells"),
+              std::string::npos)
+        << why;
     const std::string table = rt.request_tracker().table();
     EXPECT_NE(table.find(std::to_string(compile.id)),
               std::string::npos)
