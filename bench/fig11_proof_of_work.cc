@@ -94,12 +94,11 @@ run_series(const char* name, Runtime::Options options, double duration_s,
             }
             continue;
         }
-        // One iteration at a time: adoption lands inside a run() call,
-        // and the rest of a longer call would run unsampled on the
-        // fabric.
-        for (int i = 0; i < 256 && !rt.hardware_ready(); ++i) {
-            rt.run(1);
-        }
+        // One iteration at a time, sampled after each: adoption lands
+        // inside a run() call, and the rest of a longer call would run
+        // unsampled on the fabric. On the JIT rung one iteration is an
+        // open-loop grant of up to ~1 s.
+        rt.run(1);
         const double t = now_s();
         if (t - last_sample >= 0.25 && !rt.hardware_ready()) {
             const uint64_t ticks = rt.virtual_ticks();

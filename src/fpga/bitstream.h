@@ -13,9 +13,11 @@
 /// the previous pass.
 ///
 /// On the Fig. 10-wrapped SHA-256 miner (1,067 nodes) the perfbench
-/// `--trace 1` ledger reads 4.9-5.3 us per virtual tick, against 27-31 us
-/// for the AST interpreter on the unwrapped design and 0.70-0.79 us for
-/// the JIT kernel (shared 4-core x86-64 host).
+/// `--trace 1` ledger reads 4.3-4.9 us per virtual tick (7.4 us on a busy
+/// host), against 27-47 us for the AST interpreter on the unwrapped
+/// design and 0.30-0.33 us for the JIT kernel, which looks up what the
+/// tape evaluates node by node for the 6-bit round counter's cone
+/// (jit/codegen.h; shared 4-core x86-64 host).
 
 #ifndef CASCADE_FPGA_BITSTREAM_H
 #define CASCADE_FPGA_BITSTREAM_H

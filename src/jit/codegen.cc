@@ -1,9 +1,14 @@
 #include "jit/codegen.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
+#include <map>
 #include <sstream>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "common/check.h"
@@ -32,15 +37,68 @@ hex(uint64_t v)
     return buf;
 }
 
-/// The emitted helper library: the shared word-op helpers
-/// (fpga/word_ops.inc), one per line. JIT_MAXW bounds every scratch array.
-const char kPreamble[] =
-    "\n#include <cstdint>\n\ntypedef uint64_t u64;\ntypedef uint32_t u32;\n"
-    "\nnamespace {\n\n"
-#define CASCADE_WORD_OP(...) #__VA_ARGS__ "\n"
+/// The shared word-op helpers (fpga/word_ops.inc) as emitted text, one
+/// line each, in definition order: a helper calls only helpers before it.
+/// JIT_MAXW bounds every scratch array.
+const char* const kHelperText[] = {
+#define CASCADE_WORD_OP(...) #__VA_ARGS__,
 #include "fpga/word_ops.inc"
 #undef CASCADE_WORD_OP
-    "\n} // namespace\n";
+};
+constexpr size_t kHelpers = std::size(kHelperText);
+
+/// The identifiers \p text calls: each one that '(' directly follows.
+std::unordered_set<std::string>
+calls_in(std::string_view text)
+{
+    const auto ident = [](char c) {
+        return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+    };
+    std::unordered_set<std::string> out;
+    for (size_t k = 0; k < text.size();) {
+        if (!ident(text[k])) {
+            ++k;
+            continue;
+        }
+        const size_t start = k;
+        while (k < text.size() && ident(text[k])) {
+            ++k;
+        }
+        if (k < text.size() && text[k] == '(') {
+            out.emplace(text.substr(start, k - start));
+        }
+    }
+    return out;
+}
+
+/// The helpers \p code calls and the helpers those call, as emitted text
+/// in definition order.
+std::string
+helpers_for(std::string_view code)
+{
+    std::unordered_set<std::string> called = calls_in(code);
+    std::vector<bool> need(kHelpers, false);
+    // A helper calls only helpers before it: one backward pass closes the
+    // set.
+    for (size_t k = kHelpers; k-- > 0;) {
+        // "inline <type> <name>(...": the name ends at the first '('.
+        const std::string_view text = kHelperText[k];
+        const size_t paren = text.find('(');
+        const size_t start = text.rfind(' ', paren) + 1;
+        if (called.count(std::string(text.substr(start, paren - start)))) {
+            need[k] = true;
+            called.merge(calls_in(text));
+        }
+    }
+    std::string out;
+    for (size_t k = 0; k < kHelpers; ++k) {
+        if (need[k]) {
+            out += kHelperText[k];
+            out += '\n';
+        }
+    }
+    return out;
+}
 
 /// True when node \p n can be a `const u64 vN` local: its one-word value
 /// is assigned by a single expression (see emit_node). Multi-word values
@@ -71,13 +129,17 @@ reads_by_value(const Netlist& nl, const Node& n, size_t k)
     }
 }
 
+/// Marks a node that no table covers (Tabulation::base).
+constexpr uint32_t kNoBase = ~0u;
+
 /// Emits the evaluation statement(s) for one node into \p os. `V` is the
 /// node-value word array; offsets come from the layout. A node marked in
 /// \p local is a `const u64 vN` of its block instead, and so is an
-/// argument marked there.
+/// argument marked there. A table root (\p base is not kNoBase) is one
+/// lookup in its table `T<i>`, indexed by its base's word.
 void
 emit_node(std::ostream& os, const Netlist& nl, const Layout& L,
-          const std::vector<bool>& local, uint32_t i)
+          const std::vector<bool>& local, uint32_t base, uint32_t i)
 {
     const Node& n = nl.nodes[i];
     const uint32_t d = L.voff[i];
@@ -109,6 +171,13 @@ emit_node(std::ostream& os, const Netlist& nl, const Layout& L,
     };
     const std::string M = hex(fullmask(W));
 
+    if (base != kNoBase) {
+        // The mask keeps the index inside the table whatever the base's
+        // producer stored above its width.
+        os << "    " << D() << " = T" << i << "[V[" << L.voff[base]
+           << "] & " << hex(fullmask(nl.nodes[base].width)) << "];\n";
+        return;
+    }
     switch (n.op) {
       case Op::Const:
       case Op::Input:
@@ -412,6 +481,141 @@ emit_table(std::ostream& os, const char* type, const char* name,
 /// slowest unit near the ABI and step() units without multiplying units.
 constexpr size_t kMaxFnNodes = 256;
 
+/// Widest base a table is indexed by: at most 256 entries per table.
+constexpr uint32_t kMaxBaseWidth = 8;
+
+/// Fewest nodes a base's tables must drop from the settle order per table
+/// they add. A lookup is one dependent load, so a table pays only for a
+/// cone of several nodes. On the Fig. 10-wrapped SHA-256 miner every
+/// threshold from 1 to 16 builds the same 12 tables (round's cone drops
+/// 328 nodes). The wrapped regex matcher's cones are small: thresholds 1
+/// and 2 build 17 and 9 tables there, and its refill tick
+/// (BM_WrappedRegexJitRefillCycle, best of 3 on a shared 4-core x86-64
+/// host) read 291 and 340 ns per byte against 292 ns at 4, which builds
+/// none. At 4 its kernel text stays as it was.
+constexpr size_t kMinDroppedPerTable = 4;
+
+/// The narrow cones the kernel evaluates by table lookup. A node's base
+/// is the one non-constant node it is a function of, when that node is at
+/// most kMaxBaseWidth bits wide: an input, a register, a memory read, or a
+/// node with several sources. A covered node is a root when something
+/// outside its base's cone reads it: a node of another cone or of none, a
+/// register's next value or clock, a write port or an output. Roots are
+/// looked up in their table; the other covered nodes leave the settle
+/// order.
+struct Tabulation {
+    std::vector<uint32_t> base; ///< per node: its base if covered, else kNoBase
+    std::vector<bool> root;     ///< per node: a covered node that is a root
+    /// Per root: its value for each value of its base.
+    std::map<uint32_t, std::vector<uint64_t>> table;
+    size_t dropped = 0; ///< covered nodes that are not roots
+};
+
+Tabulation
+tabulate(const Netlist& nl)
+{
+    const uint32_t N = static_cast<uint32_t>(nl.nodes.size());
+    // src[i]: the one non-constant node node i is a function of; i itself
+    // for a source or a node of several. Arguments precede their readers.
+    constexpr uint32_t kConstant = ~0u;
+    std::vector<uint32_t> src(N, kConstant);
+    for (uint32_t i = 0; i < N; ++i) {
+        const Node& n = nl.nodes[i];
+        if (n.op == Op::Const) {
+            continue;
+        }
+        uint32_t s = kConstant;
+        if (n.op != Op::Input && n.op != Op::RegQ && n.op != Op::MemRead) {
+            for (uint32_t a : n.args) {
+                CASCADE_CHECK(a < i);
+                if (src[a] != kConstant && src[a] != s) {
+                    s = s == kConstant ? src[a] : i;
+                }
+            }
+        }
+        src[i] = s == kConstant ? i : s;
+    }
+
+    // Each narrow base's cone, in index order. Values wider than one word
+    // are evaluated with it but never covered: they stay in the settle
+    // order, and the covered nodes they read become roots.
+    Tabulation t;
+    t.base.assign(N, kNoBase);
+    t.root.assign(N, false);
+    std::map<uint32_t, std::vector<uint32_t>> cones;
+    for (uint32_t i = 0; i < N; ++i) {
+        const uint32_t b = src[i];
+        if (b != kConstant && b != i && nl.nodes[b].width <= kMaxBaseWidth) {
+            cones[b].push_back(i);
+            if (nl.nodes[i].width <= 64) {
+                t.base[i] = b;
+            }
+        }
+    }
+    const auto read_by = [&](uint32_t node, uint32_t reader_base) {
+        if (t.base[node] != kNoBase && t.base[node] != reader_base) {
+            t.root[node] = true;
+        }
+    };
+    for (uint32_t i = 0; i < N; ++i) {
+        for (uint32_t a : nl.nodes[i].args) {
+            read_by(a, t.base[i]);
+        }
+    }
+    for (const fpga::RegDef& r : nl.regs) {
+        read_by(r.next, kNoBase);
+        if (r.clock != fpga::kNoClock) {
+            read_by(r.clock, kNoBase);
+        }
+    }
+    for (const fpga::MemWritePort& p : nl.write_ports) {
+        for (uint32_t node : {p.addr, p.data, p.enable, p.clock}) {
+            read_by(node, kNoBase);
+        }
+    }
+    for (const fpga::PortDef& p : nl.outputs) {
+        read_by(p.node, kNoBase);
+    }
+
+    // Keep the cones that pay for their tables, and evaluate each once per
+    // base value with the reference semantics.
+    std::vector<BitVector> val(N);
+    std::vector<BitVector> argv;
+    for (const auto& [b, cone] : cones) {
+        size_t covered = 0;
+        size_t roots = 0;
+        for (uint32_t i : cone) {
+            covered += t.base[i] != kNoBase;
+            roots += t.root[i];
+        }
+        if (roots == 0 || covered - roots < kMinDroppedPerTable * roots) {
+            for (uint32_t i : cone) {
+                t.base[i] = kNoBase;
+                t.root[i] = false;
+            }
+            continue;
+        }
+        t.dropped += covered - roots;
+        const uint32_t w = nl.nodes[b].width;
+        for (uint64_t x = 0; x < (uint64_t{1} << w); ++x) {
+            val[b] = BitVector(w, x);
+            for (uint32_t i : cone) {
+                argv.clear();
+                for (uint32_t a : nl.nodes[i].args) {
+                    argv.push_back(nl.nodes[a].op == Op::Const
+                                       ? nl.nodes[a].cval
+                                       : val[a]);
+                }
+                val[i] = fpga::eval_node(nl.nodes[i], argv);
+                if (t.root[i]) {
+                    t.table[i].push_back(val[i].word(0));
+                }
+            }
+        }
+    }
+    return t;
+}
+
 } // namespace
 
 std::vector<std::string>
@@ -421,49 +625,63 @@ generate_units(const Netlist& nl)
     const fpga::SourceDomains dom = fpga::source_domains(nl);
     const std::vector<ClockDomain> clocks = fpga::clock_domains(nl, dom);
 
-    // Every evaluated node in settle order: one gated pass settles
-    // exactly like Bitstream::eval_comb.
-    const std::vector<uint32_t> order = fpga::settle_order(nl, dom);
+    // Every evaluated node in settle order, less the nodes the tables
+    // cover: one gated pass settles exactly like Bitstream::eval_comb.
+    const Tabulation tab = tabulate(nl);
+    std::vector<uint32_t> order;
+    for (uint32_t i : fpga::settle_order(nl, dom)) {
+        if (tab.base[i] == kNoBase || tab.root[i]) {
+            order.push_back(i);
+        }
+    }
     size_t blocks = 0;
     for (size_t k = 0; k < order.size(); ++k) {
         blocks += k == 0 || dom.node[order[k]] != dom.node[order[k - 1]];
     }
 
     // --- Shared prefix: helpers, State, the cross-unit functions ----------
-    // Every unit starts with it. The functions one unit calls in another
-    // are extern "C" with hidden visibility: they link inside the shared
-    // object, and only the cascade_jit_* ABI is exported from it.
-    std::ostringstream pre;
-    pre << "// Generated by cascade jit::generate_units: one translation\n"
-           "// unit of a kernel (the ABI unit, step(), or one eval_N), all\n"
-           "// linked into one shared object. Domain-gated straight-line\n"
-           "// evaluation with Bitstream-identical semantics behind the\n"
-           "// cascade_jit_* ABI.\n"
-           "// nodes=" << nl.nodes.size() << " regs=" << nl.regs.size()
-        << " mems=" << nl.mems.size() << " blocks=" << blocks
-        << " clocks=" << clocks.size() << "\n";
-    pre << "#define JIT_MAXW " << L.maxw << "\n";
-    pre << kPreamble;
-    pre << "\nstruct State {\n"
-        << "    u64 v[" << std::max<uint32_t>(1, L.vtotal) << "];\n"
-        << "    u64 r[" << std::max<uint32_t>(1, L.rtotal) << "];\n"
-        << "    u64 m[" << std::max<uint32_t>(1, L.mtotal) << "];\n"
-        << "    u64 latch[" << std::max<size_t>(1, clocks.size())
-        << "]; // commits per clock domain\n"
-        << "    u64 cycles;\n"
-        << "    u64 dirty; // source-domain bits changed since the last "
-           "eval\n"
-        << "    unsigned char pc[" << std::max<size_t>(1, clocks.size())
-        << "]; // previous level per clock domain\n"
-        << "    unsigned char ppc["
-        << std::max<size_t>(1, nl.write_ports.size())
-        << "]; // previous level per memory write port\n"
-        << "};\n\n"
-        << "#define JIT_INTERNAL extern \"C\" "
-           "__attribute__((visibility(\"hidden\")))\n"
-        << "JIT_INTERNAL void eval(State* S);\n"
-        << "JIT_INTERNAL void step(State* S);\n\n";
-    const std::string prefix = pre.str();
+    // Every unit starts with it, and carries only the helpers it calls.
+    // The functions one unit calls in another are extern "C" with hidden
+    // visibility: they link inside the shared object, and only the
+    // cascade_jit_* ABI is exported from it.
+    std::ostringstream head;
+    head << "// Generated by cascade jit::generate_units: one translation\n"
+            "// unit of a kernel (the ABI unit, step(), or one eval_N), all\n"
+            "// linked into one shared object. Domain-gated straight-line\n"
+            "// evaluation with Bitstream-identical semantics behind the\n"
+            "// cascade_jit_* ABI.\n"
+            "// nodes=" << nl.nodes.size() << " regs=" << nl.regs.size()
+         << " mems=" << nl.mems.size() << " blocks=" << blocks
+         << " clocks=" << clocks.size() << " tables=" << tab.table.size()
+         << " tabulated=" << tab.dropped << "\n"
+         << "#define JIT_MAXW " << L.maxw << "\n"
+         << "\n#include <cstdint>\n\ntypedef uint64_t u64;\n"
+            "typedef uint32_t u32;\n\nnamespace {\n\n";
+    std::ostringstream state;
+    state << "\n} // namespace\n"
+          << "\nstruct State {\n"
+          << "    u64 v[" << std::max<uint32_t>(1, L.vtotal) << "];\n"
+          << "    u64 r[" << std::max<uint32_t>(1, L.rtotal) << "];\n"
+          << "    u64 m[" << std::max<uint32_t>(1, L.mtotal) << "];\n"
+          << "    u64 latch[" << std::max<size_t>(1, clocks.size())
+          << "]; // commits per clock domain\n"
+          << "    u64 cycles;\n"
+          << "    u64 dirty; // source-domain bits changed since the last "
+             "eval\n"
+          << "    unsigned char pc[" << std::max<size_t>(1, clocks.size())
+          << "]; // previous level per clock domain\n"
+          << "    unsigned char ppc["
+          << std::max<size_t>(1, nl.write_ports.size())
+          << "]; // previous level per memory write port\n"
+          << "};\n\n"
+          << "#define JIT_INTERNAL extern \"C\" "
+             "__attribute__((visibility(\"hidden\")))\n"
+          << "JIT_INTERNAL void eval(State* S);\n"
+          << "JIT_INTERNAL void step(State* S);\n\n";
+    const auto unit = [head = head.str(),
+                       state = state.str()](const std::string& code) {
+        return head + helpers_for(code) + state + code;
+    };
 
     // units[0] is the ABI unit and units[1] holds step(); the eval_N
     // units follow in function order.
@@ -506,6 +724,10 @@ generate_units(const Netlist& nl)
     for (uint32_t i : order) {
         const Node& n = nl.nodes[i];
         local[i] = local_candidate(nl, n);
+        if (tab.base[i] != kNoBase) {
+            local[tab.base[i]] = false; // a root reads only its base
+            continue;
+        }
         for (size_t k = 0; k < n.args.size(); ++k) {
             if (block_of[n.args[k]] != block_of[i] ||
                 !reads_by_value(nl, n, k)) {
@@ -531,6 +753,7 @@ generate_units(const Netlist& nl)
     std::vector<std::pair<std::string, uint64_t>> fns;
     {
         std::ostringstream body;
+        std::ostringstream tables; // the tables of the function's roots
         size_t in_fn = 0;
         uint64_t fn_mask = 0;
         uint64_t open = 0; // mask of the open block (0: none)
@@ -539,12 +762,13 @@ generate_units(const Netlist& nl)
                 return;
             }
             const std::string name = "eval_" + std::to_string(fns.size());
-            units.push_back(prefix + "JIT_INTERNAL void " + name +
-                            "(State* S, u64 d) {\n"
-                            "    u64* const V = S->v;\n" +
-                            body.str() + "    }\n}\n");
+            units.push_back(unit(tables.str() + "JIT_INTERNAL void " + name +
+                                 "(State* S, u64 d) {\n"
+                                 "    u64* const V = S->v;\n" +
+                                 body.str() + "    }\n}\n"));
             fns.emplace_back(name, fn_mask);
             body.str("");
+            tables.str("");
             in_fn = 0;
             fn_mask = 0;
             open = 0;
@@ -560,7 +784,11 @@ generate_units(const Netlist& nl)
                 open = mask;
                 fn_mask |= mask;
             }
-            emit_node(body, nl, L, local, i);
+            if (tab.root[i]) {
+                emit_table(tables, "u64", ("T" + std::to_string(i)).c_str(),
+                           tab.table.at(i));
+            }
+            emit_node(body, nl, L, local, tab.base[i], i);
             ++in_fn;
         }
         close_fn();
@@ -750,8 +978,8 @@ generate_units(const Netlist& nl)
        << "}\n"
        << "} // extern \"C\"\n";
 
-    units[0] = prefix + os.str();
-    units[1] = prefix + st.str();
+    units[0] = unit(os.str());
+    units[1] = unit(st.str());
     return units;
 }
 

@@ -21,10 +21,10 @@
 /// kernel's digest does not depend on the core count: one unit per eval_N
 /// function (at most 256 nodes each), one for step(), and one for the
 /// init and latch-domain tables, the eval() dispatcher, init() and the
-/// ABI. Each unit repeats
-/// the helper preamble and the State definition; the functions one unit
-/// calls in another have hidden visibility, so the shared object exports
-/// only the cascade_jit_* ABI.
+/// ABI. Each unit repeats the State definition and carries the word-op
+/// helpers it calls (with the helpers those call) and no others; the
+/// functions one unit calls in another have hidden visibility, so the
+/// shared object exports only the cascade_jit_* ABI.
 ///
 /// Every node value has a word in State::v, but a one-word value whose
 /// readers all sit later in its own gated block of one eval_N is emitted
@@ -35,6 +35,21 @@
 /// dependent stores per function, which took about half of a unit's
 /// compile time. The kernel allocates State with calloc and references
 /// nothing of the C++ runtime.
+///
+/// Logic that depends on one narrow value is a table. A node's base is the
+/// one non-constant node it is a function of, when that node is at most 8
+/// bits wide: an input, a register, a memory read, or a node with several
+/// sources. Where a base's cone drops at least 4 nodes per table, codegen
+/// evaluates the cone once for every base value with fpga::eval_node (the
+/// reference semantics constant folding uses) and emits each root, a cone
+/// node that something outside the cone reads, as `T<n>[V[base]]`; the
+/// other cone nodes leave the settle order. Bases stay stored in V, and
+/// values wider than 64 bits are never tabulated. The header comment
+/// counts the tables and the nodes they drop (`tables=`, `tabulated=`).
+/// On the wrapped SHA-256 miner the 6-bit round counter's cone (the
+/// 64-arm K-constant case, the message schedule's indices, the round
+/// compares) drops 328 of 845 evaluated nodes behind 12 tables; the regex
+/// matcher builds none. The netlist, and so the Bitstream, is untouched.
 
 #ifndef CASCADE_JIT_CODEGEN_H
 #define CASCADE_JIT_CODEGEN_H

@@ -867,6 +867,215 @@ TEST(JitHwEngine, SetStateSpanMatchesPerWordRestore)
 }
 
 // ---------------------------------------------------------------------------
+// Tabulated cones: logic that depends on one narrow value is one table
+// lookup in the kernel, and must still match the Bitstream bit for bit.
+// ---------------------------------------------------------------------------
+
+/// The `key=value` count \p key of the kernel header comment in \p unit.
+long
+header_count(const std::string& unit, const std::string& key)
+{
+    const size_t line = unit.find("// nodes=");
+    const size_t at = unit.find(" " + key + "=", line);
+    if (line == std::string::npos || at == std::string::npos ||
+        at > unit.find('\n', line)) {
+        return -1;
+    }
+    return std::stol(unit.substr(at + key.size() + 2));
+}
+
+/// A design with a table of every kind: a 64-arm constant case over the
+/// 6-bit register round, an 8-bit decode of the input sel, and roots that
+/// feed a register's next value (k), a register clock (gclk), a write
+/// port's address and enable, outputs, and a node of another base (mix
+/// reads a slice of kc). wide is wider than 64 bits, so it is evaluated
+/// as before while the narrow slice of it is tabulated. The 9-bit cnt's
+/// decode is as large as sel's, but its base is too wide; small's cone
+/// drops two nodes for its one root, below the threshold.
+std::string
+tabulated_module()
+{
+    std::ostringstream src;
+    src << "module T(input wire clk, input wire [7:0] sel,\n"
+           "         input wire [3:0] small, input wire [31:0] d,\n"
+           "         output wire [31:0] kc_out, output wire [31:0] k_out,\n"
+           "         output wire [15:0] dec_out, output wire [7:0] mix_out,\n"
+           "         output wire [3:0] small_out, output wire [69:0] wide,\n"
+           "         output wire [9:0] wide_top, output wire [31:0] slow_out,\n"
+           "         output wire [7:0] rd, output wire [15:0] cnt_out);\n"
+           "  reg [5:0] round = 0;\n"
+           "  reg [31:0] k = 0;\n"
+           "  reg [31:0] slow = 0;\n"
+           "  reg [8:0] cnt = 0;\n"
+           "  reg [7:0] mem [0:15];\n"
+           "  function [31:0] kconst;\n    input [5:0] r;\n"
+           "    case (r)\n";
+    for (uint32_t i = 0; i < 64; ++i) {
+        src << "      6'd" << i << ": kconst = 32'd"
+            << (0x9e3779b9u * (i + 1) ^ (i << 7)) << ";\n";
+    }
+    src << "    endcase\n"
+           "  endfunction\n"
+           "  function [15:0] dec8;\n    input [7:0] s;\n"
+           "    case (s)\n"
+           "      8'd0: dec8 = 16'h1;\n"
+           "      8'd3: dec8 = 16'h8;\n"
+           "      8'd17: dec8 = 16'h40;\n"
+           "      8'd99: dec8 = 16'h200;\n"
+           "      8'd128: dec8 = 16'h1000;\n"
+           "      8'd255: dec8 = 16'h8000;\n"
+           "      default: dec8 = {s, s} ^ 16'h5a5a;\n"
+           "    endcase\n"
+           "  endfunction\n"
+           "  function [15:0] dec9;\n    input [8:0] s;\n"
+           "    case (s)\n"
+           "      9'd0: dec9 = 16'h1;\n"
+           "      9'd3: dec9 = 16'h8;\n"
+           "      9'd17: dec9 = 16'h40;\n"
+           "      9'd99: dec9 = 16'h200;\n"
+           "      9'd300: dec9 = 16'h1000;\n"
+           "      9'd511: dec9 = 16'h8000;\n"
+           "      default: dec9 = {s[7:0], s[7:0]} ^ 16'h5a5a;\n"
+           "    endcase\n"
+           "  endfunction\n"
+           "  wire [31:0] kc;\n"
+           "  wire gclk;\n"
+           "  wire [7:0] mix;\n"
+           "  assign kc = kconst(round);\n"
+           "  assign gclk = round[2:0] == 3'd5;\n"
+           "  assign mix = kc[11:4] ^ sel;\n"
+           "  always @(posedge clk) begin\n"
+           "    round <= round + 6'd1;\n"
+           "    k <= kconst(round + 6'd7) ^ 32'h5a5a5a5a;\n"
+           "    cnt <= cnt + 9'd7;\n"
+           "    if (round[1:0] == 2'd2) mem[round[5:2] ^ 4'd9] <= sel;\n"
+           "  end\n"
+           "  always @(posedge gclk) slow <= slow + d;\n"
+           "  assign kc_out = kc;\n"
+           "  assign k_out = k;\n"
+           "  assign dec_out = dec8(sel);\n"
+           "  assign mix_out = mix;\n"
+           "  assign small_out = (small ^ 4'd5) + (small >> 1);\n"
+           "  assign wide = {round, kc ^ 32'h1, kc};\n"
+           "  assign wide_top = wide[69:60];\n"
+           "  assign slow_out = slow;\n"
+           "  assign rd = mem[small];\n"
+           "  assign cnt_out = dec9(cnt);\n"
+           "endmodule\n";
+    return src.str();
+}
+
+/// Module \p src inside the Fig. 10 wrapper (open-loop clock "clk"),
+/// synthesized, with its port list in declaration order.
+struct Wrapped {
+    std::shared_ptr<const fpga::Netlist> netlist;
+    ir::WrapperMap map;
+    std::vector<std::string> ports;
+    std::vector<bool> is_input;
+};
+
+Wrapped
+wrap_module(const std::string& src)
+{
+    Wrapped w;
+    Diagnostics diags;
+    SourceUnit unit = parse(src, &diags);
+    Elaborator elab(&diags);
+    auto em = diags.has_errors() ? nullptr : elab.elaborate(*unit.modules[0]);
+    auto wrapper = em == nullptr
+                       ? nullptr
+                       : ir::generate_hw_wrapper(*em, "clk", &w.map, &diags);
+    auto wrapped = wrapper == nullptr ? nullptr : elab.elaborate(*wrapper);
+    if (wrapped != nullptr) {
+        w.netlist = fpga::synthesize(*wrapped, &diags);
+        for (const auto& p : em->decl->ports) {
+            w.ports.push_back(p.name);
+            w.is_input.push_back(p.dir == PortDir::Input);
+        }
+    }
+    EXPECT_NE(w.netlist, nullptr) << diags.str();
+    return w;
+}
+
+TEST(JitKernel, TabulatedConesMatchTheBitstream)
+{
+    REQUIRE_JIT();
+    auto nl = synth(tabulated_module());
+    ASSERT_NE(nl, nullptr);
+
+    // The units' shape: the tables the rule builds, and none for small's
+    // cone.
+    const std::vector<std::string> units = jit::generate_units(*nl);
+    EXPECT_EQ(header_count(units[0], "tables"), 10);
+    EXPECT_EQ(header_count(units[0], "tabulated"), 670);
+    const auto small_out = std::find_if(
+        nl->outputs.begin(), nl->outputs.end(),
+        [](const fpga::PortDef& p) { return p.name == "small_out"; });
+    ASSERT_NE(small_out, nl->outputs.end());
+    for (const std::string& u : units) {
+        EXPECT_EQ(u.find("T" + std::to_string(small_out->node) + "["),
+                  std::string::npos);
+    }
+
+    const std::vector<std::pair<std::string, uint32_t>> in = {
+        {"sel", 8}, {"small", 4}, {"d", 32}};
+    {
+        fpga::Bitstream hw(nl);
+        auto kern = make_kernel(nl);
+        ASSERT_NE(kern, nullptr);
+        lockstep(&hw, kern.get(), in, 29, 200);
+    }
+
+    // The wrapped design on the hardware engine, 200 design cycles in
+    // lockstep; halfway, a fresh kernel takes over through get_state and
+    // set_state, the handoff relocation makes.
+    const Wrapped w = wrap_module(tabulated_module());
+    ASSERT_NE(w.netlist, nullptr);
+    EXPECT_GT(header_count(jit::generate_units(*w.netlist)[0], "tables"), 0);
+    TaskText hw_out, kern_out;
+    const auto engine = [&](std::unique_ptr<fpga::FabricExec> fabric,
+                            TaskText* out) {
+        return std::make_unique<runtime::HwEngine>(
+            std::move(fabric), w.map, w.ports, w.is_input, out, 50.0, 1e-6);
+    };
+    auto hw = engine(std::make_unique<fpga::Bitstream>(w.netlist), &hw_out);
+    auto kern = engine(make_kernel(w.netlist), &kern_out);
+    std::mt19937_64 rng(31);
+    for (int c = 0; c < 200; ++c) {
+        if (c == 100) {
+            const sim::StateSnapshot snap = kern->get_state();
+            kern = engine(make_kernel(w.netlist), &kern_out);
+            kern->set_state(snap);
+            ASSERT_EQ(kern->get_state(), snap);
+        }
+        for (const auto& [name, width] : in) {
+            const ir::VarSlot* slot = w.map.find(name);
+            ASSERT_NE(slot, nullptr) << name;
+            const BitVector v(width, rng());
+            hw->write_var(*slot, v);
+            kern->write_var(*slot, v);
+        }
+        ASSERT_EQ(hw->open_loop(2), kern->open_loop(2)) << "cycle " << c;
+        ASSERT_EQ(hw->get_state(), kern->get_state()) << "cycle " << c;
+        for (size_t p = 0; p < w.ports.size(); ++p) {
+            if (!w.is_input[p]) {
+                const ir::VarSlot& slot = *w.map.find(w.ports[p]);
+                ASSERT_EQ(hw->read_var(slot), kern->read_var(slot))
+                    << "cycle " << c << " output " << w.ports[p];
+            }
+        }
+    }
+
+    // The regex matcher's narrow cones are too small to pay for a table,
+    // so its kernel keeps the straight-line code it had.
+    const Wrapped regex = wrap_module(workloads::regex_fifo_module(true));
+    ASSERT_NE(regex.netlist, nullptr);
+    const std::string abi = jit::generate_units(*regex.netlist)[0];
+    EXPECT_EQ(header_count(abi, "tables"), 0);
+    EXPECT_EQ(header_count(abi, "tabulated"), 0);
+}
+
+// ---------------------------------------------------------------------------
 // Randomized three-way differential: simulator vs Bitstream vs JitKernel.
 // ---------------------------------------------------------------------------
 
@@ -910,13 +1119,37 @@ fuzz_module(uint64_t seed)
     src << "module F(input wire clk, input wire [7:0] a, "
            "input wire [7:0] b, input wire [7:0] c,\n"
            "         output wire [7:0] o0, output wire [7:0] o1);\n";
+    // Even seeds add a case with a constant per arm over a narrow slice
+    // of r0, which o1 always reads: a table in the kernel.
+    std::string table_fn;
+    if (seed % 2 == 0) {
+        const uint32_t w = 3 + pick(4);
+        const uint32_t lsb = pick(9 - w);
+        src << "  function [7:0] kf;\n    input [" << (w - 1)
+            << ":0] s;\n    case (s)\n";
+        for (uint32_t k = 0; k < (1u << w); ++k) {
+            if (pick(4) != 0) {
+                src << "      " << w << "'d" << k << ": kf = 8'd" << pick(256)
+                    << ";\n";
+            }
+        }
+        src << "      default: kf = 8'd" << pick(256)
+            << ";\n    endcase\n  endfunction\n";
+        table_fn = "kf(r0[" + std::to_string(lsb + w - 1) + ":" +
+                   std::to_string(lsb) + "])";
+    }
     src << "  wire [7:0] w0;\n  assign w0 = " << gen(3) << ";\n";
     leaves.push_back("w0");
     src << "  reg [7:0] r0 = " << (rng() % 256) << ";\n";
     leaves.push_back("r0");
+    if (!table_fn.empty()) {
+        leaves.push_back(table_fn);
+    }
     src << "  always @(posedge clk) r0 <= " << gen(3) << ";\n";
     src << "  assign o0 = w0 ^ r0;\n";
-    src << "  assign o1 = " << gen(2) << ";\n";
+    src << "  assign o1 = "
+        << (table_fn.empty() ? gen(2) : "(" + table_fn + " ^ " + gen(2) + ")")
+        << ";\n";
     src << "endmodule\n";
     return src.str();
 }
@@ -937,6 +1170,10 @@ TEST_P(JitFuzz, ThreeWayDifferential)
     auto nl_up = fpga::synthesize(*em, &diags);
     ASSERT_NE(nl_up, nullptr) << diags.str();
     std::shared_ptr<const fpga::Netlist> nl(std::move(nl_up));
+    if (GetParam() % 2 == 0) {
+        EXPECT_GT(header_count(jit::generate_units(*nl)[0], "tables"), 0)
+            << src;
+    }
 
     fpga::Bitstream hw(nl);
     auto kern = make_kernel(nl);
