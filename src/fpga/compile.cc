@@ -138,49 +138,35 @@ compile(const verilog::ElaboratedModule& em, const CompileOptions& options,
     return result;
 }
 
-std::unique_ptr<Bitstream>
-FpgaDevice::program(const CompileResult& result, std::string* error,
-                    bool allow_derated_clock,
-                    double* actual_clock_mhz) const
+Verdict
+FpgaDevice::admit(const CompileResult& result, uint64_t le_quota,
+                  uint64_t bram_quota) const
 {
+    Verdict v;
+    const uint64_t les = result.report.area.les;
+    const uint64_t bram = result.report.area.bram_bits;
     if (!result.ok) {
-        if (error != nullptr) {
-            *error = result.error;
-        }
-        return nullptr;
-    }
-    if (!result.report.area.fits(les_, bram_bits_)) {
-        if (error != nullptr) {
-            *error = "design does not fit: needs " +
-                     std::to_string(result.report.area.les) + " LEs / " +
-                     std::to_string(result.report.area.bram_bits) +
-                     " BRAM bits";
-        }
+        v.error = result.error;
+    } else if (le_quota != 0 && les > le_quota) {
+        v.error = "tenant LE quota exceeded: needs " + std::to_string(les) +
+                  " LEs, quota " + std::to_string(le_quota);
+    } else if (bram_quota != 0 && bram > bram_quota) {
+        v.error = "tenant BRAM quota exceeded: needs " +
+                  std::to_string(bram) + " bits, quota " +
+                  std::to_string(bram_quota);
+    } else if (!result.report.area.fits(les_, bram_bits_)) {
+        v.error = "design does not fit: needs " + std::to_string(les) +
+                  " LEs / " + std::to_string(bram) + " BRAM bits";
         telemetry::Registry::global()
             .counter("fpga.program.rejected_fit")
             ->inc();
-        return nullptr;
+    } else {
+        v.ok = true;
+        v.clock_mhz = result.report.timing.met
+                          ? clock_mhz_
+                          : result.report.timing.fmax_mhz * 0.9;
     }
-    double clock = clock_mhz_;
-    if (!result.report.timing.met) {
-        if (!allow_derated_clock) {
-            if (error != nullptr) {
-                *error = "timing closure failed: Fmax " +
-                         std::to_string(result.report.timing.fmax_mhz) +
-                         " MHz below target";
-            }
-            telemetry::Registry::global()
-                .counter("fpga.program.rejected_timing")
-                ->inc();
-            return nullptr;
-        }
-        clock = result.report.timing.fmax_mhz * 0.9;
-    }
-    if (actual_clock_mhz != nullptr) {
-        *actual_clock_mhz = clock;
-    }
-    telemetry::Registry::global().counter("fpga.program.loaded")->inc();
-    return std::make_unique<Bitstream>(result.netlist);
+    return v;
 }
 
 } // namespace cascade::fpga

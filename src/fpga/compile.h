@@ -104,6 +104,13 @@ CompileResult compile(
         {},
     const CellSites* prior = nullptr);
 
+/// The device's decision on a finished compile (FpgaDevice::admit).
+struct Verdict {
+    bool ok = false;
+    std::string error;    ///< why it may not load, when !ok
+    double clock_mhz = 0; ///< the rate to run it at, when ok
+};
+
 /// The reprogrammable device (Cyclone V-class by default): capacity limits
 /// plus the fabric clock the runtime models hardware time against.
 class FpgaDevice {
@@ -117,17 +124,15 @@ class FpgaDevice {
     uint64_t bram_bits() const { return bram_bits_; }
     double clock_mhz() const { return clock_mhz_; }
 
-    /// Loads a bitstream if the design fits and made timing; returns null
-    /// (with \p error set) otherwise. "Programming ... requires less than
-    /// a millisecond" — it is just object construction here.
-    ///
-    /// With \p allow_derated_clock, a design that misses the target clock
-    /// is still programmed, clocked from a PLL at 90% of its achieved
-    /// Fmax; \p actual_clock_mhz (if non-null) receives the final rate.
-    std::unique_ptr<Bitstream>
-    program(const CompileResult& result, std::string* error,
-            bool allow_derated_clock = false,
-            double* actual_clock_mhz = nullptr) const;
+    /// The one admission rule, for an exclusive device and for a tenant
+    /// of a shared one: a compile loads if it succeeded, is within the
+    /// tenant's LE and BRAM quotas (0 = unlimited) and fits the device.
+    /// It then runs at the device clock, or, when it missed that target,
+    /// PLL-clocked at 90% of its achieved Fmax. Loading is the caller's
+    /// Bitstream construction: "programming ... requires less than a
+    /// millisecond".
+    Verdict admit(const CompileResult& result, uint64_t le_quota = 0,
+                  uint64_t bram_quota = 0) const;
 
   private:
     uint64_t les_;

@@ -130,61 +130,30 @@ FabricManager::request_residency(uint64_t tenant,
         std::lock_guard<telemetry::Mutex> lock(mutex_);
         const auto it = tenants_.find(tenant);
         if (it == tenants_.end()) {
-            out.error = "unknown tenant";
+            out.verdict.error = "unknown tenant";
             denials_->inc();
             return out;
         }
         Tenant& t = it->second;
-        if (!result.ok) {
-            out.error = result.error;
+        const fpga::Verdict verdict =
+            device_.admit(result, t.le_quota, t.bram_quota);
+        if (!verdict.ok) {
+            out.verdict = verdict;
             denials_->inc();
-            telemetry::Tracer::global().instant_tenant("hypervisor.deny",
-                                                       tenant, 0);
+            telemetry::Tracer::global().instant_tenant(
+                "hypervisor.deny", tenant, result.report.area.les);
             return out;
         }
         const uint64_t les = result.report.area.les;
         const uint64_t bram = result.report.area.bram_bits;
-        if (t.le_quota != 0 && les > t.le_quota) {
-            out.error = "tenant LE quota exceeded: needs " +
-                        std::to_string(les) + " LEs, quota " +
-                        std::to_string(t.le_quota);
-            denials_->inc();
-            telemetry::Tracer::global().instant_tenant("hypervisor.deny",
-                                                       tenant, les);
-            return out;
-        }
-        if (t.bram_quota != 0 && bram > t.bram_quota) {
-            out.error = "tenant BRAM quota exceeded: needs " +
-                        std::to_string(bram) + " bits, quota " +
-                        std::to_string(t.bram_quota);
-            denials_->inc();
-            telemetry::Tracer::global().instant_tenant("hypervisor.deny",
-                                                       tenant, bram);
-            return out;
-        }
-        if (les > device_.les() || bram > device_.bram_bits()) {
-            out.error = "design does not fit: needs " +
-                        std::to_string(les) + " LEs / " +
-                        std::to_string(bram) + " BRAM bits";
-            denials_->inc();
-            telemetry::Tracer::global().instant_tenant("hypervisor.deny",
-                                                       tenant, les);
-            return out;
-        }
-        // Mirror FpgaDevice::program's clocking: a design that misses the
-        // target still runs, PLL-clocked at 90% of its achieved Fmax.
-        double clock = device_.clock_mhz();
-        if (!result.report.timing.met) {
-            clock = result.report.timing.fmax_mhz * 0.9;
-        }
 
         // Waiter priority: while someone is parked on capacity, a
         // non-waiter yields even if the fabric has room (fairness; see
         // the waiters_ comment in the header).
         if (waiters_.count(tenant) == 0 && !waiters_.empty()) {
             waiters_.insert(tenant);
-            out.error = "awaiting fabric capacity (yielding to waiting "
-                        "tenant)";
+            out.verdict.error = "awaiting fabric capacity (yielding to "
+                                "waiting tenant)";
             out.retryable = true;
             denials_->inc();
             // Tracer instants under mutex_ are fine: the tracer's own
@@ -216,10 +185,11 @@ FabricManager::request_residency(uint64_t tenant,
             }
             if (victim != nullptr) {
                 tenants_[victim_id].evict_requested = true;
-                out.error = "awaiting fabric capacity (eviction of '" +
-                            victim->name + "' requested)";
+                out.verdict.error =
+                    "awaiting fabric capacity (eviction of '" +
+                    victim->name + "' requested)";
             } else {
-                out.error = "awaiting fabric capacity";
+                out.verdict.error = "awaiting fabric capacity";
             }
             waiters_.insert(tenant);
             out.retryable = true;
@@ -239,8 +209,7 @@ FabricManager::request_residency(uint64_t tenant,
         resident_gauge_->set(
             static_cast<int64_t>(resident_count_locked()));
         bump_capacity_epoch_locked();
-        out.bitstream = std::make_unique<fpga::Bitstream>(result.netlist);
-        out.clock_mhz = clock;
+        out.verdict = verdict;
         out.le_start = start;
         out.le_count = les;
         telemetry::Tracer::global().instant_tenant("hypervisor.admit",

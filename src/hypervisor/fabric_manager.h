@@ -34,18 +34,16 @@
 
 namespace cascade::hypervisor {
 
-/// The outcome of one admission request. On success \p bitstream is the
-/// programmed fabric slice (the tenant's Runtime adopts it like an
-/// exclusive device's bitstream) and \p le_start/le_count describe the
-/// slot. On denial \p bitstream is null: \p retryable distinguishes
-/// transient capacity pressure (an eviction was requested; ask again when
-/// the fabric changes) from hard failures (over quota, does not fit the
-/// device, failed compile).
+/// The outcome of one admission request. \p verdict is the device's
+/// (FpgaDevice::admit under the tenant's quotas), or a capacity denial.
+/// On success \p le_start/le_count describe the slot, and the tenant's
+/// Runtime loads the bitstream as on an exclusive device. On denial
+/// \p retryable distinguishes transient capacity pressure (an eviction
+/// was requested; ask again when the fabric changes) from hard failures
+/// (over quota, does not fit the device, failed compile).
 struct Admission {
-    std::unique_ptr<fpga::Bitstream> bitstream;
-    std::string error;
+    fpga::Verdict verdict;
     bool retryable = false;
-    double clock_mhz = 0;
     uint64_t le_start = 0;
     uint64_t le_count = 0;
 };
@@ -87,12 +85,13 @@ class FabricManager {
     std::string tenant_name(uint64_t tenant) const;
     /// @}
 
-    /// Admission control: quota check, then first-fit allocation of a
-    /// contiguous LE range and BRAM budget. When the design fits the
-    /// device but no slot is free, the least-recently-active resident
-    /// tenant (never the requester) is flagged for eviction and the
-    /// request is denied retryable — the caller parks the outcome and
-    /// retries after the fabric changes.
+    /// Admission control: the device's verdict under the tenant's quotas
+    /// (FpgaDevice::admit), then first-fit allocation of a contiguous LE
+    /// range and BRAM budget. When the design fits the device but no
+    /// slot is free, the least-recently-active resident tenant (never the
+    /// requester) is flagged for eviction and the request is denied
+    /// retryable — the caller parks the outcome and retries after the
+    /// fabric changes.
     Admission request_residency(uint64_t tenant,
                                 const fpga::CompileResult& result);
 

@@ -2241,7 +2241,7 @@ Runtime::launch_compile()
     submit.request = job.request;
     submit.module = em;
     submit.options.effort = options_.compile_effort;
-    submit.options.target_clock_mhz = options_.device_clock_mhz;
+    submit.options.target_clock_mhz = device().clock_mhz();
     submit.options.seed = seed;
     submit.prior = prior_;
     job.kernel_pending = submit.kernel;
@@ -2316,16 +2316,17 @@ Runtime::maybe_admit_and_act()
         return;
     }
     hypervisor::Admission adm = fabric_->request_residency(tenant_, result);
-    if (adm.bitstream == nullptr && adm.retryable) {
+    if (adm.retryable) {
         // Capacity pressure: park the finished compile and re-request
         // when the fabric changes.
+        const std::string& reason = adm.verdict.error;
         emit(EventKind::HypervisorDefer, JsonWriter()
                                              .num("version", job_->version)
                                              .num("req", job_->request)
-                                             .str("reason", adm.error));
+                                             .str("reason", reason));
         log_event(LogLevel::Info, "hypervisor",
                   "admission deferred for v" +
-                      std::to_string(job_->version) + ": " + adm.error);
+                      std::to_string(job_->version) + ": " + reason);
         job_->parked_epoch = fabric_->capacity_epoch();
         return;
     }
@@ -2406,43 +2407,34 @@ Runtime::act_on_compile(hypervisor::Admission* admission)
         requests_.add_segment(request, "admission",
                               clamp0(act_start_us - job_->polled_us));
     }
-    // The fabric kind's step ahead of relocation: the bitstream. A forced
-    // (recorded) rejection stands in for it, as hypervisor denials cannot
-    // be re-derived on another device; else the hypervisor's grant in
-    // shared mode, or the private device's.
-    std::string error;
-    double clock_mhz = device_.clock_mhz();
-    std::unique_ptr<fpga::Bitstream> bitstream;
+    // The fabric kind's step ahead of relocation: the device's verdict.
+    // A forced (recorded) rejection stands in for it, as hypervisor
+    // denials cannot be re-derived on another device; else the
+    // hypervisor's admission in shared mode, or the device's own rule.
+    fpga::Verdict verdict;
     if (auto forced =
             oracle_->forced_failure(Oracle::Build::Fabric, version)) {
-        error = std::move(*forced);
+        verdict.error = std::move(*forced);
     } else if (admission != nullptr) {
-        bitstream = std::move(admission->bitstream);
-        error = admission->error;
-        if (admission->clock_mhz > 0) {
-            clock_mhz = admission->clock_mhz;
-        }
+        verdict = admission->verdict;
     } else {
-        bitstream = device_.program(done.result, &error,
-                                    /*allow_derated_clock=*/true,
-                                    &clock_mhz);
+        verdict = device().admit(done.result);
     }
-    const bool adopted = bitstream != nullptr;
-    if (adopted) {
-        adopt_fabric(done, std::move(bitstream), clock_mhz, admission);
+    if (verdict.ok) {
+        adopt_fabric(done, verdict.clock_mhz, admission);
     } else {
-        // Timing or fit failure: report and stay in software (the UT
-        // study's "ran in simulation but did not pass timing closure").
+        // A failed, over-quota or oversized compile: report and stay in
+        // software.
         enqueue_interrupt("cascade: hardware compilation rejected: " +
-                          error + "\n");
+                          verdict.error + "\n");
         emit(EventKind::CompileRejected,
              JsonWriter()
                  .num("version", version)
                  .num("iteration", iterations_)
-                 .str("error", error),
+                 .str("error", verdict.error),
              version);
         log_event(LogLevel::Warn, "compile",
-                  "hardware compilation rejected: " + error);
+                  "hardware compilation rejected: " + verdict.error);
     }
     // The request tracer closes a rejected request at the adoption
     // segment, an adopted one only after its first hardware tick.
@@ -2450,7 +2442,7 @@ Runtime::act_on_compile(hypervisor::Admission* admission)
         const double now_us = tracer.now_us();
         requests_.add_segment(request, "adoption",
                               now_us - act_start_us);
-        if (adopted) {
+        if (verdict.ok) {
             // The request stays open until the fabric executes its
             // first post-adoption tick (note_first_hw_tick). The flow
             // arrow lands back on the runtime thread here.
@@ -2465,16 +2457,18 @@ Runtime::act_on_compile(hypervisor::Admission* admission)
 }
 
 void
-Runtime::adopt_fabric(Done& stage,
-                      std::unique_ptr<fpga::Bitstream> bitstream,
-                      double actual_clock_mhz,
+Runtime::adopt_fabric(Done& stage, double actual_clock_mhz,
                       hypervisor::Admission* admission)
 {
     const uint64_t version = job_->version;
     const bool is_jit = stage.kernel != nullptr;
-    std::unique_ptr<fpga::FabricExec> fabric = std::move(bitstream);
+    std::unique_ptr<fpga::FabricExec> fabric;
     if (is_jit) {
         fabric = std::move(stage.kernel);
+    } else {
+        // Programming the device: the bitstream's construction.
+        fabric = std::make_unique<fpga::Bitstream>(stage.result.netlist);
+        telemetry::Registry::global().counter("fpga.program.loaded")->inc();
     }
     // Upgrading: the real fabric landed while the same version was
     // running on the JIT tier.
@@ -2609,7 +2603,7 @@ Runtime::poll_jit()
          JsonWriter()
              .num("version", build.version)
              .boolean("hit", build.result.report.cache_hit));
-    adopt_fabric(build, nullptr, device_.clock_mhz(), nullptr);
+    adopt_fabric(build, device_.clock_mhz(), nullptr);
 }
 
 void
@@ -3086,6 +3080,12 @@ Runtime::set_profiling(bool on)
     }
 }
 
+const fpga::FpgaDevice&
+Runtime::device() const
+{
+    return fabric_ != nullptr ? fabric_->device() : device_;
+}
+
 std::string
 Runtime::fabric_table() const
 {
@@ -3102,16 +3102,15 @@ Runtime::fabric_table() const
         return out;
     }
     const fpga::CompileReport& r = *last_report_;
+    const fpga::FpgaDevice& dev = device();
     const double util =
-        options_.device_les != 0
-            ? 100.0 * static_cast<double>(r.area.les) /
-                  static_cast<double>(options_.device_les)
-            : 0.0;
+        dev.les() != 0 ? 100.0 * static_cast<double>(r.area.les) /
+                             static_cast<double>(dev.les())
+                       : 0.0;
     std::snprintf(line, sizeof line, "  %-26s %llu / %llu (%.1f%%)\n",
                   "logic elements",
                   static_cast<unsigned long long>(r.area.les),
-                  static_cast<unsigned long long>(options_.device_les),
-                  util);
+                  static_cast<unsigned long long>(dev.les()), util);
     out += line;
     std::snprintf(line, sizeof line, "  %-26s %llu\n", "BRAM bits",
                   static_cast<unsigned long long>(r.area.bram_bits));
@@ -3120,7 +3119,7 @@ Runtime::fabric_table() const
                   static_cast<unsigned long long>(r.cells));
     out += line;
     std::snprintf(line, sizeof line, "  %-26s %.1f MHz (target %.1f, %s)\n",
-                  "fmax", r.timing.fmax_mhz, options_.device_clock_mhz,
+                  "fmax", r.timing.fmax_mhz, dev.clock_mhz(),
                   r.timing.met ? "met" : "missed");
     out += line;
     out += "critical path\n";

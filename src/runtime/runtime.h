@@ -627,10 +627,10 @@ class Runtime : public EngineCallbacks {
     void log_event(LogLevel level, const char* component,
                    const std::string& message);
     /// Journals compile.cache + compile.done for the job's fabric stage,
-    /// takes the bitstream (the hypervisor's grant, the private device's,
-    /// or a forced rejection) and adopts it through adopt_fabric().
-    /// \p admission is the slot grant in shared mode, null in exclusive
-    /// mode.
+    /// takes the verdict on it (a forced rejection, the hypervisor's
+    /// admission, or device().admit) and adopts it through adopt_fabric().
+    /// \p admission is the hypervisor's answer in shared mode, null in
+    /// exclusive mode.
     void act_on_compile(hypervisor::Admission* admission);
     /// Shared mode: asks the hypervisor for a slot before acting. A
     /// retryable denial parks the fabric stage (journaled
@@ -673,11 +673,9 @@ class Runtime : public EngineCallbacks {
     void launch_compile();
     /// Relocates the user program onto an adopted engine, under the job's
     /// wiring, and journals the transition. The engine runs
-    /// \p stage.kernel when it holds one (the JIT tier), else
-    /// \p bitstream at \p actual_clock_mhz.
-    void adopt_fabric(Done& stage,
-                      std::unique_ptr<fpga::Bitstream> bitstream,
-                      double actual_clock_mhz,
+    /// \p stage.kernel when it holds one (the JIT tier), else the
+    /// bitstream of \p stage's netlist at \p actual_clock_mhz.
+    void adopt_fabric(Done& stage, double actual_clock_mhz,
                       hypervisor::Admission* admission);
     /// The one relocation (paper §3.3), behind every engine swap: an
     /// eval's or an eviction's rebuild, both adoption kinds, and the
@@ -877,6 +875,11 @@ class Runtime : public EngineCallbacks {
     /// Adaptive open-loop batch size (§4.4).
     uint64_t open_loop_batch_ = 0;
 
+    /// The device hardware compiles target and load onto: the
+    /// hypervisor's in shared mode, else device_.
+    const fpga::FpgaDevice& device() const;
+    /// The device Options describes: exclusive mode's fabric, and the
+    /// clock the JIT tier is modeled at in both modes.
     fpga::FpgaDevice device_;
     /// The compile pipeline: a private 1-worker service in exclusive
     /// mode, the shared pooled service in shared mode.

@@ -2,7 +2,8 @@
 /// Tests for the toolchain back half: technology mapping, placement,
 /// timing analysis, and the compile driver — including the properties the
 /// paper's evaluation leans on (compile time grows with design size; the
-/// Fig. 10 wrapper costs area; timing can fail).
+/// Fig. 10 wrapper costs area; timing can fail) and the device's admission
+/// rule.
 
 #include "fpga/compile.h"
 
@@ -16,6 +17,7 @@
 
 #include "ir/hw_wrapper.h"
 #include "telemetry/journal.h"
+#include "telemetry/telemetry.h"
 #include "verilog/parser.h"
 #include "workloads/workloads.h"
 
@@ -529,31 +531,13 @@ TEST(Device, RejectsOversizedDesign)
     auto result = compile(*em, opts);
     ASSERT_TRUE(result.ok);
     FpgaDevice tiny(/*les=*/10, /*bram_bits=*/16, /*clock_mhz=*/50.0);
-    std::string error;
-    EXPECT_EQ(tiny.program(result, &error), nullptr);
-    EXPECT_NE(error.find("does not fit"), std::string::npos);
-}
-
-TEST(Device, RejectsTimingFailure)
-{
-    auto em = elaborate_src(R"(
-        module M(input wire clk, input wire [63:0] a,
-                 output wire [63:0] o);
-          reg [63:0] r = 0;
-          always @(posedge clk) r <= (a * a) / (a + 1);
-          assign o = r;
-        endmodule
-    )");
-    CompileOptions opts;
-    opts.effort = 0.1;
-    opts.target_clock_mhz = 2000.0; // absurd target
-    auto result = compile(*em, opts);
-    ASSERT_TRUE(result.ok);
-    EXPECT_FALSE(result.report.timing.met);
-    FpgaDevice dev;
-    std::string error;
-    EXPECT_EQ(dev.program(result, &error), nullptr);
-    EXPECT_NE(error.find("timing"), std::string::npos);
+    const Verdict v = tiny.admit(result);
+    EXPECT_FALSE(v.ok);
+    EXPECT_EQ(v.error, "design does not fit: needs " +
+                           std::to_string(result.report.area.les) +
+                           " LEs / " +
+                           std::to_string(result.report.area.bram_bits) +
+                           " BRAM bits");
 }
 
 TEST(Device, ProgramsAndRuns)
@@ -570,16 +554,115 @@ TEST(Device, ProgramsAndRuns)
     auto result = compile(*em, opts);
     ASSERT_TRUE(result.ok) << result.error;
     FpgaDevice dev;
-    std::string error;
-    auto fabric = dev.program(result, &error);
-    ASSERT_NE(fabric, nullptr) << error;
+    const Verdict v = dev.admit(result);
+    ASSERT_TRUE(v.ok) << v.error;
+    Bitstream fabric(result.netlist);
     for (int i = 0; i < 5; ++i) {
-        fabric->set_input("clk", BitVector(1, 1));
-        fabric->step();
-        fabric->set_input("clk", BitVector(1, 0));
-        fabric->step();
+        fabric.set_input("clk", BitVector(1, 1));
+        fabric.step();
+        fabric.set_input("clk", BitVector(1, 0));
+        fabric.step();
     }
-    EXPECT_EQ(fabric->output("o").to_uint64(), 5u);
+    EXPECT_EQ(fabric.output("o").to_uint64(), 5u);
+}
+
+// ---------------------------------------------------------------------
+// FpgaDevice::admit: one test per verdict
+// ---------------------------------------------------------------------
+
+/// A successful compile of the given area that met timing, without
+/// running the flow.
+CompileResult
+finished(uint64_t les, uint64_t bram_bits)
+{
+    CompileResult result;
+    result.ok = true;
+    result.report.area.les = les;
+    result.report.area.bram_bits = bram_bits;
+    result.report.timing.met = true;
+    result.report.timing.fmax_mhz = 300.0;
+    return result;
+}
+
+TEST(Admit, FailedCompileKeepsItsError)
+{
+    CompileResult result = finished(10, 0);
+    result.ok = false;
+    result.error = "synthesis failed:\nno driver";
+    const Verdict v = FpgaDevice().admit(result, 1, 1);
+    EXPECT_FALSE(v.ok);
+    EXPECT_EQ(v.error, "synthesis failed:\nno driver");
+}
+
+TEST(Admit, LeQuotaIsCheckedBeforeTheDevice)
+{
+    // Over both the quota and the device: the quota speaks.
+    const FpgaDevice dev(/*les=*/100, /*bram_bits=*/1000, 50.0);
+    const Verdict v = dev.admit(finished(200, 0), /*le_quota=*/150, 0);
+    EXPECT_FALSE(v.ok);
+    EXPECT_EQ(v.error, "tenant LE quota exceeded: needs 200 LEs, quota 150");
+    EXPECT_TRUE(dev.admit(finished(100, 0), /*le_quota=*/100, 0).ok);
+}
+
+TEST(Admit, BramQuota)
+{
+    const FpgaDevice dev(/*les=*/1000, /*bram_bits=*/1000, 50.0);
+    const Verdict v = dev.admit(finished(10, 512), 0, /*bram_quota=*/256);
+    EXPECT_FALSE(v.ok);
+    EXPECT_EQ(v.error,
+              "tenant BRAM quota exceeded: needs 512 bits, quota 256");
+    EXPECT_TRUE(dev.admit(finished(10, 256), 0, /*bram_quota=*/256).ok);
+}
+
+TEST(Admit, DeviceFit)
+{
+    telemetry::Counter* rejected =
+        telemetry::Registry::global().counter("fpga.program.rejected_fit");
+    const uint64_t before = rejected->value();
+    const FpgaDevice dev(/*les=*/100, /*bram_bits=*/1000, 50.0);
+    Verdict v = dev.admit(finished(101, 16));
+    EXPECT_FALSE(v.ok);
+    EXPECT_EQ(v.error, "design does not fit: needs 101 LEs / 16 BRAM bits");
+    v = dev.admit(finished(10, 1001));
+    EXPECT_FALSE(v.ok);
+    EXPECT_EQ(v.error, "design does not fit: needs 10 LEs / 1001 BRAM bits");
+    EXPECT_EQ(rejected->value(), before + 2);
+    EXPECT_TRUE(dev.admit(finished(100, 1000)).ok);
+    EXPECT_EQ(rejected->value(), before + 2);
+}
+
+TEST(Admit, TimingMetRunsAtTheDeviceClock)
+{
+    const FpgaDevice dev(/*les=*/1000, /*bram_bits=*/1000, 75.0);
+    const Verdict v = dev.admit(finished(10, 0));
+    ASSERT_TRUE(v.ok) << v.error;
+    EXPECT_TRUE(v.error.empty());
+    EXPECT_EQ(v.clock_mhz, 75.0);
+}
+
+TEST(Admit, TimingMissedRunsAtNinetyPercentOfFmax)
+{
+    // A design that misses timing is not rejected: it runs PLL-clocked
+    // below its achieved Fmax.
+    auto em = elaborate_src(R"(
+        module M(input wire clk, input wire [63:0] a,
+                 output wire [63:0] o);
+          reg [63:0] r = 0;
+          always @(posedge clk) r <= (a * a) / (a + 1);
+          assign o = r;
+        endmodule
+    )");
+    CompileOptions opts;
+    opts.effort = 0.1;
+    opts.target_clock_mhz = 2000.0; // absurd target
+    auto result = compile(*em, opts);
+    ASSERT_TRUE(result.ok);
+    ASSERT_FALSE(result.report.timing.met);
+    const FpgaDevice dev(110000, 11000000, opts.target_clock_mhz);
+    const Verdict v = dev.admit(result);
+    ASSERT_TRUE(v.ok) << v.error;
+    EXPECT_EQ(v.clock_mhz, result.report.timing.fmax_mhz * 0.9);
+    EXPECT_LT(v.clock_mhz, result.report.timing.fmax_mhz);
 }
 
 } // namespace

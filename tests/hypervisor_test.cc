@@ -443,6 +443,49 @@ TEST(Hypervisor, CapacityPressureEvictionReplaysOnExclusiveDevice)
 }
 
 // ---------------------------------------------------------------------
+// The hypervisor's device applies, not the tenant's Options
+// ---------------------------------------------------------------------
+
+TEST(Hypervisor, FabricTableShowsTheSharedDevice)
+{
+    CompileService svc;
+    FabricManager fm{fpga::FpgaDevice(54321, 11000000, 50.0)};
+    Runtime rt(hw_fast(), svc, fm);
+    rt.on_output = [](const std::string&) {};
+    ASSERT_TRUE(rt.eval(tenant_program(0)));
+    ASSERT_TRUE(rt.wait_for_hardware(60.0));
+    const std::string table = rt.fabric_table();
+    EXPECT_NE(table.find(" / 54321 ("), std::string::npos) << table;
+}
+
+TEST(Hypervisor, CompilesTargetTheSharedDeviceClock)
+{
+    // A shared tenant compiles against the clock it will run at. On a
+    // 200 MHz device a design either meets 200 MHz or runs derated below
+    // its Fmax; it never runs above it.
+    CompileService svc;
+    FabricManager fm{fpga::FpgaDevice(110000, 11000000, 200.0)};
+    Runtime rt(hw_fast(), svc, fm);
+    rt.on_output = [](const std::string&) {};
+    ASSERT_TRUE(rt.eval(tenant_program(0)));
+    ASSERT_TRUE(rt.wait_for_hardware(60.0));
+    const auto& report = rt.last_compile_report();
+    ASSERT_TRUE(report.has_value());
+    double clock = 0; // the journaled adopt.clock_mhz
+    for (const auto& ev : rt.journal().ring()) {
+        if (ev.type == "adopt") {
+            telemetry::JsonValue data;
+            ASSERT_TRUE(telemetry::parse_json(ev.data, &data));
+            clock = data.get_num("clock_mhz");
+        }
+    }
+    ASSERT_GT(clock, 0.0);
+    EXPECT_LE(clock, report->timing.fmax_mhz);
+    EXPECT_NE(rt.fabric_table().find("(target 200.0, "), std::string::npos)
+        << rt.fabric_table();
+}
+
+// ---------------------------------------------------------------------
 // Observability continuity across eviction
 // ---------------------------------------------------------------------
 
@@ -569,6 +612,65 @@ TEST(FabricManager, SlotMapTracksResidencyAndNames)
     fm.remove_tenant(t1);
     fm.remove_tenant(t2);
     EXPECT_EQ(fm.tenant_count(), 0u);
+}
+
+/// A successful compile of the given area, without running the flow.
+fpga::CompileResult
+finished_compile(uint64_t les, uint64_t bram_bits)
+{
+    fpga::CompileResult result;
+    result.ok = true;
+    result.report.area.les = les;
+    result.report.area.bram_bits = bram_bits;
+    return result;
+}
+
+TEST(FabricManager, HardDenialsAreTheDeviceVerdict)
+{
+    const fpga::FpgaDevice dev(1000, 10000, 50.0);
+    FabricManager fm{dev};
+    const uint64_t le_capped = fm.add_tenant("le", /*le_quota=*/100, 0);
+    const uint64_t bram_capped = fm.add_tenant("bram", 0, /*bram_quota=*/64);
+    const uint64_t uncapped = fm.add_tenant("free");
+    fpga::CompileResult failed;
+    failed.error = "synthesis failed:\nno driver";
+
+    struct Case {
+        uint64_t tenant;
+        fpga::CompileResult result;
+        uint64_t le_quota;
+        uint64_t bram_quota;
+        std::string error;
+    };
+    const std::vector<Case> cases = {
+        {uncapped, failed, 0, 0, "synthesis failed:\nno driver"},
+        {le_capped, finished_compile(200, 0), 100, 0,
+         "tenant LE quota exceeded: needs 200 LEs, quota 100"},
+        {bram_capped, finished_compile(10, 128), 0, 64,
+         "tenant BRAM quota exceeded: needs 128 bits, quota 64"},
+        {uncapped, finished_compile(2000, 0), 0, 0,
+         "design does not fit: needs 2000 LEs / 0 BRAM bits"},
+    };
+    for (const Case& c : cases) {
+        const hypervisor::Admission adm =
+            fm.request_residency(c.tenant, c.result);
+        EXPECT_FALSE(adm.verdict.ok) << c.error;
+        EXPECT_FALSE(adm.retryable) << c.error;
+        EXPECT_EQ(adm.verdict.error, c.error);
+        EXPECT_EQ(dev.admit(c.result, c.le_quota, c.bram_quota).error,
+                  c.error);
+    }
+    EXPECT_EQ(fm.resident_count(), 0u);
+
+    // Within quota and device: admitted at the device clock.
+    const hypervisor::Admission adm =
+        fm.request_residency(le_capped, finished_compile(100, 0));
+    ASSERT_TRUE(adm.verdict.ok) << adm.verdict.error;
+    EXPECT_EQ(adm.verdict.clock_mhz, 50.0);
+    EXPECT_EQ(adm.le_start, 0u);
+    EXPECT_EQ(adm.le_count, 100u);
+    EXPECT_EQ(fm.resident_count(), 1u);
+    fm.release_residency(le_capped);
 }
 
 TEST(FabricManager, GrantsShrinkWithResidentCount)

@@ -2,7 +2,9 @@
 /// Deterministic record/replay tests: a session recorded across a mid-run
 /// software-to-hardware adoption must replay with byte-identical output
 /// and identical counters; a tampered journal must report the exact first
-/// diverging event; the placement seed must be pinnable and surfaced.
+/// diverging event; the placement seed must be pinnable and surfaced; a
+/// session whose hardware compile was rejected must replay on the
+/// exclusive device.
 
 #include "runtime/replay.h"
 
@@ -20,7 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include "hypervisor/fabric_manager.h"
 #include "runtime/repl.h"
+#include "service/compile_service.h"
 
 namespace cascade::runtime {
 namespace {
@@ -513,6 +517,123 @@ TEST(Replay, RequestTracingIsDeterministicAcrossReplay)
     std::filesystem::remove(path);
     std::filesystem::remove(replay1);
     std::filesystem::remove(replay2);
+}
+
+// ---------------------------------------------------------------------
+// Rejected hardware compiles
+// ---------------------------------------------------------------------
+
+std::string
+read_file(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/// Records \p rt running kProgram to \p path until its hardware compile
+/// is rejected, then a while longer in software. Returns the output.
+std::string
+record_until_rejected(Runtime& rt, const std::string& path)
+{
+    std::string output;
+    rt.on_output = [&output](const std::string& text) { output += text; };
+    std::string err;
+    EXPECT_TRUE(rt.start_recording(path, &err)) << err;
+    EXPECT_TRUE(rt.eval(kProgram));
+    const auto start = std::chrono::steady_clock::now();
+    while (output.find("hardware compilation rejected") ==
+               std::string::npos &&
+           std::chrono::steady_clock::now() - start <
+               std::chrono::seconds(60)) {
+        rt.step();
+    }
+    rt.run_for_ticks(300);
+    rt.stop_recording();
+    EXPECT_FALSE(rt.hardware_ready());
+    return output;
+}
+
+/// The error of \p path's one compile.rejected event ("" if none).
+std::string
+rejection_error(const std::string& path)
+{
+    ReplayLog log;
+    std::string err;
+    EXPECT_TRUE(load_journal(path, &log, &err)) << err;
+    std::string error;
+    for (const ReplayLogEvent& ev : log.events) {
+        if (ev.type == "compile.rejected") {
+            EXPECT_TRUE(error.empty()) << "more than one rejection";
+            error = ev.data.get_str("error");
+        }
+    }
+    return error;
+}
+
+/// Replays \p path twice on the exclusive device, re-recording each run:
+/// both replay ok, the recorded rejection recurs, and the two
+/// re-recordings are byte-identical.
+void
+expect_rejection_replays(const std::string& path)
+{
+    std::string journals[2];
+    for (int i = 0; i < 2; ++i) {
+        const std::string rerecord = path + ".replay" + std::to_string(i);
+        ReplayOptions ropts;
+        ropts.record_path = rerecord;
+        const ReplayReport report = replay_journal(path, ropts);
+        EXPECT_TRUE(report.ok) << report.summary();
+        EXPECT_GT(report.outputs_compared, 0u);
+        EXPECT_EQ(rejection_error(rerecord), rejection_error(path));
+        journals[i] = read_file(rerecord);
+        std::filesystem::remove(rerecord);
+    }
+    ASSERT_FALSE(journals[0].empty());
+    EXPECT_EQ(journals[0], journals[1]);
+}
+
+TEST(Replay, FitRejectedExclusiveSessionReplays)
+{
+    const std::string path = temp_path("fit_rejected.jsonl");
+    Runtime::Options opts = hw_fast();
+    opts.device_les = 10; // nothing fits
+    opts.enable_jit = false;
+    {
+        Runtime rt(opts);
+        const std::string output = record_until_rejected(rt, path);
+        EXPECT_NE(output.find("design does not fit"), std::string::npos)
+            << output;
+    }
+    EXPECT_EQ(rejection_error(path).rfind("design does not fit: needs ", 0),
+              0u);
+    expect_rejection_replays(path);
+    std::filesystem::remove(path);
+}
+
+TEST(Replay, QuotaDeniedSharedSessionReplaysOnTheExclusiveDevice)
+{
+    const std::string path = temp_path("quota_denied.jsonl");
+    Runtime::Options opts = hw_fast();
+    opts.tenant_le_quota = 1; // nothing real fits in one LE
+    opts.enable_jit = false;
+    {
+        service::CompileService svc;
+        hypervisor::FabricManager fm;
+        Runtime rt(opts, svc, fm);
+        const std::string output = record_until_rejected(rt, path);
+        EXPECT_NE(output.find("tenant LE quota exceeded"),
+                  std::string::npos)
+            << output;
+        EXPECT_EQ(fm.resident_count(), 0u);
+    }
+    EXPECT_EQ(rejection_error(path).rfind("tenant LE quota exceeded: ", 0),
+              0u);
+    // The replay device has no tenants and no quota: the denial can only
+    // come from the journal.
+    expect_rejection_replays(path);
+    std::filesystem::remove(path);
 }
 
 } // namespace

@@ -189,7 +189,7 @@ TEST(RuntimeExtra, MemoryComponentSurvivesEval)
 
 TEST(RuntimeExtra, DeviceOptionsGateHardwareAdoption)
 {
-    // Options::device_les must actually reach FpgaDevice::program's
+    // Options::device_les must actually reach FpgaDevice::admit's
     // capacity check: on a 10-LE device nothing fits, so the JIT reports
     // the rejection and the program stays in software.
     Runtime::Options opts;
