@@ -1,7 +1,8 @@
 #include "common/diagnostics.h"
 
 #include <cstdlib>
-#include <cstring>
+
+#include "common/json.h"
 
 namespace cascade {
 
@@ -59,37 +60,6 @@ log_level_name(LogLevel level)
     return "?";
 }
 
-namespace {
-
-// Minimal JSON string escaping, duplicated from telemetry to keep common
-// at the bottom of the dependency graph.
-std::string
-log_json_escape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 Logger&
 Logger::instance()
 {
@@ -135,11 +105,13 @@ Logger::write(LogLevel level, const char* component,
     std::lock_guard<std::mutex> lock(mutex_);
     std::FILE* out = stream_ != nullptr ? stream_ : stderr;
     if (json_) {
-        std::fprintf(out,
-                     "{\"log\":\"cascade\",\"level\":\"%s\","
-                     "\"component\":\"%s\",\"msg\":\"%s\"}\n",
-                     log_level_name(level), component,
-                     log_json_escape(message).c_str());
+        const std::string line = JsonWriter()
+                                     .str("log", "cascade")
+                                     .str("level", log_level_name(level))
+                                     .str("component", component)
+                                     .str("msg", message)
+                                     .build();
+        std::fprintf(out, "%s\n", line.c_str());
     } else {
         std::fprintf(out, "cascade[%s] %s: %s\n", log_level_name(level),
                      component, message.c_str());

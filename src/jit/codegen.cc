@@ -655,8 +655,11 @@ generate_units(const Netlist& nl)
          << " clocks=" << clocks.size() << " tables=" << tab.table.size()
          << " tabulated=" << tab.dropped << "\n"
          << "#define JIT_MAXW " << L.maxw << "\n"
-         << "\n#include <cstdint>\n\ntypedef uint64_t u64;\n"
-            "typedef uint32_t u32;\n\nnamespace {\n\n";
+         // The compiler's own width macros instead of <cstdint>, whose
+         // parse cost is paid by every unit; they name the same types.
+         << "\ntypedef __UINT64_TYPE__ u64;\n"
+            "typedef __UINT32_TYPE__ u32;\n"
+            "typedef __INT64_TYPE__ int64_t;\n\nnamespace {\n\n";
     std::ostringstream state;
     state << "\n} // namespace\n"
           << "\nstruct State {\n"

@@ -10,7 +10,6 @@
 
 namespace cascade::runtime {
 
-using telemetry::JsonWriter;
 
 namespace {
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "telemetry/journal.h"
+#include "common/json.h"
 
 namespace cascade::runtime {
 
@@ -201,30 +201,23 @@ std::string
 Debugger::json(bool halted, bool hw_armed) const
 {
     const auto points = this->points();
-    telemetry::JsonWriter w;
-    w.str("schema", "cascade.debug.v1");
-    w.boolean("halted", halted);
-    w.boolean("hw_armed", hw_armed);
-    w.num("fires", total_fires());
-    w.num("points", points.size());
-    std::string items = "[";
+    JsonWriter w;
+    w.str("schema", "cascade.debug.v1")
+        .boolean("halted", halted)
+        .boolean("hw_armed", hw_armed)
+        .num("fires", total_fires())
+        .num("points", points.size())
+        .array("table");
     for (const auto& p : points) {
-        telemetry::JsonWriter pw;
-        pw.num("id", p.id);
-        pw.str("kind", p.kind == Kind::Watch ? "watch" : "break");
-        pw.str("signal", p.signal);
+        w.object()
+            .num("id", p.id)
+            .str("kind", p.kind == Kind::Watch ? "watch" : "break")
+            .str("signal", p.signal);
         if (p.kind == Kind::Break) {
-            pw.str("op", p.op);
-            pw.str("value", p.value.to_dec_string());
+            w.str("op", p.op).str("value", p.value.to_dec_string());
         }
-        pw.num("hits", p.hits);
-        if (items.size() > 1) {
-            items += ",";
-        }
-        items += pw.build();
+        w.num("hits", p.hits).end();
     }
-    items += "]";
-    w.raw("table", items);
     return w.build();
 }
 

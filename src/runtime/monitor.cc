@@ -88,7 +88,7 @@ Monitor::sample(bool resident)
     }
     slo_.record_ticks_per_s(wall, tenant_label_, ticks_per_s);
     slo_.tick(wall, [this](const telemetry::SloTracker::Objective& o) {
-        telemetry::JsonWriter w;
+        JsonWriter w;
         w.str("objective", o.name);
         if (!o.tenant.empty()) {
             w.str("tenant", o.tenant);
@@ -138,7 +138,7 @@ Monitor::start(uint16_t port, std::string* err)
                     [this] { return slo_json(); });
     server_->handle("/healthz", "application/json", [this] {
         const bool breached = slo_breached();
-        return telemetry::JsonWriter()
+        return JsonWriter()
                    .str("status", breached ? "breached" : "ok")
                    .boolean("breached", breached)
                    .build() +

@@ -47,7 +47,7 @@ class Monitor {
         telemetry::Journal& journal;
         const std::atomic<bool>& halted;
         std::function<std::string()> debug_json;
-        std::function<void(const telemetry::JsonWriter&)> emit_breach;
+        std::function<void(const JsonWriter&)> emit_breach;
     };
 
     /// Samples every \p timeseries_interval_s wall seconds (<= 0 disables

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/json.h"
 #include "runtime/sw_engine.h"
-#include "telemetry/journal.h"
-#include "telemetry/telemetry.h"
 
 namespace cascade::runtime {
-
-using telemetry::json_escape;
 
 void
 Profiler::merge(const std::string& instance, const Engine& engine,
@@ -126,33 +123,30 @@ std::string
 Profiler::profile_json() const
 {
     const Live live = live_();
-    std::string rows;
-    for (const ProfileEntry& e : entries(live)) {
-        std::string triggers;
-        for (const std::string& t : e.triggers) {
-            triggers += triggers.empty() ? "\"" : ",\"";
-            triggers += json_escape(t) + '"';
-        }
-        rows += rows.empty() ? "" : ",";
-        rows += telemetry::JsonWriter()
-                    .str("instance", e.instance)
-                    .str("kind", e.kind)
-                    .str("label", e.label)
-                    .str("key", e.key)
-                    .raw("triggers", '[' + triggers + ']')
-                    .num("sw_triggers", e.sw_triggers)
-                    .num("hw_triggers", e.hw_triggers)
-                    .num("total_triggers", e.total_triggers())
-                    .num("eval_ns", e.eval_ns)
-                    .build();
-    }
-    return telemetry::JsonWriter()
-        .str("schema", "cascade.profile.v1")
+    JsonWriter w;
+    w.str("schema", "cascade.profile.v1")
         .boolean("profiling", live.profiling)
         .str("location", live.location)
         .num("virtual_ticks", live.virtual_ticks)
-        .raw("entries", '[' + rows + ']')
-        .build();
+        .array("entries");
+    for (const ProfileEntry& e : entries(live)) {
+        w.object()
+            .str("instance", e.instance)
+            .str("kind", e.kind)
+            .str("label", e.label)
+            .str("key", e.key)
+            .array("triggers");
+        for (const std::string& t : e.triggers) {
+            w.str(t);
+        }
+        w.end()
+            .num("sw_triggers", e.sw_triggers)
+            .num("hw_triggers", e.hw_triggers)
+            .num("total_triggers", e.total_triggers())
+            .num("eval_ns", e.eval_ns)
+            .end();
+    }
+    return w.build();
 }
 
 std::string

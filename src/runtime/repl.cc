@@ -384,7 +384,7 @@ bool
 Repl::feed(const std::string& text)
 {
     runtime_->emit(EventKind::ReplInput,
-                   telemetry::JsonWriter().str("text", text));
+                   JsonWriter().str("text", text));
     // Meta-commands are line-oriented and only recognized when no Verilog
     // is being accumulated (':' cannot start a Verilog item).
     if (buffer_.find_first_not_of(" \t\r\n") == std::string::npos) {

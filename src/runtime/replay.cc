@@ -373,8 +373,8 @@ replay_into(Runtime* rt, const ReplayLog& log, const ReplayOptions& opts)
                 report.divergence_type = t;
                 report.expected = t + " " + ev.data_raw;
                 report.actual =
-                    t + " {\"value\":" + std::to_string(led.to_uint64()) +
-                    "}";
+                    t + " " +
+                    JsonWriter().num("value", led.to_uint64()).build();
             }
         } else if (t == "api.vcd") {
             rt->vcd_open(ev.data.get_str("path"));

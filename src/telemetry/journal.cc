@@ -12,7 +12,6 @@
 #include <mutex>
 
 #include "common/check.h"
-#include "telemetry/telemetry.h"
 
 namespace cascade::telemetry {
 
@@ -36,71 +35,26 @@ digest_hex(std::string_view data)
     return buf;
 }
 
-// ---------------------------------------------------------------------------
-// JsonWriter
+namespace {
+
+/// The first line of a journal file.
+std::string
+schema_line(const std::string& header_json)
+{
+    return JsonWriter()
+        .str("schema", "cascade.events.v1")
+        .raw("header", header_json.empty() ? "{}" : header_json)
+        .build();
+}
 
 void
-JsonWriter::key(const char* k)
+write_line(std::FILE* f, const std::string& line)
 {
-    if (!body_.empty()) {
-        body_ += ',';
-    }
-    body_ += '"';
-    body_ += k;
-    body_ += "\":";
+    std::fwrite(line.data(), 1, line.size(), f);
+    std::fputc('\n', f);
 }
 
-JsonWriter&
-JsonWriter::str(const char* k, std::string_view value)
-{
-    key(k);
-    body_ += '"';
-    body_ += json_escape(std::string(value));
-    body_ += '"';
-    return *this;
-}
-
-JsonWriter&
-JsonWriter::num(const char* k, uint64_t value)
-{
-    key(k);
-    body_ += std::to_string(value);
-    return *this;
-}
-
-JsonWriter&
-JsonWriter::num_signed(const char* k, int64_t value)
-{
-    key(k);
-    body_ += std::to_string(value);
-    return *this;
-}
-
-JsonWriter&
-JsonWriter::dbl(const char* k, double value)
-{
-    key(k);
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    body_ += buf;
-    return *this;
-}
-
-JsonWriter&
-JsonWriter::boolean(const char* k, bool value)
-{
-    key(k);
-    body_ += value ? "true" : "false";
-    return *this;
-}
-
-JsonWriter&
-JsonWriter::raw(const char* k, std::string_view json)
-{
-    key(k);
-    body_ += json;
-    return *this;
-}
+} // namespace
 
 // ---------------------------------------------------------------------------
 // JSON parser
@@ -443,9 +397,7 @@ Journal::record(const char* type, std::string data)
         next_ = (next_ + 1) % ring_capacity_;
         count_ = ring_.size();
         if (file_ != nullptr) {
-            const std::string line = event_json(event);
-            std::fwrite(line.data(), 1, line.size(), file_);
-            std::fputc('\n', file_);
+            write_line(file_, event_json(event));
         }
         observer = observer_;
         if (!taps_.empty()) {
@@ -484,8 +436,7 @@ Journal::start_file(const std::string& path, const std::string& header_json,
         }
         return false;
     }
-    std::fprintf(f, "{\"schema\":\"cascade.events.v1\",\"header\":%s}\n",
-                 header_json.empty() ? "{}" : header_json.c_str());
+    write_line(f, schema_line(header_json));
     file_ = f;
     path_ = path;
     return true;
@@ -520,12 +471,9 @@ Journal::write_ring(const std::string& path, const std::string& header_json,
         }
         return false;
     }
-    std::fprintf(f, "{\"schema\":\"cascade.events.v1\",\"header\":%s}\n",
-                 header_json.empty() ? "{}" : header_json.c_str());
+    write_line(f, schema_line(header_json));
     for (const Event& event : ring()) {
-        const std::string line = event_json(event);
-        std::fwrite(line.data(), 1, line.size(), f);
-        std::fputc('\n', f);
+        write_line(f, event_json(event));
     }
     std::fclose(f);
     return true;
@@ -578,17 +526,11 @@ Journal::ring() const
 std::string
 Journal::ring_json() const
 {
-    std::string out = "[";
-    bool first = true;
+    JsonWriter w(JsonWriter::Root::Array);
     for (const Event& event : ring()) {
-        if (!first) {
-            out += ',';
-        }
-        first = false;
-        out += event_json(event);
+        w.raw(event_json(event));
     }
-    out += ']';
-    return out;
+    return w.build();
 }
 
 uint64_t
@@ -604,26 +546,16 @@ Journal::event_json(const Event& event)
     // This exact shape ("data" last, payload verbatim) is relied upon by
     // replay's loader, which compares the raw payload text of recorded
     // vs. re-executed events.
-    std::string out = "{\"seq\":";
-    out += std::to_string(event.seq);
-    out += ",\"vt\":";
-    out += std::to_string(event.vt);
-    out += ",\"type\":\"";
-    out += json_escape(event.type);
-    out += "\",";
+    JsonWriter w;
+    w.num("seq", event.seq).num("vt", event.vt).str("type", event.type);
     // Shared-mode attribution tag; omitted entirely at tenant 0 so
     // exclusive-session journals are byte-identical to pre-tag ones.
     // Placed before "data" — replay's loader extracts the payload as
     // everything from the final "data": key, and must not see it.
     if (event.tenant != 0) {
-        out += "\"tenant\":";
-        out += std::to_string(event.tenant);
-        out += ',';
+        w.num("tenant", event.tenant);
     }
-    out += "\"data\":";
-    out += event.data.empty() ? "{}" : event.data;
-    out += '}';
-    return out;
+    return w.raw("data", event.data.empty() ? "{}" : event.data).build();
 }
 
 // ---------------------------------------------------------------------------
@@ -739,40 +671,30 @@ BlackBox::remove_source(int id)
 std::string
 BlackBox::dump_json(const std::string& reason) const
 {
-    std::string out = "{\"schema\":\"cascade.crash.v1\",\"reason\":\"";
-    out += json_escape(reason);
-    out += "\",\"pid\":";
-    out += std::to_string(static_cast<long>(::getpid()));
-    out += ",\"sources\":[";
+    JsonWriter w;
+    w.str("schema", "cascade.crash.v1")
+        .str("reason", reason)
+        .num_signed("pid", ::getpid())
+        .array("sources");
     // Best-effort locking: if the crash happened while the registry lock
     // was held we still want the dump, at the cost of a racy read.
     const bool locked = mutex_.try_lock();
-    bool first = true;
     for (const Source& source : sources_) {
-        if (!first) {
-            out += ',';
-        }
-        first = false;
-        out += "{\"name\":\"";
-        out += json_escape(source.name);
-        out += "\",\"data\":";
         std::string data;
         try {
             data = source.provider();
         } catch (...) {
             data.clear();
         }
-        if (data.empty()) {
-            data = "null";
-        }
-        out += data;
-        out += '}';
+        w.object()
+            .str("name", source.name)
+            .raw("data", data.empty() ? "null" : data)
+            .end();
     }
     if (locked) {
         mutex_.unlock();
     }
-    out += "]}";
-    return out;
+    return w.build();
 }
 
 std::string

@@ -31,6 +31,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/json.h"
 #include "telemetry/sync.h"
 
 namespace cascade::telemetry {
@@ -40,29 +41,6 @@ namespace cascade::telemetry {
 uint64_t fnv1a64(std::string_view data);
 /// fnv1a64 rendered as 16 lowercase hex digits.
 std::string digest_hex(std::string_view data);
-
-/// Incremental builder for one JSON object with insertion-ordered keys.
-/// Event payloads must be built with this (or be byte-stable some other
-/// way): replay compares the raw payload text of recorded vs. re-executed
-/// events, so the serialization itself is part of the schema.
-class JsonWriter {
-  public:
-    JsonWriter& str(const char* key, std::string_view value);
-    JsonWriter& num(const char* key, uint64_t value);
-    JsonWriter& num_signed(const char* key, int64_t value);
-    /// Doubles print with %.17g: enough digits that a parse -> re-print
-    /// round trip is exact (options headers survive replay re-recording).
-    JsonWriter& dbl(const char* key, double value);
-    JsonWriter& boolean(const char* key, bool value);
-    /// Pre-serialized JSON (objects/arrays) embedded verbatim.
-    JsonWriter& raw(const char* key, std::string_view json);
-
-    std::string build() const { return body_.empty() ? "{}" : '{' + body_ + '}'; }
-
-  private:
-    void key(const char* k);
-    std::string body_;
-};
 
 /// A parsed JSON value (what load_journal and tests read journals back
 /// with). Minimal by design: objects keep insertion order, integers that

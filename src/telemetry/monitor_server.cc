@@ -14,6 +14,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/json.h"
+
 namespace cascade::telemetry {
 
 namespace {
@@ -409,8 +411,8 @@ MonitorServer::flush_stream(Client& client)
     // front, since on_event drops oldest-first).
     while (!client.queue.empty() && client.out.size() < 64 * 1024) {
         if (client.dropped != 0) {
-            client.out +=
-                "{\"dropped\":" + std::to_string(client.dropped) + "}\n";
+            client.out += JsonWriter().num("dropped", client.dropped).build();
+            client.out += '\n';
             client.dropped = 0;
         }
         client.out += client.queue.front();

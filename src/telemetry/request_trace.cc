@@ -4,39 +4,41 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/json.h"
+
 namespace cascade::telemetry {
 
 namespace {
 
-/// One request as a JSON object (shared by json() and ndjson()).
-std::string
-request_json(const RequestRecord& r)
+/// Writes one request's members into the open object \p w (shared by
+/// json() and ndjson()).
+JsonWriter&
+request_members(JsonWriter& w, const RequestRecord& r)
 {
-    char buf[128];
-    std::string out = "{\"id\":" + std::to_string(r.id) + ",\"kind\":\"" +
-                      r.kind + "\",\"version\":" +
-                      std::to_string(r.version) +
-                      ",\"tenant\":" + std::to_string(r.tenant);
-    out += ",\"done\":";
-    out += r.done ? "true" : "false";
-    out += ",\"ok\":";
-    out += r.ok ? "true" : "false";
-    out += ",\"cache_hit\":";
-    out += r.cache_hit ? "true" : "false";
-    std::snprintf(buf, sizeof buf, ",\"start_us\":%.3f,\"total_us\":%.3f",
-                  r.start_us, r.done ? r.total_us() : 0.0);
-    out += buf;
-    out += ",\"segments\":[";
-    for (size_t i = 0; i < r.segments.size(); ++i) {
-        if (i != 0) {
-            out += ',';
-        }
-        std::snprintf(buf, sizeof buf, "{\"name\":\"%s\",\"us\":%.3f}",
-                      r.segments[i].name, r.segments[i].dur_us);
-        out += buf;
+    w.num("id", r.id)
+        .str("kind", r.kind)
+        .num("version", r.version)
+        .num("tenant", r.tenant)
+        .boolean("done", r.done)
+        .boolean("ok", r.ok)
+        .boolean("cache_hit", r.cache_hit)
+        .dbl("start_us", r.start_us, JsonDouble::Fixed3)
+        .dbl("total_us", r.done ? r.total_us() : 0.0, JsonDouble::Fixed3)
+        .array("segments");
+    for (const RequestSegment& seg : r.segments) {
+        w.object()
+            .str("name", seg.name)
+            .dbl("us", seg.dur_us, JsonDouble::Fixed3)
+            .end();
     }
-    out += "]}";
-    return out;
+    return w.end();
+}
+
+std::string
+request_line(const RequestRecord& r)
+{
+    JsonWriter w;
+    return request_members(w, r).build() + '\n';
 }
 
 } // namespace
@@ -225,33 +227,23 @@ RequestTracker::completed_total() const
 std::string
 RequestTracker::json() const
 {
-    std::string out = "{\"schema\":\"cascade.requests.v1\"";
+    JsonWriter w;
+    w.str("schema", "cascade.requests.v1");
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        out += ",\"completed\":" + std::to_string(completed_) +
-               ",\"open\":" + std::to_string(open_.size());
+        w.num("completed", completed_).num("open", open_.size());
     }
-    out += ",\"requests\":[";
-    bool first = true;
+    w.array("requests");
     for (const RequestRecord& r : recent()) {
-        if (!first) {
-            out += ',';
-        }
-        first = false;
-        out += request_json(r);
+        request_members(w.object(), r).end();
     }
     {
         std::lock_guard<std::mutex> lock(mutex_);
         for (const RequestRecord& r : open_) {
-            if (!first) {
-                out += ',';
-            }
-            first = false;
-            out += request_json(r);
+            request_members(w.object(), r).end();
         }
     }
-    out += "]}\n";
-    return out;
+    return w.build() + '\n';
 }
 
 std::string
@@ -259,13 +251,11 @@ RequestTracker::ndjson() const
 {
     std::string out;
     for (const RequestRecord& r : recent()) {
-        out += request_json(r);
-        out += '\n';
+        out += request_line(r);
     }
     std::lock_guard<std::mutex> lock(mutex_);
     for (const RequestRecord& r : open_) {
-        out += request_json(r);
-        out += '\n';
+        out += request_line(r);
     }
     return out;
 }

@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/json.h"
 #include "telemetry/trace.h"
 
 namespace cascade::telemetry {
@@ -177,51 +178,38 @@ SyncRegistry::contention_json() const
     const std::vector<BlockedEdge> edges = blocked_edges();
     const std::map<uint64_t, uint64_t> waits = tenant_waits();
 
-    std::string out = "{\"schema\":\"cascade.contention.v1\",\"sites\":[";
-    bool first = true;
+    JsonWriter w;
+    w.str("schema", "cascade.contention.v1").array("sites");
     for (const SiteSnapshot& s : sites) {
-        if (!first) {
-            out += ",";
-        }
-        first = false;
-        out += "{\"name\":\"" + json_escape(s.name) + "\",\"kind\":\"" +
-               json_escape(s.kind) + "\"";
-        out += ",\"acquisitions\":" + std::to_string(s.acquisitions);
-        out += ",\"contended\":" + std::to_string(s.contended);
-        out += ",\"wait_sum_ns\":" + std::to_string(s.wait_sum_ns);
-        out += ",\"wait_max_ns\":" + std::to_string(s.wait_max_ns);
-        out += ",\"wait_p50_ns\":" + std::to_string(s.wait_p50_ns);
-        out += ",\"wait_p99_ns\":" + std::to_string(s.wait_p99_ns);
-        out += ",\"hold_sum_ns\":" + std::to_string(s.hold_sum_ns);
-        out += ",\"hold_max_ns\":" + std::to_string(s.hold_max_ns);
-        out += ",\"tenant_wait_ns\":" + std::to_string(s.tenant_wait_ns);
-        out += "}";
+        w.object()
+            .str("name", s.name)
+            .str("kind", s.kind)
+            .num("acquisitions", s.acquisitions)
+            .num("contended", s.contended)
+            .num("wait_sum_ns", s.wait_sum_ns)
+            .num("wait_max_ns", s.wait_max_ns)
+            .num("wait_p50_ns", s.wait_p50_ns)
+            .num("wait_p99_ns", s.wait_p99_ns)
+            .num("hold_sum_ns", s.hold_sum_ns)
+            .num("hold_max_ns", s.hold_max_ns)
+            .num("tenant_wait_ns", s.tenant_wait_ns)
+            .end();
     }
-    out += "],\"blocked_on\":[";
-    first = true;
+    w.end().array("blocked_on");
     for (const BlockedEdge& e : edges) {
-        if (!first) {
-            out += ",";
-        }
-        first = false;
-        out += "{\"site\":\"" + json_escape(e.site) + "\"";
-        out += ",\"waiter\":" + std::to_string(e.waiter);
-        out += ",\"holder\":" + std::to_string(e.holder);
-        out += ",\"count\":" + std::to_string(e.count);
-        out += ",\"wait_ns\":" + std::to_string(e.wait_ns);
-        out += "}";
+        w.object()
+            .str("site", e.site)
+            .num("waiter", e.waiter)
+            .num("holder", e.holder)
+            .num("count", e.count)
+            .num("wait_ns", e.wait_ns)
+            .end();
     }
-    out += "],\"tenant_wait_ns\":{";
-    first = true;
+    w.end().object("tenant_wait_ns");
     for (const auto& [tenant, ns] : waits) {
-        if (!first) {
-            out += ",";
-        }
-        first = false;
-        out += "\"" + std::to_string(tenant) + "\":" + std::to_string(ns);
+        w.key(std::to_string(tenant)).num(ns);
     }
-    out += "}}";
-    return out;
+    return w.build();
 }
 
 std::string

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/json.h"
+
 namespace cascade::telemetry {
 
 namespace {
@@ -32,14 +34,6 @@ atomic_max(std::atomic<uint64_t>& slot, uint64_t v)
     while (v > cur && !slot.compare_exchange_weak(
                           cur, v, std::memory_order_relaxed)) {
     }
-}
-
-std::string
-format_double(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    return buf;
 }
 
 } // namespace
@@ -256,71 +250,34 @@ std::string
 Registry::json() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::string out = "{\"counters\":{";
-    bool first = true;
+    JsonWriter w;
+    w.object("counters");
     for (const auto& [name, c] : counters_) {
-        if (!first) {
-            out += ',';
-        }
-        first = false;
-        out += '"' + json_escape(name) +
-               "\":" + std::to_string(c->value());
+        w.key(name).num(c->value());
     }
-    out += "},\"gauges\":{";
-    first = true;
+    w.end().object("gauges");
     for (const auto& [name, g] : gauges_) {
-        if (!first) {
-            out += ',';
-        }
-        first = false;
-        out += '"' + json_escape(name) +
-               "\":{\"value\":" + std::to_string(g->value()) +
-               ",\"high_water\":" + std::to_string(g->high_water()) + '}';
+        w.key(name)
+            .object()
+            .num_signed("value", g->value())
+            .num_signed("high_water", g->high_water())
+            .end();
     }
-    out += "},\"histograms\":{";
-    first = true;
+    w.end().object("histograms");
     for (const auto& [name, h] : histograms_) {
-        if (!first) {
-            out += ',';
-        }
-        first = false;
-        out += '"' + json_escape(name) +
-               "\":{\"count\":" + std::to_string(h->count()) +
-               ",\"sum\":" + std::to_string(h->sum()) +
-               ",\"min\":" + std::to_string(h->min()) +
-               ",\"max\":" + std::to_string(h->max()) +
-               ",\"mean\":" + format_double(h->mean()) +
-               ",\"p50\":" + std::to_string(h->quantile(0.5)) +
-               ",\"p90\":" + std::to_string(h->quantile(0.9)) +
-               ",\"p99\":" + std::to_string(h->quantile(0.99)) + '}';
+        w.key(name)
+            .object()
+            .num("count", h->count())
+            .num("sum", h->sum())
+            .num("min", h->min())
+            .num("max", h->max())
+            .dbl("mean", h->mean(), JsonDouble::G6)
+            .num("p50", h->quantile(0.5))
+            .num("p90", h->quantile(0.9))
+            .num("p99", h->quantile(0.99))
+            .end();
     }
-    out += "}}";
-    return out;
-}
-
-std::string
-json_escape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
+    return w.build();
 }
 
 } // namespace cascade::telemetry

@@ -195,9 +195,6 @@ class Registry {
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
-/// Escapes a string for embedding in JSON (quotes not included).
-std::string json_escape(const std::string& s);
-
 } // namespace cascade::telemetry
 
 #endif // CASCADE_TELEMETRY_TELEMETRY_H

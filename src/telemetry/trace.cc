@@ -1,10 +1,10 @@
 #include "telemetry/trace.h"
 
 #include <atomic>
-#include <cstdio>
 #include <fstream>
 #include <set>
 
+#include "common/json.h"
 #include "telemetry/sync.h"
 
 namespace cascade::telemetry {
@@ -200,9 +200,8 @@ std::string
 Tracer::chrome_json() const
 {
     const std::vector<TraceEvent> evs = events();
-    std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    char buf[256];
-    bool first = true;
+    JsonWriter w;
+    w.str("displayTimeUnit", "ms").array("traceEvents");
     // Tenant lanes: tenant N exports as pid 1+N so a multi-tenant run
     // renders as one swimlane per tenant. pid 1 (tenant 0 / exclusive
     // mode) is unchanged and gets no metadata, preserving the legacy
@@ -214,50 +213,42 @@ Tracer::chrome_json() const
         }
     }
     for (const uint64_t t : tenants) {
-        if (!first) {
-            out += ',';
-        }
-        first = false;
-        out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
-               std::to_string(1 + t) +
-               ",\"args\":{\"name\":\"tenant " + std::to_string(t) +
-               "\"}}";
+        w.object()
+            .str("name", "process_name")
+            .str("ph", "M")
+            .num("pid", 1 + t)
+            .object("args")
+            .str("name", "tenant " + std::to_string(t))
+            .end()
+            .end();
     }
     for (const TraceEvent& e : evs) {
-        if (!first) {
-            out += ',';
-        }
-        first = false;
-        out += "{\"name\":\"" + json_escape(e.name) +
-               "\",\"cat\":\"cascade\",\"pid\":" +
-               std::to_string(1 + e.tenant) +
-               ",\"tid\":" + std::to_string(e.tid);
-        std::snprintf(buf, sizeof buf, ",\"ts\":%.3f", e.ts_us);
-        out += buf;
+        w.object()
+            .str("name", e.name)
+            .str("cat", "cascade")
+            .num("pid", 1 + e.tenant)
+            .num("tid", e.tid)
+            .dbl("ts", e.ts_us, JsonDouble::Fixed3);
         if (e.flow_phase != 0) {
             // Flow arrow anchor: binds to the slice enclosing ts on this
             // thread; "bp":"e" makes the finish bind to the enclosing
             // slice rather than the next one.
-            out += ",\"ph\":\"";
-            out += e.flow_phase;
-            out += "\",\"id\":" + std::to_string(e.flow_id);
+            w.str("ph", std::string_view(&e.flow_phase, 1))
+                .num("id", e.flow_id);
             if (e.flow_phase == 'f') {
-                out += ",\"bp\":\"e\"";
+                w.str("bp", "e");
             }
         } else if (e.instant) {
-            out += ",\"ph\":\"i\",\"s\":\"t\"";
+            w.str("ph", "i").str("s", "t");
         } else {
-            std::snprintf(buf, sizeof buf, ",\"ph\":\"X\",\"dur\":%.3f",
-                          e.dur_us);
-            out += buf;
+            w.str("ph", "X").dbl("dur", e.dur_us, JsonDouble::Fixed3);
         }
         if (e.has_arg) {
-            out += ",\"args\":{\"value\":" + std::to_string(e.arg) + '}';
+            w.object("args").num("value", e.arg).end();
         }
-        out += '}';
+        w.end();
     }
-    out += "]}";
-    return out;
+    return w.build();
 }
 
 bool

@@ -699,5 +699,24 @@ TEST(Debugger, HaltedGaugeAppearsInTimeseries)
     std::filesystem::remove(win_path);
 }
 
+TEST(Debugger, JsonExactBytes)
+{
+    // The point table in id order: breaks carry op and decimal value,
+    // watches do not; names are escaped.
+    Debugger d;
+    d.add_break("cnt", ">=", BitVector(8, 3));
+    d.add_watch("h \"q\"");
+    d.note_fire(1);
+    EXPECT_EQ(d.json(true, false),
+              R"({"schema":"cascade.debug.v1","halted":true,)"
+              R"("hw_armed":false,"fires":1,"points":2,"table":[{"id":1,)"
+              R"("kind":"break","signal":"cnt","op":">=","value":"3",)"
+              R"("hits":1},{"id":2,"kind":"watch","signal":"h \"q\"",)"
+              R"("hits":0}]})");
+    EXPECT_EQ(Debugger().json(false, true),
+              R"({"schema":"cascade.debug.v1","halted":false,)"
+              R"("hw_armed":true,"fires":0,"points":0,"table":[]})");
+}
+
 } // namespace
 } // namespace cascade::runtime

@@ -360,5 +360,52 @@ TEST(SloTracker, FeedsStayBoundedUnderFlood)
     EXPECT_FALSE(status.breached);
 }
 
+TEST(TimeSeries, JsonExactBytes)
+{
+    // Compaction (capacity 4) and the provisional trailing point both
+    // render; values print with %.6g and names are escaped.
+    TimeSeries ts(4);
+    for (int i = 0; i < 5; ++i) {
+        ts.sample("b", 0.1 * i, 1.0 / 3 + i);
+    }
+    ts.sample("a\"q", 1.5, 1e-7);
+    EXPECT_EQ(ts.json(),
+              R"({"schema":"cascade.timeseries.v1","capacity":4,)"
+              R"("series":{"a\"q":{"stride":1,"points":[[1.5,1e-07]]},)"
+              R"("b":{"stride":2,"points":[[0.05,0.833333],[0.25,)"
+              R"(2.83333],[0.4,4.33333]]}}})");
+    EXPECT_EQ(TimeSeries(8).json(),
+              R"({"schema":"cascade.timeseries.v1","capacity":8,)"
+              R"("series":{}})");
+}
+
+TEST(SloTracker, JsonExactBytes)
+{
+    SloTracker::Config cfg;
+    cfg.window_s = 30;
+    cfg.max_cold_compile_p99_s = 0.5;
+    cfg.min_ticks_per_s = 1000;
+    SloTracker slo(cfg);
+    slo.record_cold_compile(1.0, 0.75);
+    slo.record_ticks_per_s(1.0, "2", 500.0);
+    slo.record_ticks_per_s(1.5, "t\"3", 2500.5);
+    slo.tick(2.0, [](const SloTracker::Objective&) {});
+    EXPECT_EQ(slo.json(2.0),
+              R"({"schema":"cascade.slo.v1","breached":true,)"
+              R"("window_s":30,)"
+              R"("objectives":[{"name":"cold_compile_p99_s",)"
+              R"("observed":0.75,"threshold":0.5,"bound":"upper",)"
+              R"("samples":1,"breached":true,"breaches":1},)"
+              R"({"name":"min_ticks_per_s","tenant":"2","observed":500,)"
+              R"("threshold":1000,"bound":"lower","samples":1,)"
+              R"("breached":true,"breaches":1},{"name":"min_ticks_per_s",)"
+              R"("tenant":"t\"3","observed":2500.5,"threshold":1000,)"
+              R"("bound":"lower","samples":1,"breached":false,)"
+              R"("breaches":0}]})");
+    EXPECT_EQ(SloTracker(SloTracker::Config{}).json(0),
+              R"({"schema":"cascade.slo.v1","breached":false,)"
+              R"("window_s":60,"objectives":[]})");
+}
+
 } // namespace
 } // namespace cascade::telemetry

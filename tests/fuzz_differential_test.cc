@@ -166,7 +166,7 @@ prune_repros(telemetry::Journal* journal)
         fs::remove(verilog, ec);
         fs::remove(ring, ec);
         journal->record("repro.pruned",
-                        telemetry::JsonWriter()
+                        JsonWriter()
                             .str("file", verilog.filename().string())
                             .num("kept", kMaxRepros)
                             .build());
@@ -191,7 +191,7 @@ write_repro(uint64_t seed, const std::string& src,
     prune_repros(journal);
     std::string err;
     journal->write_ring(base + ".jsonl",
-                        telemetry::JsonWriter()
+                        JsonWriter()
                             .str("kind", "fuzz_differential")
                             .num("seed", seed)
                             .build(),
@@ -235,7 +235,7 @@ TEST_P(FuzzDifferential, InterpreterMatchesNetlist)
     telemetry::Journal journal(256);
     std::mt19937_64 stim(GetParam() * 977 + 3);
     for (int cycle = 0; cycle < 60; ++cycle) {
-        telemetry::JsonWriter inputs;
+        JsonWriter inputs;
         inputs.num("cycle", static_cast<uint64_t>(cycle));
         for (const char* in : {"a", "b", "c"}) {
             const BitVector v(8, stim());
@@ -259,7 +259,7 @@ TEST_P(FuzzDifferential, InterpreterMatchesNetlist)
                 continue;
             }
             journal.record("fuzz.mismatch",
-                           telemetry::JsonWriter()
+                           JsonWriter()
                                .num("cycle", static_cast<uint64_t>(cycle))
                                .str("output", out)
                                .num("sw", sw.get(out).to_uint64())

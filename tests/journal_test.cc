@@ -509,5 +509,96 @@ TEST(BlackBoxDeathTest, SharedModeCrashCarriesTenantTagsAndTimeseries)
     std::filesystem::remove_all(dir);
 }
 
+TEST(Journal, RingJsonAndWriteRingExactBytes)
+{
+    // The ring in order, tenant tags only on events recorded after
+    // set_tenant, and the file form: schema header line, then one event
+    // per line.
+    Journal j(4);
+    uint64_t now = 5;
+    j.set_clock([&now] { return now; });
+    j.record("api.eval", JsonWriter().str("text", "a\"b\n").build());
+    now = 6;
+    j.record("tick");
+    j.set_tenant(2);
+    j.record("compile.done",
+             JsonWriter().num("version", 3).boolean("ok", true).build());
+    EXPECT_EQ(j.ring_json(),
+              R"([{"seq":1,"vt":5,"type":"api.eval",)"
+              R"("data":{"text":"a\"b\n"}},{"seq":2,"vt":6,"type":"tick",)"
+              R"("data":{}},{"seq":3,"vt":6,"type":"compile.done",)"
+              R"("tenant":2,"data":{"version":3,"ok":true}}])");
+    EXPECT_EQ(Journal().ring_json(),
+              R"([])");
+
+    const std::string path =
+        ::testing::TempDir() + "journal_write_ring.jsonl";
+    ASSERT_TRUE(j.write_ring(path, "{\"k\":1}"));
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    EXPECT_EQ(ss.str(),
+              R"({"schema":"cascade.events.v1","header":{"k":1}})"
+              "\n"
+              R"({"seq":1,"vt":5,"type":"api.eval",)"
+              R"("data":{"text":"a\"b\n"}})"
+              "\n"
+              R"({"seq":2,"vt":6,"type":"tick","data":{}})"
+              "\n"
+              R"({"seq":3,"vt":6,"type":"compile.done","tenant":2,)"
+              R"("data":{"version":3,"ok":true}})"
+              "\n");
+    std::filesystem::remove(path);
+}
+
+TEST(Logger, JsonLineExactBytes)
+{
+    Logger& log = Logger::instance();
+    const LogLevel old_level = log.level();
+    const bool old_json = log.json();
+    std::FILE* capture = std::tmpfile();
+    ASSERT_NE(capture, nullptr);
+    log.set_stream(capture);
+    log.set_level(LogLevel::Info);
+    log.set_json(true);
+    log.write(LogLevel::Warn, "jit", "a \"b\"\n\tc\x01");
+    std::rewind(capture);
+    std::string text;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, capture) != nullptr) {
+        text += buf;
+    }
+    EXPECT_EQ(text,
+              R"({"log":"cascade","level":"warn","component":"jit",)"
+              R"("msg":"a \"b\"\n\tc\u0001"})"
+              "\n");
+    log.set_stream(nullptr);
+    log.set_level(old_level);
+    log.set_json(old_json);
+    std::fclose(capture);
+}
+
+TEST(BlackBox, DumpJsonExactBytes)
+{
+    // Sources in registration order; an empty provider renders null; the
+    // reason and names are escaped.
+    BlackBox& bb = BlackBox::instance();
+    const int first = bb.add_source("first", [] {
+        return std::string("{\"x\":1}");
+    });
+    const int second = bb.add_source("second \"q\"", [] {
+        return std::string();
+    });
+    const std::string dump = bb.dump_json("reason\n1");
+    bb.remove_source(first);
+    bb.remove_source(second);
+    const std::string pid = std::to_string(static_cast<long>(::getpid()));
+    EXPECT_EQ(dump,
+              R"({"schema":"cascade.crash.v1","reason":"reason\n1","pid":)"
+              + pid
+              + R"(,"sources":[{"name":"first","data":{"x":1}},)"
+              R"({"name":"second \"q\"","data":null}]})");
+}
+
 } // namespace
 } // namespace cascade::telemetry

@@ -333,5 +333,30 @@ TEST(Provenance, FabricActivityAggregatesBySource)
     EXPECT_GT(fabric.latch_count("state"), 0u);
 }
 
+TEST(Profile, ProfileJsonExactBytes)
+{
+    // Trigger counts are exact with profiling off (eval_ns stays 0), so
+    // the whole document is fixed for a fixed run.
+    Runtime rt(sw_only());
+    rt.on_output = [](const std::string&) {};
+    ASSERT_TRUE(rt.eval(kCounterDesign));
+    ASSERT_TRUE(rt.eval("reg [7:0] twice = 0;\n"
+                        "always @(cnt) twice = cnt + cnt;\n"));
+    rt.run_for_ticks(5);
+    EXPECT_EQ(rt.profiler().profile_json(),
+              R"j({"schema":"cascade.profile.v1","profiling":false,)j"
+              R"j("location":"Software","virtual_ticks":5,)j"
+              R"j("entries":[{"instance":"root","kind":"comb",)j"
+              R"j("label":"always @(cnt) twice = (cnt + cnt)",)j"
+              R"j("key":"always @(cnt)\n  twice = (cnt + cnt);\n",)j"
+              R"j("triggers":[],"sw_triggers":6,"hw_triggers":0,)j"
+              R"j("total_triggers":6,"eval_ns":0},{"instance":"root",)j"
+              R"j("kind":"seq",)j"
+              R"j("label":"always @(posedge clk_val) cnt <= (cnt + 1)",)j"
+              R"j("key":"always @(posedge clk_val)\n  cnt <= (cnt + 1);\n")j"
+              R"j(,"triggers":["posedge clk_val"],"sw_triggers":5,)j"
+              R"j("hw_triggers":0,"total_triggers":5,"eval_ns":0}]})j");
+}
+
 } // namespace
 } // namespace cascade

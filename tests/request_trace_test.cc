@@ -307,5 +307,53 @@ TEST(RequestTrace, SoftwareEvalRetiresAsSingleSegmentRequest)
     EXPECT_TRUE(saw_failed);
 }
 
+TEST(RequestTrace, JsonAndNdjsonExactBytes)
+{
+    // Finished requests first (oldest first), then open ones; times print
+    // with %.3f, and an open request reports total_us 0.
+    telemetry::RequestTracker tracker;
+    tracker.begin(12, "compile", 2, 5, 10.0);
+    tracker.add_segment(12, "queue", 30.0);
+    tracker.add_segment(12, "synth", 0.0005);
+    tracker.annotate_cache(12, true);
+    tracker.end(12, true, 40.125);
+    tracker.complete(14, "eval", 3, 0, 41.0, 42.5, "eval", false);
+    tracker.begin(13, "interrupt", 3, 5, 50.0);
+    EXPECT_EQ(tracker.json(),
+              R"({"schema":"cascade.requests.v1","completed":2,"open":1,)"
+              R"("requests":[{"id":12,"kind":"compile","version":2,)"
+              R"("tenant":5,"done":true,"ok":true,"cache_hit":true,)"
+              R"("start_us":10.000,"total_us":30.125,)"
+              R"("segments":[{"name":"queue","us":30.000},)"
+              R"({"name":"synth","us":0.001}]},{"id":14,"kind":"eval",)"
+              R"("version":3,"tenant":0,"done":true,"ok":false,)"
+              R"("cache_hit":false,"start_us":41.000,"total_us":1.500,)"
+              R"("segments":[{"name":"eval","us":1.500}]},{"id":13,)"
+              R"("kind":"interrupt","version":3,"tenant":5,"done":false,)"
+              R"("ok":false,"cache_hit":false,"start_us":50.000,)"
+              R"("total_us":0.000,"segments":[]}]})"
+              "\n");
+    EXPECT_EQ(tracker.ndjson(),
+              R"({"id":12,"kind":"compile","version":2,"tenant":5,)"
+              R"("done":true,"ok":true,"cache_hit":true,)"
+              R"("start_us":10.000,"total_us":30.125,)"
+              R"("segments":[{"name":"queue","us":30.000},)"
+              R"({"name":"synth","us":0.001}]})"
+              "\n"
+              R"({"id":14,"kind":"eval","version":3,"tenant":0,)"
+              R"("done":true,"ok":false,"cache_hit":false,)"
+              R"("start_us":41.000,"total_us":1.500,)"
+              R"("segments":[{"name":"eval","us":1.500}]})"
+              "\n"
+              R"({"id":13,"kind":"interrupt","version":3,"tenant":5,)"
+              R"("done":false,"ok":false,"cache_hit":false,)"
+              R"("start_us":50.000,"total_us":0.000,"segments":[]})"
+              "\n");
+    EXPECT_EQ(telemetry::RequestTracker().json(),
+              R"({"schema":"cascade.requests.v1","completed":0,"open":0,)"
+              R"("requests":[]})"
+              "\n");
+}
+
 } // namespace
 } // namespace cascade

@@ -297,5 +297,37 @@ TEST(Sync, BlockedWaitEmitsTracerSpanOnWaiterLane)
     EXPECT_TRUE(found) << "no blocked:test.span event recorded";
 }
 
+TEST(Sync, ContentionJsonExactBytes)
+{
+    // A private registry fed fixed samples: sites rank by tenant wait,
+    // then total wait; names are escaped; tenant ids key the wait map.
+    SyncRegistry reg;
+    SyncSite* a = reg.site("alpha", "mutex");
+    a->acquisitions.inc(5);
+    a->contended.inc(2);
+    a->wait_ns.record(100);
+    a->wait_ns.record(300);
+    a->hold_ns.record(50);
+    a->tenant_wait_ns.store(400);
+    reg.record_blocked(*a, 2, 1, 300);
+    SyncSite* b = reg.site("beta \"cv\"", "cv");
+    b->acquisitions.inc(1);
+    EXPECT_EQ(reg.contention_json(),
+              R"({"schema":"cascade.contention.v1",)"
+              R"("sites":[{"name":"alpha","kind":"mutex",)"
+              R"("acquisitions":5,"contended":2,"wait_sum_ns":400,)"
+              R"("wait_max_ns":300,"wait_p50_ns":300,"wait_p99_ns":300,)"
+              R"("hold_sum_ns":50,"hold_max_ns":50,"tenant_wait_ns":400},)"
+              R"({"name":"beta \"cv\"","kind":"cv","acquisitions":1,)"
+              R"("contended":0,"wait_sum_ns":0,"wait_max_ns":0,)"
+              R"("wait_p50_ns":0,"wait_p99_ns":0,"hold_sum_ns":0,)"
+              R"("hold_max_ns":0,"tenant_wait_ns":0}],)"
+              R"("blocked_on":[{"site":"alpha","waiter":2,"holder":1,)"
+              R"("count":1,"wait_ns":300}],"tenant_wait_ns":{"2":300}})");
+    EXPECT_EQ(SyncRegistry().contention_json(),
+              R"({"schema":"cascade.contention.v1","sites":[],)"
+              R"("blocked_on":[],"tenant_wait_ns":{}})");
+}
+
 } // namespace
 } // namespace cascade::telemetry

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
+
 namespace cascade::telemetry {
 namespace {
 
@@ -470,6 +472,63 @@ TEST(Telemetry, JsonEscape)
 {
     EXPECT_EQ(json_escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
     EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+}
+
+TEST(Telemetry, RegistryJsonExactBytes)
+{
+    // Exact bytes for fixed inputs: names are escaped, gauges carry their
+    // high-water mark, histogram means print with %.6g.
+    Registry r;
+    r.counter("b.count")->inc(3);
+    r.counter("a \"quoted\"")->inc(1);
+    Gauge* g = r.gauge("depth");
+    g->set(5);
+    g->set(-2);
+    Histogram* h = r.histogram("lat_ns");
+    h->record(1);
+    h->record(2);
+    h->record(10);
+    EXPECT_EQ(r.json(),
+              R"({"counters":{"a \"quoted\"":1,"b.count":3},)"
+              R"("gauges":{"depth":{"value":-2,"high_water":5}},)"
+              R"("histograms":{"lat_ns":{"count":3,"sum":13,"min":1,)"
+              R"("max":10,"mean":4.33333,"p50":2,"p90":10,"p99":10}}})");
+    EXPECT_EQ(Registry().json(),
+              R"({"counters":{},"gauges":{},"histograms":{}})");
+}
+
+TEST(Telemetry, ChromeTraceJsonExactBytesWithLanesFlowsAndArgs)
+{
+    // Tenant lanes get process_name metadata first; flows carry their
+    // phase and id ('f' binds to the enclosing slice); args.value rides
+    // on the arg overload; names are escaped.
+    Tracer tracer;
+    tracer.record_complete("a \"q\"", 1.0, 0.125, 0, 42);
+    tracer.record_complete_tenant("compile", 10.0, 2.5, 2);
+    tracer.flow_tenant("req", 's', 7, 2, 10.5);
+    tracer.flow_tenant("req", 't', 7, 3, 11.0);
+    tracer.flow_tenant("req", 'f', 7, 0, 20.25);
+    const std::string tid = std::to_string(Tracer::thread_id());
+    EXPECT_EQ(tracer.chrome_json(),
+              R"({"displayTimeUnit":"ms",)"
+              R"("traceEvents":[{"name":"process_name","ph":"M","pid":3,)"
+              R"("args":{"name":"tenant 2"}},{"name":"process_name",)"
+              R"("ph":"M","pid":4,"args":{"name":"tenant 3"}},)"
+              R"({"name":"a \"q\"","cat":"cascade","pid":1,"tid":)"
+              + tid
+              + R"(,"ts":1.000,"ph":"X","dur":0.125,"args":{"value":42}},)"
+              R"({"name":"compile","cat":"cascade","pid":3,"tid":)"
+              + tid
+              + R"(,"ts":10.000,"ph":"X","dur":2.500},{"name":"req",)"
+              R"("cat":"cascade","pid":3,"tid":)"
+              + tid
+              + R"(,"ts":10.500,"ph":"s","id":7},{"name":"req",)"
+              R"("cat":"cascade","pid":4,"tid":)"
+              + tid
+              + R"(,"ts":11.000,"ph":"t","id":7},{"name":"req",)"
+              R"("cat":"cascade","pid":1,"tid":)"
+              + tid
+              + R"(,"ts":20.250,"ph":"f","id":7,"bp":"e"}]})");
 }
 
 } // namespace
