@@ -82,6 +82,9 @@ class PromWriter {
         std::vector<std::string> lines;
     };
     Family* find(const std::string& name);
+    /// Adds one sample line with its value already formatted.
+    void add(const std::string& family, const Labels& labels,
+             const std::string& value, const std::string& suffix);
 
     std::vector<Family> families_;
 };

@@ -4,7 +4,8 @@
 /// and identical counters; a tampered journal must report the exact first
 /// diverging event; the placement seed must be pinnable and surfaced; a
 /// session whose hardware compile was rejected must replay on the
-/// exclusive device.
+/// exclusive device; a shared session must replay on its hypervisor's
+/// device.
 
 #include "runtime/replay.h"
 
@@ -633,6 +634,47 @@ TEST(Replay, QuotaDeniedSharedSessionReplaysOnTheExclusiveDevice)
     // The replay device has no tenants and no quota: the denial can only
     // come from the journal.
     expect_rejection_replays(path);
+    std::filesystem::remove(path);
+}
+
+TEST(Replay, SharedSessionReplaysOnTheHypervisorsDevice)
+{
+    // The hypervisor's device runs at 200 MHz, Options at the default 50:
+    // the compile misses the 200 MHz target and the design loads
+    // PLL-clocked, which a replay on a 50 MHz device would not reproduce.
+    const std::string path = temp_path("shared_device.jsonl");
+    Runtime::Options opts = hw_fast();
+    opts.enable_jit = false;
+    {
+        service::CompileService svc;
+        hypervisor::FabricManager fm(
+            fpga::FpgaDevice(110000, 11000000, 200.0));
+        Runtime rt(opts, svc, fm);
+        std::string err;
+        ASSERT_TRUE(rt.start_recording(path, &err)) << err;
+        ASSERT_TRUE(rt.eval(kProgram));
+        ASSERT_TRUE(step_until_hardware(&rt));
+        rt.run_for_ticks(500);
+        rt.stop_recording();
+    }
+    ReplayLog log;
+    std::string err;
+    ASSERT_TRUE(load_journal(path, &log, &err)) << err;
+    EXPECT_EQ(options_from_header(log.header).device_clock_mhz, 200.0);
+
+    std::string journals[2];
+    for (int i = 0; i < 2; ++i) {
+        const std::string rerecord = path + ".replay" + std::to_string(i);
+        ReplayOptions ropts;
+        ropts.record_path = rerecord;
+        const ReplayReport report = replay_journal(path, ropts);
+        EXPECT_TRUE(report.ok) << report.summary();
+        EXPECT_GT(report.outputs_compared, 0u);
+        journals[i] = read_file(rerecord);
+        std::filesystem::remove(rerecord);
+    }
+    ASSERT_FALSE(journals[0].empty());
+    EXPECT_EQ(journals[0], journals[1]);
     std::filesystem::remove(path);
 }
 
