@@ -49,6 +49,10 @@ RATIOS = (
     # reaches hardware in at most a quarter of the time the miner's own
     # first compile (a full anneal of nearly the same design) took.
     ("table6_request_latency", "edit.p50_s", "edit_base.p50_s", 0.25),
+    # A kernel build that follows a superseded one starts at once: the
+    # cancel stops the superseded build's compilers, so they hold no job
+    # slot and no core.
+    ("table6_request_latency", "jit_burst.p50_s", "jit_cold.p50_s", 1.10),
 )
 
 

@@ -1,7 +1,7 @@
 /// \file
 /// Table 6 (request tracing, beyond the paper): end-to-end edit ->
 /// hardware latency measured by the causal request tracker, for four
-/// request classes, and edit -> JIT-rung latency for a fifth:
+/// request classes, and edit -> JIT-rung latency for two more:
 ///
 ///   - cold: a fresh runtime per iteration, each compile a distinct
 ///     placement seed, so every request takes the full synthesize /
@@ -23,11 +23,16 @@
 ///     sample is a distinct salted design built into a fresh
 ///     CASCADE_JIT_CACHE_DIR, so neither the on-disk cache nor the
 ///     in-process module registry answers it. Skipped without a usable
-///     system compiler.
+///     system compiler;
+///   - jit_burst: as jit_cold, but the salted miner runs for 60 ms, its
+///     kernel still building, before a second salt register is evaluated;
+///     that edit is timed until the program runs on the JIT rung. Its
+///     kernel build follows a superseded one, whose compilers the cancel
+///     stops, so its p50 should match jit_cold's.
 ///
-/// Each sample of every class but jit_cold is a finished "compile" request
-/// from the runtime's own tracker -- the submit-to-first-hardware-tick
-/// wall time the REPL's `:why` decomposes -- so the bench measures
+/// Each sample of every class but the jit ones is a finished "compile"
+/// request from the runtime's own tracker -- the submit-to-first-hardware-
+/// tick wall time the REPL's `:why` decomposes -- so the bench measures
 /// exactly what the observability surface reports, and asserts the
 /// tracker's invariant (segments sum to end-to-end latency within 1%) on
 /// every sample.
@@ -180,52 +185,96 @@ check_partition(const RequestRecord& r, const char* what)
     }
 }
 
-/// One jit_cold sample: seconds from eval() of the salted miner until it
-/// runs on the JIT rung. Exits the process on a timeout, a failed build,
-/// or a build the cache answered.
+/// A register counting by a step unique to \p salt: added to the miner,
+/// it changes the netlist, hence the kernel digest.
+std::string
+salt_source(const char* name, int salt)
+{
+    const std::string reg = name;
+    return "reg [31:0] " + reg + " = 0;\n"
+           "always @(posedge clk.val) " + reg + " <= " + reg + " + " +
+           std::to_string(1001 + salt) + ";\n";
+}
+
+/// Evals \p source into \p rt; exits the process if the eval fails.
+void
+eval_or_exit(Runtime& rt, const std::string& source, const char* what)
+{
+    std::string errors;
+    if (!rt.eval(source, &errors)) {
+        std::fprintf(stderr, "%s: eval failed: %s\n", what, errors.c_str());
+        std::exit(1);
+    }
+}
+
+/// Evals \p source into \p rt and returns the seconds until the program
+/// runs on the JIT rung. Exits the process on a failed eval, a build
+/// the tier could not make, or a timeout.
 double
-measure_jit_cold(int salt, const std::string& cache)
+seconds_to_jit(Runtime& rt, const std::string& source, const char* what)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    eval_or_exit(rt, source, what);
+    while (rt.user_location() != Location::Jit) {
+        if (rt.telemetry().counter("jit.unavailable")->value() != 0 ||
+            std::chrono::steady_clock::now() - t0 >
+                std::chrono::seconds(120)) {
+            std::fprintf(stderr, "%s: never reached the JIT\n", what);
+            std::exit(1);
+        }
+        rt.run(1);
+    }
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
+
+/// One sample of a JIT class, in the fresh cache directory \p cache with
+/// fabric admission rejected (a 10-LE device). jit_cold (\p burst false):
+/// seconds from eval() of the miner salted by \p salt until it runs on
+/// the JIT rung. jit_burst: that miner runs for 60 ms, its kernel still
+/// building, then a second salt register is evaluated and timed the
+/// same way, so its kernel build follows a superseded one. Exits the
+/// process if the timed kernel was not a cold build.
+double
+measure_jit(int salt, const std::string& cache, bool burst)
 {
     std::filesystem::create_directories(cache);
     ::setenv("CASCADE_JIT_CACHE_DIR", cache.c_str(), 1);
     Runtime::Options opts = bench_options(300 + salt);
     opts.device_les = 10; // admission rejects the fabric: the JIT rung
+    const char* const what = burst ? "jit_burst" : "jit_cold";
     double seconds = 0;
     {
         Runtime rt(opts);
         rt.on_output = [](const std::string&) {};
-        // The salt register changes the netlist, hence the kernel digest.
-        const std::string src =
+        const std::string miner =
             cascade::workloads::proof_of_work_source(8) +
-            "reg [31:0] salt = 0;\n"
-            "always @(posedge clk.val) salt <= salt + " +
-            std::to_string(1001 + salt) + ";\n";
-        std::string errors;
-        const auto t0 = std::chrono::steady_clock::now();
-        if (!rt.eval(src, &errors)) {
-            std::fprintf(stderr, "jit_cold: eval failed: %s\n",
-                         errors.c_str());
-            std::exit(1);
-        }
-        while (rt.user_location() != Location::Jit) {
-            if (rt.telemetry().counter("jit.unavailable")->value() != 0 ||
-                std::chrono::steady_clock::now() - t0 >
-                    std::chrono::seconds(120)) {
-                std::fprintf(stderr, "jit_cold: never reached the JIT\n");
-                std::exit(1);
+            salt_source("salt", salt);
+        if (!burst) {
+            seconds = seconds_to_jit(rt, miner, what);
+        } else {
+            eval_or_exit(rt, miner, what);
+            const auto t0 = std::chrono::steady_clock::now();
+            while (std::chrono::steady_clock::now() - t0 <
+                   std::chrono::milliseconds(60)) {
+                rt.run(1);
             }
-            rt.run(1);
+            if (rt.user_location() == Location::Jit) {
+                std::fprintf(stderr,
+                             "%s: sample %d's first kernel landed within "
+                             "60 ms: no build was superseded\n",
+                             what, salt);
+            }
+            seconds = seconds_to_jit(rt, salt_source("burst", salt), what);
         }
-        seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
     }
     bool built = false;
     for (const auto& e : std::filesystem::directory_iterator(cache)) {
         built |= e.path().extension() == ".so";
     }
     if (!built) {
-        std::fprintf(stderr, "jit_cold: sample %d was not a cold build\n",
+        std::fprintf(stderr, "%s: sample %d was not a cold build\n", what,
                      salt);
         std::exit(1);
     }
@@ -360,11 +409,12 @@ main()
         }
     }
 
-    // -- Jit cold: a salted miner per sample, each in a fresh cache. -----
-    // The kernel-build layers of these samples: the process histograms
-    // JitKernel::create and build_module record, emptied of the kernels
-    // the classes above built.
+    // -- Jit cold and burst: a salted miner per sample, each in a fresh
+    // cache. The kernel-build layers of the cold samples: the process
+    // histograms JitKernel::create and build_module record, emptied of
+    // the kernels the classes above built.
     std::vector<double> jit_cold_s;
+    std::vector<double> jit_burst_s;
     std::string jit_segments_json;
     if (cascade::jit::compiler_available()) {
         const char* const kLayers[] = {"codegen", "compile", "link"};
@@ -378,9 +428,8 @@ main()
             ("cascade_table6_jit" + std::to_string(::getpid()));
         for (int i = 0; i < kJitColdRuns; ++i) {
             jit_cold_s.push_back(
-                measure_jit_cold(i, (root / std::to_string(i)).string()));
+                measure_jit(i, (root / std::to_string(i)).string(), false));
         }
-        std::filesystem::remove_all(root);
         for (const char* layer : kLayers) {
             const Histogram* h = jit_build_hist(layer);
             char row[96];
@@ -392,6 +441,12 @@ main()
                         layer, h->mean() * 1e-9,
                         static_cast<unsigned long long>(h->count()));
         }
+        // Salts past jit_cold's, so no first build is a registry hit.
+        for (int i = kJitColdRuns; i < 2 * kJitColdRuns; ++i) {
+            jit_burst_s.push_back(
+                measure_jit(i, (root / std::to_string(i)).string(), true));
+        }
+        std::filesystem::remove_all(root);
         if (old != nullptr) {
             ::setenv("CASCADE_JIT_CACHE_DIR", restore.c_str(), 1);
         } else {
@@ -418,6 +473,10 @@ main()
                     "builds)\n",
                     percentile(jit_cold_s, 0.5), percentile(jit_cold_s, 0.99),
                     kJitColdRuns);
+        std::printf("burst  p50 %.4fs  p99 %.4fs  (%d runs, cold kernel "
+                    "builds after a superseded one)\n",
+                    percentile(jit_burst_s, 0.5),
+                    percentile(jit_burst_s, 0.99), kJitColdRuns);
     }
 
     const std::string cold_segments =
@@ -433,7 +492,10 @@ main()
         << class_json("edit_base", edit_base_s) << ','
         << class_json("warm", warm_s) << ','
         << class_json("shared", shared_s)
-        << (jit_cold_s.empty() ? "" : "," + class_json("jit_cold", jit_cold_s))
+        << (jit_cold_s.empty() ? ""
+                               : "," + class_json("jit_cold", jit_cold_s) +
+                                     "," +
+                                     class_json("jit_burst", jit_burst_s))
         << ",\"cold_segments_mean\":{" << cold_segments << "}"
         << ",\"edit_segments_mean\":{" << edit_segments << "}"
         << (jit_cold_s.empty() ? ""

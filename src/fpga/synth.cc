@@ -19,37 +19,6 @@ namespace {
 constexpr uint32_t kUndef = ~0u;
 constexpr uint64_t kMaxUnroll = 1u << 17;
 
-/// Provenance label for a source process: its print collapsed to one
-/// line and truncated, so netlist nodes can be attributed back to the
-/// always/assign/initial construct that synthesized them.
-std::string
-proc_label(const ModuleItem& item)
-{
-    const std::string full = print(item, 0);
-    std::string out;
-    bool in_space = false;
-    for (char c : full) {
-        if (c == ' ' || c == '\t' || c == '\n') {
-            in_space = !out.empty();
-            continue;
-        }
-        if (in_space) {
-            out += ' ';
-            in_space = false;
-        }
-        out += c;
-    }
-    while (!out.empty() && (out.back() == ';' || out.back() == ' ')) {
-        out.pop_back();
-    }
-    constexpr size_t kMaxLabel = 56;
-    if (out.size() > kMaxLabel) {
-        out.resize(kMaxLabel - 1);
-        out += "…";
-    }
-    return out;
-}
-
 class Synthesizer : public LocalScope {
   public:
     Synthesizer(const ElaboratedModule& em, Diagnostics* diags)
@@ -1494,7 +1463,7 @@ class Synthesizer : public LocalScope {
         // Initial blocks must reduce to constants; their results become
         // register initial values and memory initial contents.
         for (const InitialBlock* ib : initial_) {
-            b_->set_source(proc_label(*ib));
+            b_->set_source(source_label(print(*ib, 0)));
             SeqCtx ctx;
             ctx.active = true;
             ctx.clock = b_->constant(1, 0); // unused
@@ -1611,7 +1580,7 @@ class Synthesizer : public LocalScope {
     void
     run_comb_process(const Proc& p)
     {
-        b_->set_source(proc_label(*p.item));
+        b_->set_source(source_label(print(*p.item, 0)));
         if (p.item->kind == ItemKind::ContinuousAssign) {
             const auto& a = static_cast<const ContinuousAssign&>(*p.item);
             const uint32_t lw = lvalue_width(*a.lhs);
@@ -1651,7 +1620,7 @@ class Synthesizer : public LocalScope {
     {
         for (const Proc& p : seq_) {
             const auto& ab = static_cast<const AlwaysBlock&>(*p.item);
-            b_->set_source(proc_label(*p.item));
+            b_->set_source(source_label(print(*p.item, 0)));
             const auto& sens = ab.sensitivity[0];
             const auto& sig =
                 static_cast<const IdentifierExpr&>(*sens.signal);

@@ -2,6 +2,7 @@
 
 #include <dlfcn.h>
 #include <fcntl.h>
+#include <signal.h>
 #include <spawn.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -9,14 +10,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <system_error>
 #include <thread>
 
 #include "telemetry/journal.h"
@@ -75,45 +73,24 @@ ns_since(std::chrono::steady_clock::time_point start)
 /// never share a temporary file.
 std::atomic<uint64_t> g_builds{0};
 
-/// The process-wide cap on running compiler jobs, shared by every
-/// in-flight build.
-class JobSlots {
-  public:
-    static unsigned
-    count()
-    {
-        return std::max(1u, std::thread::hardware_concurrency());
-    }
+/// Compiler jobs running in this process, over every in-flight build.
+std::atomic<unsigned> g_jobs{0};
 
-    void
-    acquire()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        freed_.wait(lock, [this] { return free_ > 0; });
-        --free_;
-    }
-
-    void
-    release()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++free_;
-        }
-        freed_.notify_one();
-    }
-
-  private:
-    std::mutex mutex_;
-    std::condition_variable freed_;
-    unsigned free_ = count();
-};
-
-JobSlots&
-job_slots()
+/// Takes one of the process-wide job slots, hardware_concurrency() of
+/// them, so concurrent builds do not oversubscribe the host. False when
+/// every slot is taken.
+bool
+take_job_slot()
 {
-    static auto* slots = new JobSlots();
-    return *slots;
+    static const unsigned slots =
+        std::max(1u, std::thread::hardware_concurrency());
+    unsigned running = g_jobs.load();
+    while (running < slots) {
+        if (g_jobs.compare_exchange_weak(running, running + 1)) {
+            return true;
+        }
+    }
+    return false;
 }
 
 bool
@@ -159,18 +136,49 @@ find_executable(const std::string& cmd)
     }
 }
 
-/// Runs \p argv (argv[0] is the program's path) without a shell, in one
-/// of the process-wide job slots, with stdout and stderr appended to
-/// \p log_path. Returns its exit status, or -1 if it did not start or
-/// did not exit normally.
-int
-run_job(const std::vector<std::string>& argv, const std::string& log_path)
+/// A compiler job: its argv (argv[0] is the program's path) and what a
+/// failure calls it.
+struct Job {
+    std::vector<std::string> argv;
+    std::string name;
+};
+
+/// Stops the jobs in \p running (pid, job) and reaps them: SIGTERM to
+/// each job's process group, so g++ deletes its temporary files as it
+/// dies (a SIGKILLed g++ leaves its `cc*.s` behind), then SIGKILL to a
+/// group whose leader still runs 100 ms later.
+void
+stop_jobs(const std::vector<std::pair<pid_t, size_t>>& running)
 {
-    std::vector<char*> args;
-    for (const std::string& a : argv) {
-        args.push_back(const_cast<char*>(a.c_str()));
+    for (const auto& job : running) {
+        ::kill(-job.first, SIGTERM);
     }
-    args.push_back(nullptr);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+    for (const auto& job : running) {
+        int ws = 0;
+        while (::waitpid(job.first, &ws, WNOHANG) == 0) {
+            if (std::chrono::steady_clock::now() > deadline) {
+                ::kill(-job.first, SIGKILL);
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        --g_jobs;
+    }
+}
+
+/// Runs \p jobs from the calling thread: each without a shell, in its
+/// own process group, whenever a process-wide job slot is free, with
+/// stdout and stderr appended to \p log_path. It reaps only its own
+/// children, polling every millisecond, and checks \p cancel as often.
+/// Returns "" once every job has exited 0. Else no further job starts,
+/// the running ones are stopped and reaped (stop_jobs), and it returns
+/// "cancelled" or how the first failure went: "<name> exit <status>",
+/// status -1 for a job that did not start or did not exit normally.
+std::string
+spawn_and_reap(const std::vector<Job>& jobs, const std::string& log_path,
+               const std::atomic<bool>* cancel)
+{
     posix_spawn_file_actions_t actions;
     ::posix_spawn_file_actions_init(&actions);
     ::posix_spawn_file_actions_addopen(&actions, STDERR_FILENO,
@@ -178,76 +186,63 @@ run_job(const std::vector<std::string>& argv, const std::string& log_path)
                                        O_WRONLY | O_CREAT | O_APPEND, 0644);
     ::posix_spawn_file_actions_adddup2(&actions, STDERR_FILENO,
                                        STDOUT_FILENO);
-    job_slots().acquire();
-    pid_t pid = 0;
-    int status = -1;
-    if (::posix_spawn(&pid, args[0], &actions, nullptr, args.data(),
-                      environ) == 0) {
-        int ws = 0;
-        pid_t waited = -1;
-        do {
-            waited = ::waitpid(pid, &ws, 0);
-        } while (waited < 0 && errno == EINTR);
-        if (waited == pid && WIFEXITED(ws)) {
-            status = WEXITSTATUS(ws);
-        }
-    }
-    job_slots().release();
-    ::posix_spawn_file_actions_destroy(&actions);
-    return status;
-}
-
-/// Compiles srcs[k] to objs[k] for every unit, in unit order, on at most
-/// one thread per job slot. Returns "" on success, else which unit failed
-/// and how (or that \p cancel stopped the build).
-std::string
-compile_units(const std::string& cxx, const std::vector<std::string>& srcs,
-              const std::vector<std::string>& objs,
-              const std::string& log_path, const std::atomic<bool>* cancel)
-{
-    std::atomic<size_t> next{0};
-    std::mutex mutex;
+    posix_spawnattr_t attr;
+    ::posix_spawnattr_init(&attr);
+    // Process group 0: the job leads a group of its own, which the
+    // compiler's cc1plus and as join.
+    ::posix_spawnattr_setflags(&attr, POSIX_SPAWN_SETPGROUP);
+    std::vector<std::pair<pid_t, size_t>> running;
     std::string failure;
-    const auto worker = [&] {
-        for (size_t k = next++; k < srcs.size(); k = next++) {
-            {
-                std::lock_guard<std::mutex> lock(mutex);
-                if (failure.empty() && cancel != nullptr &&
-                    cancel->load(std::memory_order_relaxed)) {
-                    failure = "cancelled";
-                }
-                if (!failure.empty()) {
-                    return; // the build has failed: start no more jobs
-                }
-            }
-            std::vector<std::string> argv = {cxx};
-            argv.insert(argv.end(), kCompileFlags.begin(),
-                        kCompileFlags.end());
-            argv.insert(argv.end(), {"-o", objs[k], srcs[k]});
-            const int rc = run_job(argv, log_path);
-            if (rc != 0) {
-                std::lock_guard<std::mutex> lock(mutex);
-                if (failure.empty()) {
-                    failure = "unit " + srcs[k] + " exit " +
-                              std::to_string(rc);
-                }
-            }
-        }
+    const auto fail = [&](size_t k, int status) {
+        failure = jobs[k].name + " exit " + std::to_string(status);
     };
-    std::vector<std::thread> helpers;
-    const size_t threads =
-        std::min<size_t>(srcs.size(), JobSlots::count());
-    for (size_t t = 1; t < threads; ++t) {
-        try {
-            helpers.emplace_back(worker);
-        } catch (const std::system_error&) {
-            break; // no thread to spare: this one compiles the rest
+    for (size_t next = 0;
+         failure.empty() && (next < jobs.size() || !running.empty());) {
+        if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+            failure = "cancelled";
+            break;
+        }
+        for (; next < jobs.size() && failure.empty() && take_job_slot();
+             ++next) {
+            std::vector<char*> args;
+            for (const std::string& a : jobs[next].argv) {
+                args.push_back(const_cast<char*>(a.c_str()));
+            }
+            args.push_back(nullptr);
+            pid_t pid = 0;
+            if (::posix_spawn(&pid, args[0], &actions, &attr, args.data(),
+                              environ) == 0) {
+                running.emplace_back(pid, next);
+            } else {
+                --g_jobs;
+                fail(next, -1);
+            }
+        }
+        bool reaped = false;
+        for (auto it = running.begin();
+             failure.empty() && it != running.end();) {
+            int ws = 0;
+            const pid_t waited = ::waitpid(it->first, &ws, WNOHANG);
+            if (waited == 0) {
+                ++it;
+                continue;
+            }
+            --g_jobs;
+            const int status =
+                waited == it->first && WIFEXITED(ws) ? WEXITSTATUS(ws) : -1;
+            if (status != 0) {
+                fail(it->second, status);
+            }
+            it = running.erase(it);
+            reaped = true;
+        }
+        if (!reaped && failure.empty()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
     }
-    worker();
-    for (std::thread& t : helpers) {
-        t.join();
-    }
+    stop_jobs(running);
+    ::posix_spawnattr_destroy(&attr);
+    ::posix_spawn_file_actions_destroy(&actions);
     return failure;
 }
 
@@ -457,17 +452,26 @@ build_module(const std::vector<std::string>& units, std::string* digest_out,
     static telemetry::Histogram* const compile_ns = phase_hist("compile");
     static telemetry::Histogram* const link_ns = phase_hist("link");
     auto t = std::chrono::steady_clock::now();
-    std::string failure = compile_units(cxx, srcs, objs, log_path, cancel);
+    std::vector<Job> compiles;
+    for (size_t k = 0; k < units.size(); ++k) {
+        Job job{{cxx}, "unit " + srcs[k]};
+        job.argv.insert(job.argv.end(), kCompileFlags.begin(),
+                        kCompileFlags.end());
+        job.argv.insert(job.argv.end(), {"-o", objs[k], srcs[k]});
+        compiles.push_back(std::move(job));
+    }
+    std::string failure = spawn_and_reap(compiles, log_path, cancel);
     if (failure.empty()) {
         compile_ns->record(ns_since(t));
         t = std::chrono::steady_clock::now();
-        std::vector<std::string> argv = {cxx};
-        argv.insert(argv.end(), kLinkFlags.begin(), kLinkFlags.end());
-        argv.insert(argv.end(), {"-o", tmp_so});
-        argv.insert(argv.end(), objs.begin(), objs.end());
-        const int rc = run_job(argv, log_path);
-        if (rc != 0 || !file_exists(tmp_so)) {
-            failure = "link exit " + std::to_string(rc);
+        Job link{{cxx}, "link"};
+        link.argv.insert(link.argv.end(), kLinkFlags.begin(),
+                         kLinkFlags.end());
+        link.argv.insert(link.argv.end(), {"-o", tmp_so});
+        link.argv.insert(link.argv.end(), objs.begin(), objs.end());
+        failure = spawn_and_reap({link}, log_path, cancel);
+        if (failure.empty() && !file_exists(tmp_so)) {
+            failure = "link exit 0";
         }
     }
     for (const std::string& obj : objs) {

@@ -9,12 +9,17 @@
 /// units, the compiler and its flags — skip the build entirely and pay one
 /// dlopen.
 ///
-/// The compiler runs without a shell (posix_spawn, stderr appended to
-/// `<digest>.log`). A process-wide cap of hardware_concurrency() compiler
-/// jobs covers every in-flight build, so concurrent tenants do not
-/// oversubscribe the host. Objects and temporaries are deleted whether
-/// the build succeeds or fails; the units stay as `<digest>.cc` (the ABI
-/// unit) and `<digest>.<k>.cc`.
+/// The build runs its compiler jobs, the units and then the link, from
+/// the calling thread, with no helper thread: each job is spawned without
+/// a shell (posix_spawn, stderr appended to `<digest>.log`) in a process
+/// group of its own, and reaped by a poll that also watches the build's
+/// cancel flag. A process-wide cap of hardware_concurrency() running jobs
+/// covers every in-flight build, so concurrent tenants do not
+/// oversubscribe the host. A cancel or a failed job stops the running
+/// jobs' process groups (the compiler, its cc1plus and assembler) within
+/// milliseconds. Objects and temporaries are deleted whether the build
+/// succeeds or fails; the units stay as `<digest>.cc` (the ABI unit) and
+/// `<digest>.<k>.cc`.
 ///
 /// Loaded modules are retained for the life of the process (dlclose while
 /// generated code may still be referenced is never safe), keyed by digest
@@ -84,8 +89,9 @@ std::string source_path_for(const std::string& digest);
 /// build was skipped (either an in-process resident module or an on-disk
 /// .so). On failure returns nullptr with \p error set; a failed compile
 /// or link names the log that holds the compiler's stderr. Once
-/// \p cancel is set no further unit starts, and the build fails once the
-/// running ones finish.
+/// \p cancel is set no further job starts, the running ones are stopped
+/// and reaped, and the build fails with an error that says it was
+/// cancelled; the first failed job does the same to the rest.
 const JitModule* build_module(const std::vector<std::string>& units,
                               std::string* digest_out, bool* cache_hit,
                               std::string* error,

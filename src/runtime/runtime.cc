@@ -1017,8 +1017,7 @@ Runtime::relocate(std::vector<Slot> incoming, std::optional<Wiring> resident)
 
 Runtime::Slot
 Runtime::engine_slot(const Wiring& wiring,
-                     std::unique_ptr<fpga::FabricExec> fabric,
-                     double mmio_latency_s)
+                     std::unique_ptr<fpga::FabricExec> fabric)
 {
     Slot slot;
     slot.sub.path = "root";
@@ -1035,9 +1034,14 @@ Runtime::engine_slot(const Wiring& wiring,
             std::move(fabric), port_names, slot.port_is_input,
             wiring.map.clock_input, wiring.clock_mhz);
     } else {
+        // The JIT rung is in-process: the MMIO slot protocol is the same,
+        // but each access is a function call, not a bus round trip, so
+        // its modeled MMIO latency is zero, whatever engine runs there.
         slot.engine = std::make_unique<HwEngine>(
             std::move(fabric), wiring.map, port_names, slot.port_is_input,
-            this, wiring.clock_mhz, mmio_latency_s);
+            this, wiring.clock_mhz,
+            wiring.location == Location::Jit ? 0.0
+                                             : options_.mmio_latency_s);
     }
     return slot;
 }
@@ -1862,7 +1866,6 @@ Runtime::rearm_hardware_debug(std::string* err)
     const std::vector<std::string> probes = capture_.probe_set(false);
 
     std::unique_ptr<fpga::FabricExec> fabric;
-    double mmio_latency_s = options_.mmio_latency_s;
     std::vector<fpga::Bitstream::DebugTrigger> triggers;
     std::vector<fpga::Bitstream::DebugProbe> ring_probes;
     if (!specs.empty()) {
@@ -1894,21 +1897,17 @@ Runtime::rearm_hardware_debug(std::string* err)
         fabric->arm_debug(triggers, ring_probes, Capture::kRingDepth);
     } else {
         // Last point deleted: the resident tier's plain engine again. On
-        // the JIT rung that is the kernel (an in-process cache hit) at
-        // the tier's zero MMIO latency.
+        // the JIT rung that is the kernel (an in-process cache hit).
         std::string jerr;
         if (resident_->location == Location::Jit) {
             fabric = jit::JitKernel::create(resident_->netlist, &jerr);
         }
-        if (fabric != nullptr) {
-            mmio_latency_s = 0;
-        } else {
+        if (fabric == nullptr) {
             fabric = std::make_unique<fpga::Bitstream>(resident_->netlist);
         }
     }
     std::vector<Slot> incoming;
-    incoming.push_back(
-        engine_slot(*resident_, std::move(fabric), mmio_latency_s));
+    incoming.push_back(engine_slot(*resident_, std::move(fabric)));
     relocate(std::move(incoming), resident_);
     hw_debug_armed_.store(!triggers.empty(), std::memory_order_relaxed);
     emit(EventKind::DebugRearm, JsonWriter()
@@ -2493,12 +2492,8 @@ Runtime::adopt_fabric(Done& stage, double actual_clock_mhz,
                                                    : Location::Hardware));
     wiring.clock_mhz = actual_clock_mhz;
     wiring.netlist = stage.result.netlist;
-    // The JIT kernel is in-process: the MMIO slot protocol is the same,
-    // but each access is a function call, not a bus round trip, so the
-    // modeled MMIO latency is zero for that tier.
     std::vector<Slot> incoming;
-    incoming.push_back(engine_slot(wiring, std::move(fabric),
-                                   is_jit ? 0.0 : options_.mmio_latency_s));
+    incoming.push_back(engine_slot(wiring, std::move(fabric)));
     relocate(std::move(incoming), std::move(wiring));
     // Hardware-forwarded FIFOs are fed through direct state writes, not
     // the pins/push ports: park the step-mode drive lines low so a push

@@ -693,10 +693,10 @@ class Runtime : public EngineCallbacks {
     /// in every engine (not the clock's armed toggle, which starts the
     /// next timestep).
     void finish_timestep();
-    /// A root slot running \p fabric under \p wiring's ports.
+    /// A root slot running \p fabric under \p wiring's ports, at the
+    /// modeled MMIO latency of \p wiring's rung.
     Slot engine_slot(const Wiring& wiring,
-                     std::unique_ptr<fpga::FabricExec> fabric,
-                     double mmio_latency_s);
+                     std::unique_ptr<fpga::FabricExec> fabric);
     /// The kernel stage's poll: adopts or discards the finished kernel
     /// when the oracle says so.
     void poll_jit();

@@ -44,8 +44,8 @@ CompileService::~CompileService()
     for (std::thread& w : workers_) {
         w.join();
     }
-    // No worker is left to start a kernel stage; a running one ends once
-    // its compiler does.
+    // No worker is left to start a kernel stage; a running one ends as
+    // soon as its cancelled build has stopped its compilers.
     for (KernelThread& k : kernel_threads_) {
         k.thread.join();
     }

@@ -11,8 +11,9 @@
 /// A client has at most one job. Its newer job, or its cancel() or
 /// unregistering, cancels the one it has: a queued job leaves the FIFO
 /// queue, placement stops within a few thousand moves, the kernel build
-/// starts no further unit, the client's undelivered results are
-/// discarded, and a cancelled job delivers nothing and caches nothing.
+/// stops its running compilers within milliseconds, the client's
+/// undelivered results are discarded, and a cancelled job delivers
+/// nothing and caches nothing.
 /// So the queue holds at most one job per client, and every Done a
 /// client polls belongs to its latest job.
 ///
@@ -113,6 +114,9 @@ class CompileService {
     // ill-formed until the class is complete.
     CompileService();
     explicit CompileService(Config config);
+    /// Cancels every running job and joins the workers and the kernel
+    /// threads. A cancelled kernel build stops its compilers, so this
+    /// returns within milliseconds of the running placement's stop.
     ~CompileService();
 
     CompileService(const CompileService&) = delete;

@@ -1715,35 +1715,6 @@ ModuleInterpreter::set_state(const StateSnapshot& snapshot)
 
 namespace {
 
-/// Collapses a multi-line source print into a single display line,
-/// truncated so profile tables and flamegraph frames stay readable.
-std::string
-compress_label(const std::string& key)
-{
-    std::string out;
-    bool in_space = false;
-    for (char c : key) {
-        if (c == ' ' || c == '\t' || c == '\n') {
-            in_space = !out.empty();
-            continue;
-        }
-        if (in_space) {
-            out += ' ';
-            in_space = false;
-        }
-        out += c;
-    }
-    while (!out.empty() && (out.back() == ';' || out.back() == ' ')) {
-        out.pop_back();
-    }
-    constexpr size_t kMaxLabel = 56;
-    if (out.size() > kMaxLabel) {
-        out.resize(kMaxLabel - 1);
-        out += "…";
-    }
-    return out;
-}
-
 const char*
 kind_name(char discriminator)
 {
@@ -1766,7 +1737,7 @@ ModuleInterpreter::profile() const
         const Process& p = processes_[i];
         ProcessProfile prof;
         prof.key = p.item != nullptr ? print(*p.item, 0) : std::string();
-        prof.label = compress_label(prof.key);
+        prof.label = source_label(prof.key);
         switch (p.kind) {
           case Process::Kind::Continuous:
             prof.kind = kind_name(0);

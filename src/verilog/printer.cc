@@ -494,4 +494,31 @@ print(const SourceUnit& unit)
     return out;
 }
 
+std::string
+source_label(const std::string& printed)
+{
+    std::string out;
+    bool in_space = false;
+    for (char c : printed) {
+        if (c == ' ' || c == '\t' || c == '\n') {
+            in_space = !out.empty();
+            continue;
+        }
+        if (in_space) {
+            out += ' ';
+            in_space = false;
+        }
+        out += c;
+    }
+    while (!out.empty() && (out.back() == ';' || out.back() == ' ')) {
+        out.pop_back();
+    }
+    constexpr size_t kMaxLabel = 56;
+    if (out.size() > kMaxLabel) {
+        out.resize(kMaxLabel - 1);
+        out += "…";
+    }
+    return out;
+}
+
 } // namespace cascade::verilog

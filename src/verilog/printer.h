@@ -18,6 +18,12 @@ std::string print(const ModuleItem& item, int indent = 0);
 std::string print(const ModuleDecl& module);
 std::string print(const SourceUnit& unit);
 
+/// \p printed (a print above) as a one-line label: whitespace runs
+/// collapsed, trailing `;` dropped, truncated with an ellipsis at 56
+/// characters. It names a process in the `:profile` rows and the
+/// netlist provenance of the `:fabric` rows.
+std::string source_label(const std::string& printed);
+
 } // namespace cascade::verilog
 
 #endif // CASCADE_VERILOG_PRINTER_H

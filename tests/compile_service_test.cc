@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -555,6 +556,50 @@ TEST(CompileStages, NoCompilerFailsTheKernelStageOnly)
     ::unsetenv("CASCADE_JIT_CXX");
     ::unsetenv("CASCADE_JIT_CACHE_DIR");
     std::filesystem::remove_all(cache);
+}
+
+TEST(CompileStages, DestructorStopsTheRunningKernelBuild)
+{
+    if (!jit::compiler_available()) {
+        GTEST_SKIP() << "no system compiler; JIT tier unavailable";
+    }
+    // A compiler that records its pid and then hangs: the service's
+    // destructor cancels the kernel build, which stops the compiler, so
+    // the kernel thread it joins ends at once.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("cascade_svc_hung_cxx" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::filesystem::path pids = dir / "pids";
+    const std::filesystem::path wrapper = dir / "hung-cxx";
+    {
+        std::ofstream f(wrapper);
+        f << "#!/bin/sh\necho $$ >> '" << pids.string()
+          << "'\nexec sleep 30\n";
+    }
+    std::filesystem::permissions(wrapper,
+                                 std::filesystem::perms::owner_all);
+    ::setenv("CASCADE_JIT_CACHE_DIR", dir.c_str(), 1);
+    ::setenv("CASCADE_JIT_CXX", wrapper.c_str(), 1);
+    auto svc = std::make_unique<CompileService>();
+    const uint64_t client = svc->register_client();
+    CompileService::Job job = job_for(1, counter_module(), fast_options(95));
+    job.kernel = true;
+    svc->submit(client, job);
+    for (int i = 0; i < 10000 && !std::filesystem::exists(pids); ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(std::filesystem::exists(pids)) << "no compiler started";
+    const auto t0 = std::chrono::steady_clock::now();
+    svc.reset();
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count(),
+              0.5);
+    ::unsetenv("CASCADE_JIT_CXX");
+    ::unsetenv("CASCADE_JIT_CACHE_DIR");
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CompileStages, SynthesisFailureFailsBothStages)

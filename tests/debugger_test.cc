@@ -361,47 +361,89 @@ TEST(Debugger, NativeResidentSignalsReadLikeProbes)
     std::filesystem::remove(win_path);
 }
 
-TEST(Debugger, DeletingLastPointOnJitRungRestoresTheKernel)
+/// Options that park kCounter16 on the JIT rung: the 10-LE device
+/// rejects the fabric, and no open loop, for deterministic tick
+/// accounting.
+Runtime::Options
+jit_rung()
 {
-    // On the JIT rung (the 10-LE device rejects the fabric) arming swaps
-    // the instrumented bitstream twin in; deleting the last point must
-    // swap the kernel back, so ticks cost what they did before arming.
     Runtime::Options opts = hw_fast();
     opts.device_les = 10;
-    opts.enable_open_loop = false; // deterministic tick accounting
-    Runtime rt(opts);
-    rt.on_output = [](const std::string&) {};
-    std::string err;
-    ASSERT_TRUE(rt.eval(kCounter16, &err)) << err;
-    const auto start = std::chrono::steady_clock::now();
-    while (rt.user_location() == Location::Software) {
-        if (rt.telemetry().counter("jit.unavailable")->value() != 0) {
-            GTEST_SKIP() << "no usable compiler on this host";
-        }
-        ASSERT_LT(std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count(),
-                  60.0);
-        rt.step();
-    }
-    ASSERT_EQ(rt.user_location(), Location::Jit);
-    // Timeline cost of 2,000 ticks, after a few ticks that absorb any
-    // engine-swap traffic.
-    const auto cost = [&] {
-        rt.run_for_ticks(8);
-        const double t0 = rt.timeline_seconds();
-        rt.run_for_ticks(2000);
-        return rt.timeline_seconds() - t0;
-    };
-    const double before = cost();
+    opts.enable_open_loop = false;
+    return opts;
+}
 
+/// Evals kCounter16 into \p rt and steps until it runs on the JIT rung
+/// (a failure after 60 s). False when the tier is unavailable on this
+/// host.
+bool
+reach_jit_rung(Runtime* rt)
+{
+    rt->on_output = [](const std::string&) {};
+    std::string err;
+    EXPECT_TRUE(rt->eval(kCounter16, &err)) << err;
+    const auto start = std::chrono::steady_clock::now();
+    while (rt->user_location() == Location::Software) {
+        if (rt->telemetry().counter("jit.unavailable")->value() != 0) {
+            return false;
+        }
+        if (std::chrono::steady_clock::now() - start >
+            std::chrono::seconds(60)) {
+            ADD_FAILURE() << "never left the software rung";
+            break;
+        }
+        rt->step();
+    }
+    EXPECT_EQ(rt->user_location(), Location::Jit);
+    return true;
+}
+
+/// Timeline seconds of 2,000 ticks, after a few ticks that absorb any
+/// engine-swap traffic.
+double
+tick_cost(Runtime* rt)
+{
+    rt->run_for_ticks(8);
+    const double t0 = rt->timeline_seconds();
+    rt->run_for_ticks(2000);
+    return rt->timeline_seconds() - t0;
+}
+
+TEST(Debugger, DeletingLastPointOnJitRungRestoresTheKernel)
+{
+    // On the JIT rung arming swaps the instrumented bitstream twin in;
+    // deleting the last point must swap the kernel back, so ticks cost
+    // what they did before arming.
+    Runtime rt(jit_rung());
+    if (!reach_jit_rung(&rt)) {
+        GTEST_SKIP() << "no usable compiler on this host";
+    }
+    const double before = tick_cost(&rt);
+
+    std::string err;
     const uint64_t id = rt.debug_break("cnt", "==", "65000", &err);
     ASSERT_NE(id, 0u) << err;
     EXPECT_TRUE(rt.hw_debug_armed());
     EXPECT_TRUE(rt.debug_delete(id));
     EXPECT_FALSE(rt.hw_debug_armed());
     EXPECT_EQ(rt.user_location(), Location::Jit);
-    EXPECT_NEAR(cost(), before, before * 1e-6);
+    EXPECT_NEAR(tick_cost(&rt), before, before * 1e-6);
+}
+
+TEST(Debugger, ArmedTwinOnJitRungBillsNoBus)
+{
+    // The instrumented twin that a point arms on the JIT rung runs in
+    // process like the kernel: its ticks bill no modeled MMIO bus.
+    Runtime rt(jit_rung());
+    if (!reach_jit_rung(&rt)) {
+        GTEST_SKIP() << "no usable compiler on this host";
+    }
+    const double kernel = tick_cost(&rt);
+    std::string err;
+    ASSERT_NE(rt.debug_break("cnt", "==", "65000", &err), 0u) << err;
+    ASSERT_TRUE(rt.hw_debug_armed());
+    EXPECT_EQ(rt.user_location(), Location::Jit);
+    EXPECT_NEAR(tick_cost(&rt), kernel, kernel * 0.01);
 }
 
 // ---------------------------------------------------------------------

@@ -11,6 +11,8 @@
 /// (the same condition under which the runtime journals jit.unavailable).
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +31,7 @@
 #include <vector>
 
 #include <dlfcn.h>
+#include <signal.h>
 #include <elf.h>
 #include <unistd.h>
 
@@ -1502,6 +1505,62 @@ TEST(JitCache, ConcurrentBuildsMatchBitstreamAndExportOnlyTheAbi)
               "cascade_jit_set_mem", "cascade_jit_cycles"}) {
             EXPECT_EQ(::dlsym(m->handle, internal), nullptr) << internal;
         }
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(JitCache, CancelKillsTheRunningCompilers)
+{
+    REQUIRE_JIT();
+    // A compiler that records its pid and then hangs: a cancel 100 ms
+    // into the build stops every running job, so the build fails at once
+    // and leaves no compiler process behind.
+    const std::filesystem::path dir = fresh_dir("cascade_jit_cancel");
+    ScopedEnv cache("CASCADE_JIT_CACHE_DIR", dir.string());
+    const std::filesystem::path pids = dir / "pids";
+    const std::filesystem::path wrapper = dir / "hung-cxx";
+    {
+        std::ofstream f(wrapper);
+        f << "#!/bin/sh\necho $$ >> '" << pids.string()
+          << "'\nexec sleep 30\n";
+    }
+    std::filesystem::permissions(wrapper,
+                                 std::filesystem::perms::owner_all);
+    ScopedEnv cxx("CASCADE_JIT_CXX", wrapper.string());
+    auto nl = synth(chain_module("K", 21, 120));
+    ASSERT_NE(nl, nullptr);
+    const std::vector<std::string> units = jit::generate_units(*nl);
+    ASSERT_GE(units.size(), 2u);
+
+    std::atomic<bool> cancel{false};
+    const jit::JitModule* m = nullptr;
+    std::string err;
+    std::chrono::steady_clock::time_point returned;
+    std::thread builder([&] {
+        m = jit::build_module(units, nullptr, nullptr, &err, &cancel);
+        returned = std::chrono::steady_clock::now();
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const auto cancelled = std::chrono::steady_clock::now();
+    cancel = true;
+    builder.join();
+    EXPECT_EQ(m, nullptr);
+    EXPECT_LT(std::chrono::duration<double>(returned - cancelled).count(),
+              0.5);
+    EXPECT_NE(err.find("cancelled"), std::string::npos) << err;
+
+    std::vector<pid_t> started;
+    std::ifstream in(pids);
+    for (pid_t pid = 0; in >> pid;) {
+        started.push_back(pid);
+    }
+    // Each unit's job started in its own slot.
+    EXPECT_GE(started.size(),
+              std::min<size_t>(units.size(),
+                               std::thread::hardware_concurrency()));
+    for (pid_t pid : started) {
+        EXPECT_TRUE(::kill(pid, 0) != 0 && errno == ESRCH)
+            << "compiler " << pid << " still runs";
     }
     std::filesystem::remove_all(dir);
 }

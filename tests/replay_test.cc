@@ -5,7 +5,7 @@
 /// diverging event; the placement seed must be pinnable and surfaced; a
 /// session whose hardware compile was rejected must replay on the
 /// exclusive device; a shared session must replay on its hypervisor's
-/// device.
+/// device; a session that free-runs must replay its open-loop grants.
 
 #include "runtime/replay.h"
 
@@ -661,6 +661,57 @@ TEST(Replay, SharedSessionReplaysOnTheHypervisorsDevice)
     std::string err;
     ASSERT_TRUE(load_journal(path, &log, &err)) << err;
     EXPECT_EQ(options_from_header(log.header).device_clock_mhz, 200.0);
+
+    std::string journals[2];
+    for (int i = 0; i < 2; ++i) {
+        const std::string rerecord = path + ".replay" + std::to_string(i);
+        ReplayOptions ropts;
+        ropts.record_path = rerecord;
+        const ReplayReport report = replay_journal(path, ropts);
+        EXPECT_TRUE(report.ok) << report.summary();
+        EXPECT_GT(report.outputs_compared, 0u);
+        journals[i] = read_file(rerecord);
+        std::filesystem::remove(rerecord);
+    }
+    ASSERT_FALSE(journals[0].empty());
+    EXPECT_EQ(journals[0], journals[1]);
+    std::filesystem::remove(path);
+}
+
+// ---------------------------------------------------------------------
+// Open-loop grants
+// ---------------------------------------------------------------------
+
+TEST(Replay, OpenLoopGrantsReplay)
+{
+    // The counter drives an LED, so once the fabric has inlined it the
+    // program free-runs in open-loop grants, each journaled with its
+    // batch; a replay must take those grants from the journal.
+    const std::string path = temp_path("open_loop.jsonl");
+    {
+        Runtime rt(hw_fast());
+        rt.on_output = [](const std::string&) {};
+        uint64_t grants = 0;
+        rt.journal().add_tap([&grants](const telemetry::Journal::Event& ev) {
+            grants += ev.type == "openloop.grant";
+        });
+        std::string err;
+        ASSERT_TRUE(rt.start_recording(path, &err)) << err;
+        ASSERT_TRUE(rt.eval(std::string(kProgram) +
+                                "Led#(8) led();\n"
+                                "assign led.val = n[7:0];\n",
+                            &err))
+            << err;
+        const auto start = std::chrono::steady_clock::now();
+        while (rt.user_location() != Location::HardwareForwarded ||
+               grants < 2) {
+            ASSERT_LT(std::chrono::steady_clock::now() - start,
+                      std::chrono::seconds(60))
+                << grants << " grants";
+            rt.run_for_ticks(100);
+        }
+        rt.stop_recording();
+    }
 
     std::string journals[2];
     for (int i = 0; i < 2; ++i) {
